@@ -50,7 +50,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.analysis.analyzer import database_env
 from repro.analysis.automata import (
@@ -553,49 +562,26 @@ class _ProverContext:
     period: float = DEFAULT_PERIOD
 
 
-def _automata_contradicts(
-    a: Formula, b: Formula, env: Mapping[str, Interval], ctx: _ProverContext
+def _proves(
+    prover: Callable[..., str],
+    formulas: Sequence[Formula],
+    env: Mapping[str, Interval],
+    ctx: _ProverContext,
 ) -> bool:
-    try:
-        return (
-            prove_contradicts(
-                a, b, machines=ctx.machines, env=env,
-                bool_signals=ctx.bool_signals, period=ctx.period,
-            )
-            == PROVED
+    """Whether the automata ``prover`` settles its question.
+
+    The prover answers its typed give-ups (state budget, unsupported
+    formula, alphabet, evaluation) with ``"unknown"`` and counts them
+    as ``audit.prover.undecided.<reason>``; any other exception is a
+    bug and propagates.
+    """
+    return (
+        prover(
+            *formulas, machines=ctx.machines, env=env,
+            bool_signals=ctx.bool_signals, period=ctx.period,
         )
-    except Exception:
-        return False  # the fallback must never break the audit
-
-
-def _automata_implies(
-    a: Formula, b: Formula, env: Mapping[str, Interval], ctx: _ProverContext
-) -> bool:
-    try:
-        return (
-            prove_implies(
-                a, b, machines=ctx.machines, env=env,
-                bool_signals=ctx.bool_signals, period=ctx.period,
-            )
-            == PROVED
-        )
-    except Exception:
-        return False
-
-
-def _automata_valid(
-    formula: Formula, env: Mapping[str, Interval], ctx: _ProverContext
-) -> bool:
-    try:
-        return (
-            prove_valid(
-                formula, machines=ctx.machines, env=env,
-                bool_signals=ctx.bool_signals, period=ctx.period,
-            )
-            == PROVED
-        )
-    except Exception:
-        return False
+        == PROVED
+    )
 
 
 def _rule_pair_checks(
@@ -636,8 +622,11 @@ def _rule_pair_checks(
                         )
                     )
                     continue
-                if _automata_contradicts(
-                    rule_a.formula, rule_b.formula, env, ctx
+                if _proves(
+                    prove_contradicts,
+                    (rule_a.formula, rule_b.formula),
+                    env,
+                    ctx,
                 ):
                     findings.append(
                         make_diagnostic(
@@ -688,7 +677,9 @@ def _subsumption_pair(
                     ),
                 )
             ]
-        if _automata_implies(strong.formula, weak.formula, env, ctx):
+        if _proves(
+            prove_implies, (strong.formula, weak.formula), env, ctx
+        ):
             return [
                 make_diagnostic(
                     "AU102",
@@ -723,7 +714,7 @@ def _vacuity_checks(
                     suggestion="tighten the bound below the DBC range",
                 )
             )
-        elif _automata_valid(rule.effective_formula(), env, ctx):
+        elif _proves(prove_valid, (rule.effective_formula(),), env, ctx):
             findings.append(
                 make_diagnostic(
                     "AU103",

@@ -96,6 +96,7 @@ from repro.core.monitor import DEFAULT_PERIOD
 from repro.core.statemachine import StateMachine
 from repro.core.windows import bounds_to_rows
 from repro.errors import EvaluationError
+from repro.obs import get_registry
 
 #: Default cap on DFA states per compilation (product states included).
 DEFAULT_STATE_BUDGET = 20000
@@ -919,6 +920,16 @@ def compile_formula(
 
 PROVED = "proved"
 
+#: The typed give-ups a prover answers ``"unknown"`` for, each counted
+#: as ``audit.prover.undecided.<reason>`` (the audit is the provers'
+#: consumer).  Any other exception is a bug and propagates.
+_GIVE_UP_REASONS = {
+    StateBudgetError: "state_budget",
+    UnsupportedFormulaError: "unsupported_formula",
+    AlphabetError: "alphabet",
+    EvaluationError: "evaluation",
+}
+
 
 def _decide(
     formulas: Sequence[Formula],
@@ -937,12 +948,10 @@ def _decide(
         automaton = compile_term(
             combine(terms), alphabet, used, max_states=max_states
         )
-    except (
-        AlphabetError,
-        UnsupportedFormulaError,
-        StateBudgetError,
-        EvaluationError,
-    ):
+    except tuple(_GIVE_UP_REASONS) as exc:
+        get_registry().counter(
+            "audit.prover.undecided.%s" % _GIVE_UP_REASONS[type(exc)]
+        ).inc()
         return UNKNOWN
     status = automaton.satisfiable()
     return PROVED if status == NO else UNKNOWN

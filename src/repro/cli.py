@@ -13,14 +13,9 @@ Entry point ``repro-oracle`` with subcommands:
 * ``reproduce`` — regenerate the paper's core results (``--jobs N``
   fans the campaign out to worker processes);
 * ``table1`` — run the robustness campaign and print Table I
-  (``--jobs N`` for parallel execution, ``--backend columnar`` for
-  batched checking, ``--out`` to persist the table, ``--strict`` to
-  fail when the type-checker rejects any injection, ``--metrics-out``
-  to capture an observability snapshot);
-* ``trace pack`` / ``trace info`` — build and inspect ``.rtc``
-  columnar trace stores (zero-copy memory-mapped input for batched
-  checking; ``--grid`` additionally stores pack-time resampled
-  columns).
+  (``--jobs N`` for parallel execution, ``--out`` to persist the
+  table, ``--strict`` to fail when the type-checker rejects any
+  injection, ``--metrics-out`` to capture an observability snapshot).
 
 Stream discipline: results (tables, reports, rule listings) go to
 stdout; progress lines and metrics summaries go to stderr, so piped
@@ -607,68 +602,7 @@ def _build_parser() -> argparse.ArgumentParser:
             "JSON here (implies --robustness)"
         ),
     )
-    table_cmd.add_argument(
-        "--backend",
-        choices=("per-trace", "columnar"),
-        default="per-trace",
-        help=(
-            "how traces are checked: 'per-trace' checks each trace "
-            "right after its simulation; 'columnar' simulates every "
-            "test first, then batch-checks all traces in one "
-            "vectorized pass per rule (several times faster, "
-            "letter-identical; parallel runs move traces through "
-            "zero-copy shared memory instead of pickles)"
-        ),
-    )
     table_cmd.set_defaults(handler=_cmd_table1)
-
-    trace_cmd = sub.add_parser(
-        "trace", help="columnar .rtc trace-store utilities"
-    )
-    trace_sub = trace_cmd.add_subparsers(dest="trace_command")
-    trace_cmd.set_defaults(handler=_cmd_trace_help, trace_parser=trace_cmd)
-
-    pack_cmd = trace_sub.add_parser(
-        "pack",
-        help="pack trace files into a memory-mapped columnar store",
-    )
-    pack_cmd.add_argument("out", help="output .rtc path")
-    pack_cmd.add_argument(
-        "traces", nargs="*", help="trace files written by this tool"
-    )
-    pack_cmd.add_argument(
-        "--drive",
-        action="store_true",
-        help="also pack the synthetic paper drive logs",
-    )
-    pack_cmd.add_argument(
-        "--seed", type=int, default=0, help="drive-log seed (with --drive)"
-    )
-    pack_cmd.add_argument(
-        "--grid",
-        type=float,
-        default=None,
-        metavar="PERIOD",
-        help=(
-            "additionally store columns resampled onto a uniform grid "
-            "at this period in seconds; monitor views at the same "
-            "period then skip resampling entirely (larger file, much "
-            "faster batched checking)"
-        ),
-    )
-    pack_cmd.set_defaults(handler=_cmd_trace_pack)
-
-    info_cmd = trace_sub.add_parser(
-        "info", help="describe an .rtc store (traces, columns, grid)"
-    )
-    info_cmd.add_argument("store", help=".rtc file written by 'trace pack'")
-    info_cmd.add_argument(
-        "--format",
-        choices=("text", "json"),
-        default="text",
-        help="output format (default text)",
-    )
-    info_cmd.set_defaults(handler=_cmd_trace_info)
 
     return parser
 
@@ -1049,75 +983,6 @@ def _cmd_automata(args: argparse.Namespace) -> int:
     return 1 if failed and args.strict else 0
 
 
-def _cmd_trace_help(args: argparse.Namespace) -> int:
-    args.trace_parser.print_help()
-    return 2
-
-
-def _cmd_trace_pack(args: argparse.Namespace) -> int:
-    from repro.errors import TraceError
-    from repro.logs.store import TraceStore
-
-    traces = []
-    for path in args.traces:
-        try:
-            traces.append(read_trace(path))
-        except (OSError, TraceError) as exc:
-            _progress("cannot read trace %s: %s" % (path, exc))
-            raise SystemExit(2)
-    if args.drive:
-        traces.extend(generate_drive_logs(seed=args.seed))
-    if not traces:
-        _progress("trace pack: nothing to pack (pass trace files or --drive)")
-        return 2
-    try:
-        TraceStore.pack(traces, args.out, grid=args.grid)
-    except TraceError as exc:
-        _progress("trace pack failed: %s" % exc)
-        raise SystemExit(2)
-    with TraceStore.open(args.out) as store:
-        grid_note = (
-            "" if args.grid is None else ", grid period %gs" % args.grid
-        )
-        print(
-            "packed %d trace(s) into %s (%d bytes%s)"
-            % (len(store), args.out, store.nbytes, grid_note)
-        )
-    return 0
-
-
-def _cmd_trace_info(args: argparse.Namespace) -> int:
-    from repro.errors import TraceError
-    from repro.logs.store import TraceStore
-
-    try:
-        store = TraceStore.open(args.store)
-    except (OSError, TraceError) as exc:
-        _progress("cannot open store %s: %s" % (args.store, exc))
-        raise SystemExit(2)
-    with store:
-        info = store.info()
-        if args.format == "json":
-            print(json.dumps(info, indent=2, sort_keys=True))
-            return 0
-        print(
-            "%s: rtc v%d, %d trace(s), %d bytes"
-            % (args.store, info["version"], len(info["traces"]), info["bytes"])
-        )
-        for entry in info["traces"]:
-            grid = entry["grid"]
-            grid_note = (
-                ""
-                if grid is None
-                else "  grid %g s x %d rows" % (grid["period"], grid["rows"])
-            )
-            print(
-                "  %-28s %d signal(s), %d update(s)%s"
-                % (entry["name"], entry["signals"], entry["updates"], grid_note)
-            )
-    return 0
-
-
 def _cmd_reproduce(args: argparse.Namespace) -> int:
     from repro.testing.reproducer import reproduce
 
@@ -1150,7 +1015,6 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         margin_threshold=args.prune_threshold,
         robustness=args.robustness or args.margins_out is not None,
         near_miss_threshold=args.near_miss_threshold,
-        backend=args.backend,
     )
     tests = single_signal_tests() if args.quick else table1_tests()
     if args.limit is not None:

@@ -40,7 +40,7 @@ instrumentation is one attribute check.
 from __future__ import annotations
 
 import time
-from typing import Dict, Mapping, Optional, Union
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
@@ -80,22 +80,15 @@ from repro.core.windows import (
     past_aggregate,
 )
 from repro.errors import EvaluationError
-from repro.logs.trace import BatchTraceView, TraceView
+from repro.logs.trace import TraceView
 from repro.obs import get_registry
 
 
 class EvalContext:
     """Everything a formula needs to evaluate against one trace view.
 
-    The view may be a single :class:`~repro.logs.trace.TraceView`
-    (columns shaped ``(n_rows,)``) or a
-    :class:`~repro.logs.trace.BatchTraceView` stacking N equal-shape
-    traces (columns shaped ``(n_traces, n_rows)``): every evaluation
-    rule operates along the last axis, so one pass over a batch
-    evaluates every trace at once.
-
     Attributes:
-        view: the uniformly sampled trace (or stacked batch).
+        view: the uniformly sampled trace.
         machine_states: per-machine array of current state names per row
             (populated by the monitor after running its state machines).
         machine_alphabets: per-machine set of valid state names, used to
@@ -110,7 +103,7 @@ class EvalContext:
 
     def __init__(
         self,
-        view: Union[TraceView, BatchTraceView],
+        view: TraceView,
         machine_states: Optional[Mapping[str, np.ndarray]] = None,
         machine_alphabets: Optional[Mapping[str, frozenset]] = None,
         memo: bool = True,
@@ -142,16 +135,8 @@ class EvalContext:
 
     @property
     def n_rows(self) -> int:
-        """Number of rows under evaluation (per trace, for a batch)."""
+        """Number of rows under evaluation."""
         return self.view.n_rows
-
-    @property
-    def shape(self) -> tuple:
-        """Shape of every column/verdict array in this context."""
-        shape = getattr(self.view, "shape", None)
-        if shape is None:
-            return (self.view.n_rows,)
-        return shape
 
 
 def evaluate_expr(node: Expr, ctx: EvalContext) -> np.ndarray:
@@ -252,7 +237,7 @@ def evaluate_robustness(node: Formula, ctx: EvalContext) -> Bounds:
 
 def _evaluate_expr(node: Expr, ctx: EvalContext) -> np.ndarray:
     if isinstance(node, Constant):
-        return np.full(ctx.shape, node.value)
+        return np.full(ctx.n_rows, node.value)
     if isinstance(node, SignalRef):
         return _signal_values(node.name, ctx)
     if isinstance(node, Unary):
@@ -287,7 +272,7 @@ def _evaluate_expr(node: Expr, ctx: EvalContext) -> np.ndarray:
 def _evaluate_formula(node: Formula, ctx: EvalContext) -> np.ndarray:
     if isinstance(node, BoolConst):
         code = TRUE_CODE if node.value else FALSE_CODE
-        return np.full(ctx.shape, code, dtype=np.int8)
+        return np.full(ctx.n_rows, code, dtype=np.int8)
     if isinstance(node, SignalPredicate):
         return bools_to_codes(_signal_values(node.name, ctx) != 0.0)
     if isinstance(node, Fresh):
@@ -311,12 +296,12 @@ def _evaluate_formula(node: Formula, ctx: EvalContext) -> np.ndarray:
         return np.maximum((2 - left).astype(np.int8), right)
     if isinstance(node, Next):
         inner = evaluate_formula(node.operand, ctx)
-        if inner.shape[-1] == 0:
+        if len(inner) == 0:
             return inner.copy()
         shifted = np.empty_like(inner)
-        if inner.shape[-1] > 1:
-            shifted[..., :-1] = inner[..., 1:]
-        shifted[..., -1] = UNKNOWN_CODE
+        if len(inner) > 1:
+            shifted[:-1] = inner[1:]
+        shifted[-1] = UNKNOWN_CODE
         return shifted
     if isinstance(node, Always):
         inner = evaluate_formula(node.operand, ctx)
@@ -371,15 +356,15 @@ def _evaluate_robustness(node: Formula, ctx: EvalContext) -> Bounds:
         )
     if isinstance(node, Next):
         inner = evaluate_robustness(node.operand, ctx)
-        if inner.lower.shape[-1] == 0:
+        if len(inner.lower) == 0:
             return Bounds(inner.lower.copy(), inner.upper.copy())
         lower = np.empty_like(inner.lower)
         upper = np.empty_like(inner.upper)
-        if lower.shape[-1] > 1:
-            lower[..., :-1] = inner.lower[..., 1:]
-            upper[..., :-1] = inner.upper[..., 1:]
-        lower[..., -1] = -np.inf
-        upper[..., -1] = np.inf
+        if len(lower) > 1:
+            lower[:-1] = inner.lower[1:]
+            upper[:-1] = inner.upper[1:]
+        lower[-1] = -np.inf
+        upper[-1] = np.inf
         return Bounds(lower, upper)
     if isinstance(node, Always):
         inner = evaluate_robustness(node.operand, ctx)
@@ -470,12 +455,12 @@ def _trace_func(node: TraceFunc, ctx: EvalContext) -> np.ndarray:
         return view.rate(node.signal)
     if node.kind == "prev":
         values = view.values(node.signal)
-        if values.shape[-1] == 0:
+        if len(values) == 0:
             return values.copy()
         previous = np.empty_like(values)
-        previous[..., 0] = values[..., 0]
-        if values.shape[-1] > 1:
-            previous[..., 1:] = values[..., :-1]
+        previous[0] = values[0]
+        if len(values) > 1:
+            previous[1:] = values[:-1]
         return previous
     if node.kind == "age":
         return view.fresh_age(node.signal).astype(float)

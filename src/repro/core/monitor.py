@@ -23,7 +23,7 @@ paper's "relax the rule when false positives are found" workflow.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -36,7 +36,6 @@ from repro.core.evaluator import (
 from repro.core.intent import IntentFilter, apply_filters
 from repro.core.parser import parse_formula
 from repro.core.robustness import (
-    Bounds,
     RuleRobustness,
     float_to_json,
     summarize_bounds,
@@ -57,7 +56,7 @@ from repro.core.violations import (
 )
 from repro.core.warmup import WarmupSpec
 from repro.errors import SpecError
-from repro.logs.trace import BatchTraceView, Trace, TraceView
+from repro.logs.trace import Trace, TraceView
 from repro.obs import get_registry
 
 #: Default monitor sampling period — the vehicle's fast message period.
@@ -462,46 +461,17 @@ class Monitor:
         robustness: bool = False,
         near_miss_threshold: Optional[float] = None,
     ) -> RuleResult:
+        view = ctx.view
         codes = evaluate_formula(rule.effective_formula(), ctx).copy()
-        masked = self._rule_mask(rule, ctx)
-        codes[masked] = TRUE_CODE
-        bounds = (
-            evaluate_robustness(rule.effective_formula(), ctx)
-            if robustness
-            else None
-        )
-        assert isinstance(ctx.view, TraceView)
-        return self._finish_rule(
-            rule, codes, masked, ctx.view, ctx, bounds, near_miss_threshold
-        )
 
-    def _rule_mask(self, rule: Rule, ctx: EvalContext) -> np.ndarray:
-        """Rows the rule does not check (settle window + warm-up)."""
-        masked = np.zeros(ctx.shape, dtype=bool)
+        masked = np.zeros(view.n_rows, dtype=bool)
         if rule.initial_settle > 0:
-            settle_rows = int(round(rule.initial_settle / ctx.view.period))
-            masked[..., : settle_rows + 1] = True
+            settle_rows = int(round(rule.initial_settle / view.period))
+            masked[: settle_rows + 1] = True
         if rule.warmup is not None:
             masked |= rule.warmup.mask(ctx)
-        return masked
+        codes[masked] = TRUE_CODE
 
-    def _finish_rule(
-        self,
-        rule: Rule,
-        codes: np.ndarray,
-        masked: np.ndarray,
-        view: TraceView,
-        filter_ctx: EvalContext,
-        bounds: Optional[Bounds],
-        near_miss_threshold: Optional[float],
-    ) -> RuleResult:
-        """Per-trace postprocessing shared by the single and batched
-        paths: violation extraction, intent filtering, verdict, margins.
-
-        ``codes``/``masked`` are this trace's 1-D arrays (a row of the
-        batch, for :meth:`check_batch`); ``filter_ctx`` evaluates the
-        intent filters' expressions over this trace's own view.
-        """
         # Witness columns are only materialized when a violation exists —
         # the common all-satisfied rule pays nothing for them.
         if (codes == FALSE_CODE).any():
@@ -515,7 +485,7 @@ class Monitor:
             )
         else:
             raw = []
-        kept, dropped = apply_filters(raw, rule.filters, filter_ctx)
+        kept, dropped = apply_filters(raw, rule.filters, ctx)
 
         if kept:
             verdict = Verdict.FALSE
@@ -527,7 +497,8 @@ class Monitor:
 
         rule_robustness: Optional[RuleRobustness] = None
         near_miss = None
-        if bounds is not None:
+        if robustness:
+            bounds = evaluate_robustness(rule.effective_formula(), ctx)
             lower = bounds.lower.copy()
             upper = bounds.upper.copy()
             # Masked rows are neutral in the numeric lattice too — they
@@ -559,164 +530,11 @@ class Monitor:
         registry.counter("monitor.rows_masked").inc(result.rows_masked)
         registry.counter("monitor.violations").inc(len(kept))
         registry.counter("monitor.dismissed").inc(len(dropped))
-        if bounds is not None:
+        if robustness:
             registry.counter("monitor.margins").inc()
             if near_miss is not None:
                 registry.counter("monitor.near_misses").inc()
         return result
-
-    # ------------------------------------------------------------------
-    # Batched evaluation
-    # ------------------------------------------------------------------
-
-    def check_batch(
-        self,
-        traces: Iterable,
-        rules: Optional[Sequence[Rule]] = None,
-        robustness: bool = False,
-        near_miss_threshold: Optional[float] = None,
-    ) -> List[MonitorReport]:
-        """Check many traces with one vectorized pass per rule.
-
-        ``traces`` is any iterable of trace-likes — in-memory
-        :class:`~repro.logs.trace.Trace` objects or an opened
-        :class:`~repro.logs.store.TraceStore` (whose
-        :class:`~repro.logs.store.StoredTrace` members resample straight
-        off the memory mapping).  Traces with equal row counts are
-        stacked into a :class:`~repro.logs.trace.BatchTraceView` and
-        every rule is evaluated once over the 2-D ``(trace, row)``
-        columns; ragged row counts fall back to the per-trace path.
-        Reports come back in input order and are **byte-identical** to
-        ``[self.check(t) for t in traces]`` either way — the batched
-        kernels compute the same values row for row, and all per-trace
-        postprocessing (violation runs, intent filters, margins) runs on
-        each trace's own slice.
-
-        Monitors with state machines fall back entirely: machine state
-        advances row by row per trace, so there is nothing to stack.
-        ``rules`` restricts checking to a subset (defaults to all).
-        """
-        trace_list = list(traces)
-        if rules is not None:
-            sub = Monitor(
-                rules,
-                machines=self.machines,
-                period=self.period,
-                memo=self.memo,
-            )
-            return sub.check_batch(
-                trace_list,
-                robustness=robustness,
-                near_miss_threshold=near_miss_threshold,
-            )
-        registry = get_registry()
-        reports: List[Optional[MonitorReport]] = [None] * len(trace_list)
-        if self.machines:
-            registry.counter("monitor.batch.fallback_traces").inc(
-                len(trace_list)
-            )
-            for i, trace in enumerate(trace_list):
-                reports[i] = self.check(
-                    trace,
-                    robustness=robustness,
-                    near_miss_threshold=near_miss_threshold,
-                )
-            return reports  # type: ignore[return-value]
-        signals = self.required_signals()
-        views = [
-            trace.to_view(self.period, signals=signals)
-            for trace in trace_list
-        ]
-        groups: Dict[int, List[int]] = {}
-        for i, view in enumerate(views):
-            groups.setdefault(view.n_rows, []).append(i)
-        for indices in groups.values():
-            if len(indices) == 1:
-                i = indices[0]
-                registry.counter("monitor.batch.fallback_traces").inc()
-                reports[i] = self.check_view(
-                    views[i],
-                    trace_name=trace_list[i].name,
-                    robustness=robustness,
-                    near_miss_threshold=near_miss_threshold,
-                )
-                continue
-            registry.counter("monitor.batch.groups").inc()
-            registry.counter("monitor.checks").inc(len(indices))
-            group_views = [views[i] for i in indices]
-            batch = BatchTraceView(group_views)
-            bctx = EvalContext(batch, memo=self.memo)
-            group_reports = [
-                MonitorReport(
-                    trace_name=trace_list[i].name,
-                    period=view.period,
-                    duration=view.end_time - view.start_time,
-                )
-                for i, view in zip(indices, group_views)
-            ]
-            # Per-trace contexts are created lazily — only traces whose
-            # raw violations meet an intent filter ever need one.
-            filter_ctxs: Dict[int, EvalContext] = {}
-            for rule in self.rules:
-                with registry.span("monitor.rule.%s" % rule.rule_id):
-                    results = self._check_rule_batch(
-                        rule,
-                        bctx,
-                        group_views,
-                        filter_ctxs,
-                        robustness=robustness,
-                        near_miss_threshold=near_miss_threshold,
-                    )
-                for report, result in zip(group_reports, results):
-                    report.results[rule.rule_id] = result
-            for i, report in zip(indices, group_reports):
-                reports[i] = report
-        return reports  # type: ignore[return-value]
-
-    def _check_rule_batch(
-        self,
-        rule: Rule,
-        bctx: EvalContext,
-        views: Sequence[TraceView],
-        filter_ctxs: Dict[int, EvalContext],
-        robustness: bool,
-        near_miss_threshold: Optional[float],
-    ) -> List[RuleResult]:
-        """One vectorized rule evaluation over a stacked batch."""
-        codes2 = evaluate_formula(rule.effective_formula(), bctx).copy()
-        masked2 = self._rule_mask(rule, bctx)
-        codes2[masked2] = TRUE_CODE
-        bounds2 = (
-            evaluate_robustness(rule.effective_formula(), bctx)
-            if robustness
-            else None
-        )
-        results = []
-        for t, view in enumerate(views):
-            if rule.filters:
-                filter_ctx = filter_ctxs.get(t)
-                if filter_ctx is None:
-                    filter_ctx = EvalContext(view, memo=self.memo)
-                    filter_ctxs[t] = filter_ctx
-            else:
-                filter_ctx = bctx  # never consulted without filters
-            bounds = (
-                Bounds(bounds2.lower[t], bounds2.upper[t])
-                if bounds2 is not None
-                else None
-            )
-            results.append(
-                self._finish_rule(
-                    rule,
-                    codes2[t],
-                    masked2[t],
-                    view,
-                    filter_ctx,
-                    bounds,
-                    near_miss_threshold,
-                )
-            )
-        return results
 
 
 def _detect_near_miss(

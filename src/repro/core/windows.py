@@ -16,14 +16,12 @@ takes a cumulative min/max from the left (``prefix``) and from the right
 (``suffix``) inside each block, and combines one element of each per
 output row — three passes over the data regardless of window width.
 
-Every kernel operates along the **last axis**, so a 2-D ``(trace, row)``
-batch from :class:`~repro.logs.trace.BatchTraceView` aggregates all
-traces in one fused pass; 1-D inputs behave exactly as before.  The
-block kernel's padded/prefix/suffix intermediates come from a
-thread-local scratch pool (reused across calls of the same shape) so a
-campaign's worth of window aggregates does not churn three fresh
-allocations per operator; outputs are always freshly allocated and
-never alias the pool.
+Every kernel operates along the **last axis** (leading axes pass
+through untouched).  The block kernel's padded/prefix/suffix
+intermediates come from a thread-local scratch pool (reused across
+calls of the same shape) so a campaign's worth of window aggregates
+does not churn three fresh allocations per operator; outputs are always
+freshly allocated and never alias the pool.
 
 Both kernels share the seed implementation's padding semantics exactly:
 rows whose window extends past the end (future operators) or before the
@@ -177,8 +175,7 @@ def sliding_extreme(
 
     ``out[..., i] = extreme(values[..., i : i + width])`` with output
     length ``values.shape[-1] - width + 1`` (must be >= 0); leading axes
-    are preserved, so a 2-D ``(trace, row)`` batch aggregates every
-    trace in one pass.  This is the van Herk/Gil–Werman block scan:
+    are preserved.  This is the van Herk/Gil–Werman block scan:
     cumulative extremes from the left and right of each ``width``-sized
     block; every window spans at most two blocks, so one suffix element
     and one prefix element cover it.
@@ -261,7 +258,7 @@ def future_aggregate(
     Rows whose window extends past the end of the array aggregate
     against ``pad_value`` padding (UNKNOWN by default — the truncated
     -evidence semantics of the bounded future operators).  Operates
-    along the last axis; leading (batch) axes pass through.
+    along the last axis; leading axes pass through.
     """
     codes = np.asarray(codes)
     n = codes.shape[-1]

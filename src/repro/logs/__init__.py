@@ -8,9 +8,7 @@ from repro.logs.format import (
     write_trace,
 )
 from repro.logs.replay import collect, rebuild, replay, windows
-from repro.logs.store import StoredTrace, TraceStore
 from repro.logs.trace import (
-    BatchTraceView,
     StreamTrace,
     Trace,
     TraceEvent,
@@ -27,15 +25,12 @@ from repro.logs.vehicle_logs import (
 )
 
 __all__ = [
-    "BatchTraceView",
     "HEADER_PREFIX",
     "RANGE_NOISE_STD",
     "REL_VEL_NOISE_STD",
-    "StoredTrace",
     "StreamTrace",
     "Trace",
     "TraceEvent",
-    "TraceStore",
     "TraceView",
     "VELOCITY_NOISE_STD",
     "as_vehicle_scenario",

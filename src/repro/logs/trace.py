@@ -95,11 +95,9 @@ class Trace:
     def update_arrays(self, signal: str) -> Tuple[np.ndarray, np.ndarray]:
         """One signal's ``(timestamps, values)`` as float64 arrays.
 
-        The array-ingestion protocol :class:`TraceView` resamples from:
-        one C-level list→array conversion per signal instead of a
-        Python-level ``(t, v)`` tuple walk.  Backends with columnar
-        storage (:class:`~repro.logs.store.StoredTrace`) override this
-        to return zero-copy views of their backing buffer.
+        What :class:`TraceView` resamples from: one C-level list→array
+        conversion per signal instead of a Python-level ``(t, v)`` tuple
+        walk.
         """
         if signal not in self._times:
             raise TraceError("no updates recorded for signal %s" % signal)
@@ -494,84 +492,6 @@ class _SignalColumns:
         return np.arange(n)
 
 
-class _GridColumns(_SignalColumns):
-    """Pre-resampled grid columns — the columnar-store fast path.
-
-    Wraps ``values``/``fresh``/``update_times`` columns that were
-    computed at pack time by the standard :class:`_SignalColumns`
-    machinery and stored alongside the raw updates (see
-    :mod:`repro.logs.store`), so building a view costs no resampling at
-    all.  Derived columns are recomputed with the inherited formulas:
-    they read held values/timestamps only at *fresh* rows, where the
-    held columns coincide exactly with the raw path's binned
-    ``val_at``/``time_at`` arrays — every column is therefore
-    byte-identical to a full resample of the raw updates.
-    """
-
-    def __init__(
-        self,
-        n: int,
-        t0: float,
-        period: float,
-        values: np.ndarray,
-        fresh_f8: np.ndarray,
-        update_times: np.ndarray,
-        blocks: Optional[Tuple[np.ndarray, ...]] = None,
-        row: int = 0,
-    ) -> None:
-        self._n = n
-        self._t0 = t0
-        self._period = period
-        self._grid_values = values
-        self._fresh_f8 = fresh_f8
-        self._grid_update_times = update_times
-        #: The owning group's (values, update_times, fresh_f8) 2-D
-        #: blocks plus this trace's row — lets a batch over the whole
-        #: group return the blocks directly instead of re-stacking.
-        self._blocks = blocks
-        self._row = row
-
-    @cached_property
-    def _grid_fresh(self) -> np.ndarray:
-        # Stored as float64 0/1 (the data region is homogeneous f8);
-        # cast back to bool only when a rule actually reads freshness.
-        return self._fresh_f8 != 0.0
-
-    @cached_property
-    def _binned(self):
-        fresh = self._grid_fresh
-        # The inherited consumers (``_trend``) read val_at/time_at only
-        # at fresh rows, where the held columns carry exactly the binned
-        # values; first_value/first_time feed only ``_held``, which is
-        # overridden below, so placeholders suffice.
-        return (
-            fresh,
-            fresh,
-            self._grid_values,
-            self._grid_update_times,
-            0.0,
-            self._t0,
-        )
-
-    @cached_property
-    def _held(self):
-        return self.values, self.ever_fresh, self.update_times
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        return self._grid_values
-
-    @cached_property
-    def update_times(self) -> np.ndarray:
-        return self._grid_update_times
-
-    @cached_property
-    def ever_fresh(self) -> np.ndarray:
-        # Same booleans the raw path's filled-position scan produces —
-        # computed only when a rule actually reads the column.
-        return np.logical_or.accumulate(self._grid_fresh)
-
-
 class TraceView:
     """A trace resampled onto a uniform time grid.
 
@@ -614,34 +534,14 @@ class TraceView:
         n_rows = int(math.floor((t1 - t0) / period + 1e-9)) + 1
         self.times = t0 + period * np.arange(n_rows)
         # Snapshot each signal's raw update arrays now (cheap, and
-        # isolates the view from later trace mutation — array-backed
-        # stores hand out immutable zero-copy views instead); the
-        # O(n_rows) column computations happen lazily on first access.
+        # isolates the view from later trace mutation); the O(n_rows)
+        # column computations happen lazily on first access.
         self._columns: Dict[str, _SignalColumns] = {}
-        update_arrays = getattr(trace, "update_arrays", None)
-        # Array-backed stores can hand back pre-resampled grid columns
-        # (computed at pack time by this very class) when their stored
-        # grid matches the requested one — skipping resampling entirely.
-        grid_columns = getattr(trace, "grid_columns", None)
         t0_row = float(self.times[0])
         for signal in self.signal_names:
-            if grid_columns is not None:
-                column = grid_columns(signal, n_rows, t0_row, self.period)
-                if column is not None:
-                    self._columns[signal] = column
-                    continue
-            if update_arrays is not None:
-                raw_times, raw_vals = update_arrays(signal)
-            else:
-                updates = trace.updates(signal)
-                raw_times = np.array([t for t, _ in updates])
-                raw_vals = np.array([v for _, v in updates])
+            raw_times, raw_vals = trace.update_arrays(signal)
             self._columns[signal] = _SignalColumns(
-                n_rows,
-                t0_row,
-                self.period,
-                raw_times,
-                raw_vals,
+                n_rows, t0_row, self.period, raw_times, raw_vals
             )
 
     # ------------------------------------------------------------------
@@ -650,16 +550,6 @@ class TraceView:
     def n_rows(self) -> int:
         """Number of rows (uniform samples) in the view."""
         return len(self.times)
-
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        """Shape of every column array: ``(n_rows,)``.
-
-        :class:`BatchTraceView` reports ``(n_traces, n_rows)``; the
-        evaluator sizes constants off this so one formula pass serves
-        both.
-        """
-        return (len(self.times),)
 
     @property
     def start_time(self) -> float:
@@ -718,149 +608,3 @@ class TraceView:
             signal: float(self._columns[signal].values[index])
             for signal in self.signal_names
         }
-
-
-class BatchTraceView:
-    """N equal-shape :class:`TraceView`\\ s stacked into 2-D columns.
-
-    The batched evaluation substrate: every column accessor returns a
-    ``(n_traces, n_rows)`` array (trace-major), so one formula pass over
-    the batch evaluates every trace at once — the window kernels operate
-    along the last axis and broadcast over the leading trace axis.
-
-    All member views must share ``n_rows``, ``period`` and
-    ``signal_names``; ragged groups are the caller's problem (the
-    monitor falls back to the per-trace path for them).  Stacking is
-    lazy and cached per ``(column kind, signal)``: a rule set that never
-    differences a signal never pays to stack its trend columns.  The
-    underlying per-view columns are shared, not copied, until a stack is
-    requested — and per-view lazy caches mean a later per-trace pass
-    over the same views recomputes nothing.
-    """
-
-    def __init__(self, views: Sequence[TraceView]) -> None:
-        if not views:
-            raise TraceError("cannot batch zero views")
-        first = views[0]
-        for view in views[1:]:
-            if view.n_rows != first.n_rows:
-                raise TraceError(
-                    "ragged batch: %d rows vs %d" % (view.n_rows, first.n_rows)
-                )
-            if view.period != first.period:
-                raise TraceError(
-                    "mixed periods in batch: %g vs %g"
-                    % (view.period, first.period)
-                )
-            if view.signal_names != first.signal_names:
-                raise TraceError("batched views expose different signals")
-        self.views: Tuple[TraceView, ...] = tuple(views)
-        self.period = first.period
-        self.signal_names = first.signal_names
-        self._cache: Dict[Tuple[str, str], np.ndarray] = {}
-
-    @property
-    def n_traces(self) -> int:
-        """Number of stacked traces (the leading axis)."""
-        return len(self.views)
-
-    @property
-    def n_rows(self) -> int:
-        """Rows per trace (the last axis)."""
-        return self.views[0].n_rows
-
-    @property
-    def shape(self) -> Tuple[int, ...]:
-        """Shape of every column array: ``(n_traces, n_rows)``."""
-        return (len(self.views), self.views[0].n_rows)
-
-    def __contains__(self, signal: str) -> bool:
-        return signal in self.views[0]
-
-    def _stack(self, kind: str, signal: str) -> np.ndarray:
-        key = (kind, signal)
-        stacked = self._cache.get(key)
-        if stacked is None:
-            columns = [view._column(signal) for view in self.views]
-            stacked = self._stack_blocks(kind, signal, columns)
-            if stacked is None:
-                stacked = np.stack(
-                    [getattr(column, kind) for column in columns]
-                )
-            self._cache[key] = stacked
-        return stacked
-
-    def _stack_blocks(self, kind, signal, columns):
-        """Zero-copy 2-D columns when the batch is one whole grid group.
-
-        Columnar stores pack equal-shape traces' grid columns as shared
-        trace-major blocks (see :mod:`repro.logs.store`); when this
-        batch holds exactly that group, in pack order, the block *is*
-        the stacked column.  Derived kinds are computed per-row with the
-        same formulas the per-trace path uses, so results stay
-        byte-identical to stacking.  Returns ``None`` (fall back to
-        :func:`numpy.stack`) for partial groups or trend columns.
-        """
-        first = columns[0]
-        blocks = getattr(first, "_blocks", None)
-        if blocks is None or blocks[0].shape[0] != len(columns):
-            return None
-        for row, column in enumerate(columns):
-            if (
-                getattr(column, "_blocks", None) is None
-                or column._blocks[0] is not blocks[0]
-                or column._row != row
-            ):
-                return None
-        values2, times2, fresh_f8 = blocks
-        if kind == "values":
-            return values2
-        if kind == "update_times":
-            return times2
-        if kind == "fresh":
-            return fresh_f8 != 0.0
-        if kind == "ever_fresh":
-            return np.logical_or.accumulate(
-                self._stack("fresh", signal), axis=-1
-            )
-        if kind == "delta_naive":
-            delta_naive = np.zeros(values2.shape)
-            if values2.shape[-1] > 1:
-                with np.errstate(invalid="ignore"):
-                    delta_naive[..., 1:] = values2[..., 1:] - values2[..., :-1]
-            return delta_naive
-        # delta_fresh / rate / fresh_age involve per-trace fresh-row
-        # gathers; stacking the per-trace results keeps those exact.
-        return None
-
-    def values(self, signal: str) -> np.ndarray:
-        """Held value per (trace, row)."""
-        return self._stack("values", signal)
-
-    def fresh(self, signal: str) -> np.ndarray:
-        """Whether a new update arrived at each (trace, row)."""
-        return self._stack("fresh", signal)
-
-    def ever_fresh(self, signal: str) -> np.ndarray:
-        """Whether any update had arrived by each (trace, row)."""
-        return self._stack("ever_fresh", signal)
-
-    def update_times(self, signal: str) -> np.ndarray:
-        """Timestamp of the most recent update per (trace, row)."""
-        return self._stack("update_times", signal)
-
-    def delta_fresh(self, signal: str) -> np.ndarray:
-        """Freshness-aware difference per (trace, row)."""
-        return self._stack("delta_fresh", signal)
-
-    def delta_naive(self, signal: str) -> np.ndarray:
-        """Naive held-value difference per (trace, row)."""
-        return self._stack("delta_naive", signal)
-
-    def rate(self, signal: str) -> np.ndarray:
-        """Freshness-aware rate of change per (trace, row)."""
-        return self._stack("rate", signal)
-
-    def fresh_age(self, signal: str) -> np.ndarray:
-        """Rows since the last fresh sample per (trace, row)."""
-        return self._stack("fresh_age", signal)

@@ -9,13 +9,6 @@ and :mod:`repro.obs.schema` for the JSON snapshot format.
 """
 
 from repro.obs.bench import BENCH_SCHEMA_VERSION, bench_monitor, format_bench
-from repro.obs.bench_batch import (
-    BATCH_BENCH_SCHEMA_VERSION,
-    bench_batch,
-    format_batch_bench,
-    require_valid_batch_bench_snapshot,
-    validate_batch_bench_snapshot,
-)
 from repro.obs.bench_online import (
     ONLINE_BENCH_SCHEMA_VERSION,
     bench_online,
@@ -51,7 +44,6 @@ from repro.obs.schema import (
 )
 
 __all__ = [
-    "BATCH_BENCH_SCHEMA_VERSION",
     "BENCH_SCHEMA_VERSION",
     "ONLINE_BENCH_SCHEMA_VERSION",
     "ROBUSTNESS_BENCH_SCHEMA_VERSION",
@@ -66,20 +58,16 @@ __all__ = [
     "get_registry",
     "set_registry",
     "use_registry",
-    "bench_batch",
     "bench_monitor",
     "bench_online",
     "bench_robustness",
-    "format_batch_bench",
     "format_bench",
     "format_online_bench",
     "format_robustness_bench",
-    "require_valid_batch_bench_snapshot",
     "require_valid_bench_snapshot",
     "require_valid_online_bench_snapshot",
     "require_valid_robustness_bench_snapshot",
     "require_valid_snapshot",
-    "validate_batch_bench_snapshot",
     "validate_bench_snapshot",
     "validate_online_bench_snapshot",
     "validate_robustness_bench_snapshot",

@@ -15,6 +15,7 @@ campaign seed and the row label, so the whole table is reproducible.
 
 from __future__ import annotations
 
+import gc
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -24,7 +25,7 @@ import numpy as np
 from repro.can.fsracc import FSRACC_INPUTS, fsracc_database
 from repro.core.monitor import Monitor, MonitorReport, Rule
 from repro.errors import InjectionError
-from repro.hil.simulator import HilSimulator
+from repro.hil.simulator import HilSimulator, SimulationResult
 from repro.hil.typecheck import HIL_PROFILE, InjectionTypeChecker
 from repro.logs.trace import Trace
 from repro.obs import get_registry
@@ -64,27 +65,6 @@ class InjectionTest:
     label: str
     kind: str  # Random | Ballista | Bitflips | mRandom | mBallista | mBitflipN
     targets: Tuple[str, ...]
-
-
-@dataclass
-class SimulatedTest:
-    """A finished injection simulation whose monitor pass has not run.
-
-    The columnar backend splits :meth:`RobustnessCampaign.run_test`
-    into two phases: simulate every test first (this record), then
-    check all captured traces in one batched monitor pass
-    (:meth:`RobustnessCampaign.check_simulated`).  ``trace`` is ``None``
-    when static pruning skipped the simulation entirely; in the
-    parallel columnar runner it is a zero-copy
-    :class:`~repro.logs.store.StoredTrace` attached from a worker's
-    shared-memory store rather than an in-memory :class:`Trace`.
-    """
-
-    test: InjectionTest
-    dead: Tuple[str, ...]
-    trace: Optional[object]
-    collisions: int
-    rejections: int
 
 
 @dataclass
@@ -190,15 +170,6 @@ class RobustnessCampaign:
     just for nominal-clean rule sets.  Tests whose every cell is pruned
     skip their simulation entirely (and, like audit-pruned tests, report
     zero collisions/rejections).
-
-    ``backend="columnar"`` changes *when* the monitor runs, not what it
-    computes: every test simulates first, then all captured traces are
-    checked in one batched vectorized pass per rule
-    (:meth:`Monitor.check_batch`), which is several times faster than
-    the per-trace loop and letter-identical to it.  In parallel runs the
-    columnar backend also moves traces between processes through
-    zero-copy shared-memory stores instead of pickles (see
-    :mod:`repro.testing.parallel`).
     """
 
     def __init__(
@@ -214,13 +185,7 @@ class RobustnessCampaign:
         margin_threshold: float = 0.0,
         robustness: bool = False,
         near_miss_threshold: Optional[float] = None,
-        backend: str = "per-trace",
     ) -> None:
-        if backend not in ("per-trace", "columnar"):
-            raise ValueError(
-                "unknown backend %r; expected 'per-trace' or 'columnar'"
-                % (backend,)
-            )
         if prune not in (None, "audit", "margins"):
             raise ValueError(
                 "unknown prune mode %r; expected None, 'audit', or "
@@ -251,11 +216,6 @@ class RobustnessCampaign:
         self.gap_time = gap_time
         self.settle_time = settle_time
         self.keep_traces = keep_traces
-        #: ``"per-trace"`` checks each trace right after its simulation
-        #: (the historical path); ``"columnar"`` simulates every test
-        #: first, then batch-checks all traces in one vectorized pass
-        #: per rule (letter-identical — see :meth:`check_simulated`).
-        self.backend = backend
         self.prune = prune
         self.margin_threshold = margin_threshold
         self._graph = None
@@ -366,31 +326,13 @@ class RobustnessCampaign:
             self.hold_time + self.gap_time
         )
 
-    def simulate_test(self, test: InjectionTest) -> SimulatedTest:
+    def _simulate(self, test: InjectionTest) -> SimulationResult:
         """Run one test's injections on a fresh testbench — no checking.
 
-        This is the simulation half of :meth:`run_test`; the columnar
-        backend calls it for every test first and batch-checks the
-        captured traces afterwards (:meth:`check_simulated`).  A fully
-        pruned test returns ``trace=None`` without simulating.
+        A separate method so the simulator is unreachable, and can be
+        collected, before :meth:`run_test` runs the monitor pass.
         """
         registry = get_registry()
-        registry.counter("campaign.tests").inc()
-        dead = set(self.dead_rule_ids(test))
-        dead.update(self.margin_safe_rule_ids(test))
-        if dead and len(dead) == len(self.rules):
-            # Every cell of the row is statically dead: no injected
-            # signal reaches any rule, so the trace is nominal by
-            # construction and the whole simulation can be skipped.
-            registry.counter("campaign.pruned_tests").inc()
-            registry.counter("campaign.pruned_cells").inc(len(dead))
-            return SimulatedTest(
-                test=test,
-                dead=tuple(sorted(dead)),
-                trace=None,
-                collisions=0,
-                rejections=0,
-            )
         with registry.span("campaign.test"):
             derived_seed = self._derive_seed(test.label)
             rng = np.random.default_rng(derived_seed)
@@ -413,28 +355,29 @@ class RobustnessCampaign:
                 simulator.injection.clear_all()
                 with registry.span("campaign.sim"):
                     simulator.run_for(self.gap_time)
-            result = simulator.result()
-        return SimulatedTest(
-            test=test,
-            dead=tuple(sorted(dead)),
-            trace=result.trace,
-            collisions=result.collisions,
-            rejections=result.injection_rejections,
-        )
+            return simulator.result()
 
-    def _outcome(
-        self,
-        simulated: SimulatedTest,
-        report: Optional[MonitorReport],
-    ) -> TestOutcome:
-        """Assemble one test's outcome from its finished monitor pass.
+    def run_test(self, test: InjectionTest) -> TestOutcome:
+        """Run one injection test on a fresh testbench.
 
-        ``report=None`` means the whole test was statically pruned.
+        With a metrics registry installed (see :mod:`repro.obs`), each
+        phase reports its wall time — ``campaign.test`` (the simulation
+        as a whole), ``campaign.sim`` (simulator stepping),
+        ``campaign.inject`` (building/applying injections),
+        ``campaign.check`` (the monitor pass) — plus per-test rejection
+        and collision counters.  The instruments never touch the RNG, so
+        the letters are identical with metrics on or off.
         """
         registry = get_registry()
-        test = simulated.test
-        dead = set(simulated.dead)
-        if report is None:
+        registry.counter("campaign.tests").inc()
+        dead = set(self.dead_rule_ids(test))
+        dead.update(self.margin_safe_rule_ids(test))
+        if dead and len(dead) == len(self.rules):
+            # Every cell of the row is statically dead: no injected
+            # signal reaches any rule, so the trace is nominal by
+            # construction and the whole simulation can be skipped.
+            registry.counter("campaign.pruned_tests").inc()
+            registry.counter("campaign.pruned_cells").inc(len(dead))
             return TestOutcome(
                 test=test,
                 report=None,
@@ -446,6 +389,20 @@ class RobustnessCampaign:
                     if self.robustness
                     else None
                 ),
+            )
+        result = self._simulate(test)
+        # The finished testbench is cyclic garbage (its bus holds the
+        # simulator's bound methods) that keeps this test's trace alive;
+        # reclaim it now instead of letting finished testbenches pile up
+        # until the next full collection.
+        gc.collect()
+        live = [rule for rule in self.rules if rule.rule_id not in dead]
+        with registry.span("campaign.check"):
+            monitor = Monitor(live) if dead else self.make_monitor()
+            report = monitor.check(
+                result.trace,
+                robustness=self.robustness,
+                near_miss_threshold=self.near_miss_threshold,
             )
         if dead:
             registry.counter("campaign.pruned_cells").inc(len(dead))
@@ -466,80 +423,17 @@ class RobustnessCampaign:
                 digest = checked.robustness.to_dict()
                 digest["near_miss"] = checked.near_miss is not None
                 margins[rule.rule_id] = digest
-        registry.counter("campaign.rejections").inc(simulated.rejections)
-        registry.counter("campaign.collisions").inc(simulated.collisions)
+        registry.counter("campaign.rejections").inc(result.injection_rejections)
+        registry.counter("campaign.collisions").inc(result.collisions)
         return TestOutcome(
             test=test,
             report=report,
             letters=letters,
-            collisions=simulated.collisions,
-            rejections=simulated.rejections,
-            trace=simulated.trace if self.keep_traces else None,
+            collisions=result.collisions,
+            rejections=result.injection_rejections,
+            trace=result.trace if self.keep_traces else None,
             margins=margins,
         )
-
-    def run_test(self, test: InjectionTest) -> TestOutcome:
-        """Run one injection test on a fresh testbench.
-
-        With a metrics registry installed (see :mod:`repro.obs`), each
-        phase reports its wall time — ``campaign.test`` (the simulation
-        as a whole), ``campaign.sim`` (simulator stepping),
-        ``campaign.inject`` (building/applying injections),
-        ``campaign.check`` (the monitor pass) — plus per-test rejection
-        and collision counters.  The instruments never touch the RNG, so
-        the letters are identical with metrics on or off.
-        """
-        simulated = self.simulate_test(test)
-        if simulated.trace is None:
-            return self._outcome(simulated, None)
-        registry = get_registry()
-        dead = set(simulated.dead)
-        live = [rule for rule in self.rules if rule.rule_id not in dead]
-        with registry.span("campaign.check"):
-            monitor = Monitor(live) if dead else self.make_monitor()
-            report = monitor.check(
-                simulated.trace,
-                robustness=self.robustness,
-                near_miss_threshold=self.near_miss_threshold,
-            )
-        return self._outcome(simulated, report)
-
-    def check_simulated(
-        self, simulated: Sequence[SimulatedTest]
-    ) -> List[TestOutcome]:
-        """Batch-check finished simulations (the columnar backend).
-
-        Tests are grouped by their pruned-rule set (always a single
-        group unless ``prune`` is on) and each group's traces go through
-        :meth:`Monitor.check_batch` — one vectorized pass per rule over
-        2-D ``(trace, row)`` columns, byte-identical letters to checking
-        each trace alone.  ``trace`` members may be any trace-like,
-        including zero-copy :class:`~repro.logs.store.StoredTrace`
-        handles attached from a worker's shared-memory store.  Outcomes
-        come back in input order.
-        """
-        registry = get_registry()
-        outcomes: List[Optional[TestOutcome]] = [None] * len(simulated)
-        groups: Dict[Tuple[str, ...], List[int]] = {}
-        for index, sim in enumerate(simulated):
-            if sim.trace is None:
-                outcomes[index] = self._outcome(sim, None)
-            else:
-                groups.setdefault(sim.dead, []).append(index)
-        for dead, members in groups.items():
-            live = [
-                rule for rule in self.rules if rule.rule_id not in dead
-            ]
-            with registry.span("campaign.check"):
-                monitor = Monitor(live) if dead else self.make_monitor()
-                reports = monitor.check_batch(
-                    [simulated[index].trace for index in members],
-                    robustness=self.robustness,
-                    near_miss_threshold=self.near_miss_threshold,
-                )
-            for index, report in zip(members, reports):
-                outcomes[index] = self._outcome(simulated[index], report)
-        return [outcome for outcome in outcomes if outcome is not None]
 
     def run_table1(
         self,
@@ -564,21 +458,8 @@ class RobustnessCampaign:
                 return run_table1_parallel(
                     self, tests=tests, jobs=jobs, progress=progress
                 )
-        test_list = list(tests) if tests is not None else table1_tests()
         table = Table1()
-        if self.backend == "columnar":
-            # Two-phase: simulate everything, then one batched monitor
-            # pass.  ``progress`` fires per test only after the batch
-            # check, in paper order.
-            simulated = [self.simulate_test(test) for test in test_list]
-            for test, outcome in zip(
-                test_list, self.check_simulated(simulated)
-            ):
-                table.rows.append(outcome.to_row())
-                if progress is not None:
-                    progress(test, outcome)
-            return table
-        for test in test_list:
+        for test in tests if tests is not None else table1_tests():
             outcome = self.run_test(test)
             table.rows.append(outcome.to_row())
             if progress is not None:

@@ -33,22 +33,10 @@ are deterministic functions of the configuration — so a pruned parallel
 run produces the same letter matrix as a pruned sequential run, which
 in turn matches the unpruned matrix for nominal-clean rule sets.
 
-Columnar backend (``RobustnessCampaign(backend="columnar")``): workers
-only *simulate*; each worker packs its captured trace into a named
-:class:`~multiprocessing.shared_memory.SharedMemory` trace store
-(grid-resampled at the monitor period — see
-:meth:`repro.logs.store.TraceStore.pack_shared`) and sends back the
-store *name*, a few hundred bytes, instead of any trace data.  The
-parent attaches every store by name (zero-copy — the OS shares the
-pages), batch-checks all traces in one vectorized pass per rule, and
-unlinks the segments.  The letter matrix is byte-identical to both the
-sequential columnar run and the per-trace backend.
-
 Every parallel run records its boundary traffic when a registry is
 installed: ``parallel.pickle_bytes.campaign`` is the one-time config
 payload each worker unpickles, and ``parallel.pickle_bytes.results``
-accumulates the per-test result payloads — which stay O(config) under
-the columnar backend because trace data rides in shared memory.
+accumulates the per-test result payloads.
 """
 
 from __future__ import annotations
@@ -58,12 +46,10 @@ import pickle
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.logs.store import TraceStore
 from repro.obs import MetricsRegistry, get_registry, use_registry
 from repro.testing.campaign import (
     InjectionTest,
     RobustnessCampaign,
-    SimulatedTest,
     table1_tests,
 )
 from repro.testing.results import Table1, TableRow
@@ -100,50 +86,6 @@ def _run_one(test: InjectionTest) -> WorkerResult:
     with use_registry(registry):
         row = _WORKER_CAMPAIGN.run_test(test).to_row()
     return row, registry.snapshot()
-
-
-#: What a columnar worker sends back: the SharedMemory store name
-#: holding the simulated trace (``None`` for fully pruned tests), the
-#: pruned rule ids, collision/rejection counts, and its registry
-#: snapshot — O(config) bytes, never trace data.
-ColumnarResult = Tuple[
-    Optional[str], Tuple[str, ...], int, int, Optional[Dict[str, object]]
-]
-
-
-def _simulate_one(test: InjectionTest) -> ColumnarResult:
-    """Columnar worker: simulate one test, publish its trace to shm.
-
-    The segment outlives this worker's handle (POSIX shared memory
-    persists until unlinked); the parent attaches it by name and is
-    responsible for the single ``unlink``.
-    """
-    if _WORKER_CAMPAIGN is None:
-        raise RuntimeError("worker process was not initialized")
-    registry = MetricsRegistry() if _WORKER_COLLECT_METRICS else None
-    if registry is not None:
-        with use_registry(registry):
-            simulated = _WORKER_CAMPAIGN.simulate_test(test)
-    else:
-        simulated = _WORKER_CAMPAIGN.simulate_test(test)
-    shm_name = None
-    if simulated.trace is not None:
-        store = TraceStore.pack_shared(
-            [simulated.trace],
-            grid=_WORKER_CAMPAIGN.make_monitor().period,
-        )
-        shm_name = store.shm_name
-        # The parent attaches by name and owns the unlink; forget the
-        # segment here so this worker's resource tracker does not
-        # double-unlink it at shutdown.
-        store.close(untrack=True)
-    return (
-        shm_name,
-        simulated.dead,
-        simulated.collisions,
-        simulated.rejections,
-        None if registry is None else registry.snapshot(),
-    )
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -202,16 +144,6 @@ def run_table1_parallel(
     parent_registry.counter("parallel.pickle_bytes.campaign").inc(
         len(payload)
     )
-    if campaign.backend == "columnar":
-        return _run_table1_columnar(
-            campaign,
-            test_list,
-            workers,
-            payload,
-            parent_registry,
-            collect_metrics,
-            progress,
-        )
     rows: List[Optional[TableRow]] = [None] * len(test_list)
     with ProcessPoolExecutor(
         max_workers=workers,
@@ -236,74 +168,3 @@ def run_table1_parallel(
                 progress(test_list[index], row)
     return Table1(rows=[row for row in rows if row is not None])
 
-
-def _run_table1_columnar(
-    campaign: RobustnessCampaign,
-    test_list: Sequence[InjectionTest],
-    workers: int,
-    payload: bytes,
-    parent_registry,
-    collect_metrics: bool,
-    progress: Optional[ParallelProgress],
-) -> Table1:
-    """Parallel columnar run: workers simulate, the parent batch-checks.
-
-    Each worker publishes its trace as a named SharedMemory trace store
-    (grid-resampled, so the parent's batch check skips resampling); only
-    the name crosses the process boundary.  The parent attaches every
-    store before the pool closes, runs one batched monitor pass over all
-    traces, fires ``progress`` per test in *paper order*, and unlinks
-    the segments.
-    """
-    results: List[Optional[ColumnarResult]] = [None] * len(test_list)
-    stores: Dict[int, TraceStore] = {}
-    try:
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_init_worker,
-            initargs=(payload, collect_metrics),
-        ) as pool:
-            futures = {
-                pool.submit(_simulate_one, test): index
-                for index, test in enumerate(test_list)
-            }
-            for future in as_completed(futures):
-                index = futures[future]
-                result = future.result()
-                results[index] = result
-                if parent_registry.enabled:
-                    parent_registry.counter(
-                        "parallel.pickle_bytes.results"
-                    ).inc(len(pickle.dumps(result)))
-                shm_name, _, _, _, snapshot = result
-                if snapshot is not None:
-                    parent_registry.merge_snapshot(snapshot)
-                if shm_name is not None:
-                    stores[index] = TraceStore.attach(
-                        shm_name, validate=False
-                    )
-        simulated = []
-        for index, test in enumerate(test_list):
-            shm_name, dead, collisions, rejections, _ = results[index]
-            store = stores.get(index)
-            simulated.append(
-                SimulatedTest(
-                    test=test,
-                    dead=tuple(dead),
-                    trace=None if store is None else store[0],
-                    collisions=collisions,
-                    rejections=rejections,
-                )
-            )
-        outcomes = campaign.check_simulated(simulated)
-        rows = [outcome.to_row() for outcome in outcomes]
-        # Release the zero-copy trace handles before the segments are
-        # closed below (rows are plain data, nothing points into shm).
-        del simulated, outcomes
-        if progress is not None:
-            for test, row in zip(test_list, rows):
-                progress(test, row)
-        return Table1(rows=rows)
-    finally:
-        for store in stores.values():
-            store.close(unlink=True)

@@ -428,3 +428,41 @@ class TestDecisionProcedureFindings:
         au101 = [f for f in findings if f.code == "AU101"]
         assert len(au101) == 1
         assert "statically contradicts" in au101[0].message
+
+
+class TestProverGiveUps:
+    """A typed prover give-up reads as "unknown" and is counted; any
+    other exception out of a prover is a bug and fails the audit."""
+
+    def test_state_budget_give_up_is_counted(self, monkeypatch):
+        import functools
+
+        from repro.analysis import audit, automata
+        from repro.obs import MetricsRegistry, use_registry
+
+        def paper_audit():
+            return audit_rules(
+                paper_rules(), plan=paper_plan(), target="paper rules"
+            )
+
+        baseline = paper_audit()
+        for name in ("prove_contradicts", "prove_implies", "prove_valid"):
+            starved = functools.partial(getattr(automata, name), max_states=1)
+            monkeypatch.setattr(audit, name, starved)
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            report = paper_audit()
+        counters = registry.snapshot()["counters"]
+        assert counters["audit.prover.undecided.state_budget"] > 0
+        assert report.format_text() == baseline.format_text()
+
+    def test_unexpected_prover_error_fails_loudly(self, monkeypatch, capsys):
+        from repro.analysis import audit
+        from repro.cli import main
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("prover bug")
+
+        monkeypatch.setattr(audit, "prove_implies", broken)
+        with pytest.raises(RuntimeError, match="prover bug"):
+            main(["audit"])

@@ -604,86 +604,18 @@ class TestFleetCommand:
         assert "replay" in capsys.readouterr().out
 
 
-class TestTraceCommands:
-    def _pack_simulated(self, tmp_path, capsys, grid=None):
-        csv = tmp_path / "trace.csv"
-        main(["simulate", "steady_follow", "--duration", "12",
-              "--out", str(csv)])
-        capsys.readouterr()
-        rtc = tmp_path / "trace.rtc"
-        argv = ["trace", "pack", str(rtc), str(csv)]
-        if grid is not None:
-            argv += ["--grid", str(grid)]
-        assert main(argv) == 0
-        return rtc
-
-    def test_pack_and_info_roundtrip(self, tmp_path, capsys):
-        rtc = self._pack_simulated(tmp_path, capsys)
-        assert "packed 1 trace(s)" in capsys.readouterr().out
-        assert main(["trace", "info", str(rtc)]) == 0
-        out = capsys.readouterr().out
-        assert "1 trace(s)" in out
-        assert "signal(s)" in out
-
-    def test_pack_with_grid_reports_period(self, tmp_path, capsys):
-        rtc = self._pack_simulated(tmp_path, capsys, grid=0.02)
-        assert "grid period 0.02s" in capsys.readouterr().out
-        assert main(["trace", "info", str(rtc), "--format", "json"]) == 0
-        info = json.loads(capsys.readouterr().out)
-        assert all(t["grid"]["period"] == 0.02 for t in info["traces"])
-
-    def test_pack_drive_logs(self, tmp_path, capsys):
-        rtc = tmp_path / "drive.rtc"
-        assert main(["trace", "pack", str(rtc), "--drive", "--seed", "3"]) == 0
-        assert "packed 6 trace(s)" in capsys.readouterr().out
-        assert main(["trace", "info", str(rtc), "--format", "json"]) == 0
-        info = json.loads(capsys.readouterr().out)
-        assert len(info["traces"]) == 6
-
-    def test_pack_nothing_is_a_usage_error(self, tmp_path, capsys):
-        assert main(["trace", "pack", str(tmp_path / "x.rtc")]) == 2
-        assert "nothing to pack" in capsys.readouterr().err
-
-    def test_pack_unreadable_trace_rejected(self, tmp_path):
-        missing = tmp_path / "ghost.csv"
-        with pytest.raises(SystemExit) as excinfo:
-            main(["trace", "pack", str(tmp_path / "x.rtc"), str(missing)])
-        assert excinfo.value.code == 2
-
-    def test_info_on_non_store_rejected(self, tmp_path):
-        bogus = tmp_path / "bogus.rtc"
-        bogus.write_bytes(b"not a store at all")
-        with pytest.raises(SystemExit) as excinfo:
-            main(["trace", "info", str(bogus)])
-        assert excinfo.value.code == 2
-
-    def test_bare_trace_prints_help(self, capsys):
-        assert main(["trace"]) == 2
-        assert "pack" in capsys.readouterr().out
-
-
 class TestTable1Backend:
-    def test_columnar_backend_matches_per_trace(self, tmp_path, capsys):
-        per_trace = tmp_path / "pt.txt"
-        columnar = tmp_path / "col.txt"
-        argv = ["table1", "--seed", "11", "--limit", "3"] + FAST_TABLE1
-        assert main(argv + ["--out", str(per_trace)]) == 0
-        assert main(
-            argv + ["--backend", "columnar", "--out", str(columnar)]
-        ) == 0
-        capsys.readouterr()
-        assert columnar.read_bytes() == per_trace.read_bytes()
+    """Table I has one checking path: ``--backend`` is not an option."""
 
-    def test_columnar_backend_parallel_matches(self, tmp_path, capsys):
-        sequential = tmp_path / "seq.txt"
-        parallel = tmp_path / "par.txt"
-        argv = ["table1", "--seed", "11", "--limit", "3",
-                "--backend", "columnar"] + FAST_TABLE1
-        assert main(argv + ["--out", str(sequential)]) == 0
-        assert main(argv + ["--jobs", "2", "--out", str(parallel)]) == 0
-        capsys.readouterr()
-        assert parallel.read_bytes() == sequential.read_bytes()
+    def test_unknown_backend_rejected(self, capsys):
+        for backend in ("columnar", "per-trace", "rowwise"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["table1", "--backend", backend])
+            assert excinfo.value.code == 2
+        assert "--backend" in capsys.readouterr().err
 
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["table1", "--backend", "rowwise"])
+    def test_trace_subcommand_rejected(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", "pack", "out.rtc", "--drive"])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

@@ -175,61 +175,6 @@ class TestMetricsAcrossWorkers:
         assert len(table.rows) == 2  # and no registry was needed anywhere
 
 
-class TestColumnarBackend:
-    """``backend="columnar"`` must change the speed, never the letters:
-    simulate-then-batch-check is letter-identical to check-as-you-go,
-    sequentially and across any worker count."""
-
-    def test_sequential_columnar_matches_per_trace(self):
-        per_trace = quick_campaign().run_table1(tests=SUBSET)
-        columnar = quick_campaign(backend="columnar").run_table1(tests=SUBSET)
-        assert columnar.format() == per_trace.format()
-
-    def test_columnar_jobs1_and_jobs4_identical(self):
-        sequential = quick_campaign(backend="columnar").run_table1(
-            tests=SUBSET, jobs=1
-        )
-        parallel = quick_campaign(backend="columnar").run_table1(
-            tests=SUBSET, jobs=4
-        )
-        assert parallel.format() == sequential.format()
-        assert parallel.labels() == [t.label for t in SUBSET]
-
-    def test_parallel_columnar_matches_per_trace_parallel(self):
-        per_trace = quick_campaign().run_table1(tests=SUBSET, jobs=2)
-        columnar = quick_campaign(backend="columnar").run_table1(
-            tests=SUBSET, jobs=2
-        )
-        assert columnar.format() == per_trace.format()
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="backend"):
-            quick_campaign(backend="rowwise")
-
-    def test_result_payload_is_o_config_not_o_data(self):
-        """A simulated trace pickles to megabytes; what actually crosses
-        the process boundary per test is a shared-memory name plus a few
-        counters."""
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            campaign = quick_campaign(backend="columnar", keep_traces=False)
-            campaign.run_table1(tests=SUBSET, jobs=2)
-        counters = registry.snapshot()["counters"]
-        per_result = counters["parallel.pickle_bytes.results"] / len(SUBSET)
-        # Each trace alone is far larger than the whole result payload
-        # (metrics snapshots included).
-        trace = quick_campaign().simulate_test(SUBSET[0]).trace
-        assert per_result < len(pickle.dumps(trace)) / 10
-
-    def test_columnar_metrics_totals_match_per_trace(self):
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            quick_campaign(backend="columnar").run_table1(tests=SUBSET)
-        counters = registry.snapshot()["counters"]
-        assert counters["campaign.tests"] == len(SUBSET)
-        assert counters["campaign.injections"] > 0
-
-
 class TestParallelEdgeCases:
     def test_jobs_one_falls_back_to_sequential(self):
         seen = []

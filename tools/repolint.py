@@ -32,11 +32,11 @@ probe indirectly, so this tiny linter enforces them statically (stdlib
 * **RL004 — ndarray/list round-trips in hot paths.**  ``.tolist()``
   and ``np.array(list(...))`` under ``core/`` or ``logs/`` bounce every
   element through a Python object, silently turning a vectorized pass
-  into an O(n)-boxing one — exactly the cost the columnar store exists
-  to avoid.  Keep data in ndarrays end to end; slice, stack, or
-  ``astype`` instead.  Serialization modules (``logs/format.py``,
-  ``logs/store.py``), whose *job* is converting arrays to and from
-  interchange formats, are allowlisted.
+  into an O(n)-boxing one inside the resampling and rule-evaluation
+  passes every check runs.  Keep data in ndarrays end to end; slice,
+  stack, or ``astype`` instead.  The serialization module
+  (``logs/format.py``), whose *job* is converting arrays to and from
+  the on-disk trace format, is allowlisted.
 
 * **RL005 — layering: analysis must not import the harness.**  A
   module-level ``import repro.testing`` / ``import repro.fleet`` (or
@@ -101,7 +101,6 @@ HOT_PATH_SUBTREES = (
 #: ``.tolist()`` is the point, not an accident.
 SERIALIZATION_ALLOWLIST = (
     os.sep + "logs" + os.sep + "format.py",
-    os.sep + "logs" + os.sep + "store.py",
 )
 
 #: Path fragments forming the static-analysis layer (RL005).
