@@ -12,6 +12,7 @@ from __future__ import annotations
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 warnings.filterwarnings("ignore", category=RuntimeWarning)
@@ -45,6 +46,26 @@ def publish(results_dir):
         (results_dir / name).write_text(text + "\n", encoding="utf-8")
 
     return _publish
+
+
+@pytest.fixture(scope="session")
+def benign_trace():
+    """``rows`` samples of signals ``x`` and ``y`` in [0, 1) at 20 ms.
+
+    No threshold the timing sweeps use is ever crossed, so window
+    aggregation, not violation bookkeeping, dominates their timings.
+    """
+    from repro.logs.trace import Trace
+
+    def _benign_trace(rows: int) -> Trace:
+        rng = np.random.default_rng(SEED)
+        trace = Trace("benign")
+        for name in ("x", "y"):
+            for row, value in enumerate(rng.uniform(0.0, 1.0, size=rows)):
+                trace.record(name, row * 0.02, float(value))
+        return trace
+
+    return _benign_trace
 
 
 @pytest.fixture(scope="session")

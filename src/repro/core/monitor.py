@@ -333,7 +333,6 @@ class Monitor:
         period: float = DEFAULT_PERIOD,
         strict: bool = False,
         database=None,
-        memo: bool = True,
     ) -> None:
         ids = [rule.rule_id for rule in rules]
         if len(set(ids)) != len(ids):
@@ -341,9 +340,6 @@ class Monitor:
         self.rules: List[Rule] = list(rules)
         self.machines: List[StateMachine] = list(machines)
         self.period = period
-        #: Memoize shared subformulas across rules (see EvalContext);
-        #: off is only useful for benchmarking the ablation.
-        self.memo = memo
         machine_names = {machine.name for machine in self.machines}
         for rule in self.rules:
             for name in rule.machines():
@@ -432,7 +428,7 @@ class Monitor:
             robustness = True
         registry = get_registry()
         registry.counter("monitor.checks").inc()
-        ctx = EvalContext(view, memo=self.memo)
+        ctx = EvalContext(view)
         with registry.span("monitor.machines"):
             for machine in self.machines:
                 ctx.machine_states[machine.name] = machine.run(ctx)

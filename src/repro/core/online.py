@@ -133,10 +133,6 @@ class OnlineMonitor:
         retention: seconds of history kept behind the emission frontier.
             Automatically raised to cover warm-up durations, the initial
             settle windows, and a couple of slow message periods.
-        memo: per-chunk subformula memoization — every chunk evaluates
-            each distinct subformula once across all rules (the same
-            cross-rule cache the offline monitor uses, scoped to the
-            chunk's context).
         robustness: also stream quantitative margins: each emitted
             chunk tightens a per-rule ``[lower, upper]`` interval (see
             :meth:`robustness_intervals`) that always brackets the
@@ -152,17 +148,15 @@ class OnlineMonitor:
         period: float = DEFAULT_PERIOD,
         min_chunk_rows: int = 50,
         retention: float = 1.0,
-        memo: bool = True,
         robustness: bool = False,
         near_miss_threshold: Optional[float] = None,
     ) -> None:
         # Reuse the offline monitor's validation and signal bookkeeping.
-        self._offline = Monitor(rules, machines=machines, period=period, memo=memo)
+        self._offline = Monitor(rules, machines=machines, period=period)
         self.rules = self._offline.rules
         self.machines = self._offline.machines
         self.period = period
         self.min_chunk_rows = max(1, min_chunk_rows)
-        self.memo = memo
         if near_miss_threshold is not None:
             if near_miss_threshold < 0:
                 raise TraceError(
@@ -423,7 +417,7 @@ class OnlineMonitor:
             registry.counter("online.emit_waiting").inc()
             return []
         self._waiting_signals = ()
-        ctx = EvalContext(view, memo=self.memo)
+        ctx = EvalContext(view)
         chunk_initials: Dict[str, str] = {}
         for machine in self.machines:
             resume_row, resume_state = self._machine_resume[machine.name]

@@ -66,7 +66,6 @@ async def replay_traces_async(
     period: float = DEFAULT_PERIOD,
     min_chunk_rows: int = 50,
     retention: float = 1.0,
-    memo: bool = True,
     inbox_events: int = 1024,
     policy: str = "block",
     status_port: Optional[int] = None,
@@ -84,7 +83,6 @@ async def replay_traces_async(
         period=period,
         min_chunk_rows=min_chunk_rows,
         retention=retention,
-        memo=memo,
         inbox_events=inbox_events,
         policy=policy,
         robustness=robustness,

@@ -121,7 +121,6 @@ class FleetService:
         period: float = DEFAULT_PERIOD,
         min_chunk_rows: int = 50,
         retention: float = 1.0,
-        memo: bool = True,
         inbox_events: int = 1024,
         policy: str = "block",
         batch_events: int = 256,
@@ -140,7 +139,6 @@ class FleetService:
         self.period = period
         self.min_chunk_rows = min_chunk_rows
         self.retention = retention
-        self.memo = memo
         self.inbox_events = inbox_events
         self.policy = policy
         self.batch_events = max(1, batch_events)
@@ -178,7 +176,6 @@ class FleetService:
                 period=self.period,
                 min_chunk_rows=self.min_chunk_rows,
                 retention=self.retention,
-                memo=self.memo,
                 robustness=self.robustness,
                 observability=self.observability,
             )

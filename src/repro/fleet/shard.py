@@ -35,7 +35,6 @@ class StreamShard:
         period: float = DEFAULT_PERIOD,
         min_chunk_rows: int = 50,
         retention: float = 1.0,
-        memo: bool = True,
         robustness: bool = False,
         observability: bool = False,
     ) -> None:
@@ -53,7 +52,6 @@ class StreamShard:
             period=period,
             min_chunk_rows=min_chunk_rows,
             retention=retention,
-            memo=memo,
             robustness=robustness,
         )
         self.events = 0

@@ -89,7 +89,23 @@ class HilSimulator:
         self.bus.add_frame_tap(self.injection.tap)
         self.recorder = TraceRecorder(trace_name or scenario.name)
         self.bus.add_listener(self.recorder.on_frame)
-        self.bus.add_listener(self._on_frame)
+        # The bus holds closures over the simulator's dicts, never its
+        # bound methods, so a finished simulator is freed by reference
+        # counting alone rather than waiting for the cycle collector.
+        acc_inputs: Dict[str, float] = {}
+        self._acc_input_cache = acc_inputs
+
+        def feed_acc_inputs(
+            frame: CanFrame,
+            message_name: str,
+            values: Dict[str, SignalValue],
+        ) -> None:
+            """Feed post-injection input signals into the FSRACC's receive cache."""
+            for name, value in values.items():
+                if name in FSRACC_ALL_INPUTS:
+                    acc_inputs[name] = value
+
+        self.bus.add_listener(feed_acc_inputs)
 
         self.car = LongitudinalCar(
             road=scenario.road, initial_velocity=scenario.initial_velocity
@@ -104,12 +120,12 @@ class HilSimulator:
             for name in self.database.signal_names()
         }
         self._registry["SelHeadway"] = 2
-        self._acc_input_cache: Dict[str, float] = {}
         self._acc_outputs = AccOutputs()
         self._driver_overrides: Dict[str, float] = {}
 
+        registry = self._registry
         for message in self.database.messages():
-            self.bus.attach_publisher(message.name, self._provide_registry)
+            self.bus.attach_publisher(message.name, lambda: registry)
 
         self._noise_rng = np.random.default_rng(seed + 0x5EED)
         self._steps = 0
@@ -225,20 +241,6 @@ class HilSimulator:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-
-    def _provide_registry(self) -> Dict[str, SignalValue]:
-        return self._registry
-
-    def _on_frame(
-        self,
-        frame: CanFrame,
-        message_name: str,
-        values: Dict[str, SignalValue],
-    ) -> None:
-        """Feed post-injection input signals into the FSRACC's receive cache."""
-        for name, value in values.items():
-            if name in FSRACC_ALL_INPUTS:
-                self._acc_input_cache[name] = value
 
     def _measured_velocity(self) -> float:
         """Wheel-speed sensor reading (noisy on the vehicle profile)."""

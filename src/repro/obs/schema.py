@@ -120,90 +120,3 @@ def require_valid_snapshot(snapshot: object) -> Dict[str, object]:
         )
     return snapshot  # type: ignore[return-value]
 
-
-# ----------------------------------------------------------------------
-# Monitor bench snapshots (repro.bench.monitor/v1)
-# ----------------------------------------------------------------------
-
-
-def _positive_number(value: object) -> bool:
-    return _is_number(value) and value > 0
-
-
-def validate_bench_snapshot(snapshot: object) -> List[str]:
-    """All the ways ``snapshot`` fails to be a valid bench dump.
-
-    The format (``repro.bench.monitor/v1``) is documented in
-    :mod:`repro.obs.bench`; this is what CI's perf-smoke gate runs
-    against both its fresh measurement and the committed baseline.
-    """
-    from repro.obs.bench import BENCH_SCHEMA_VERSION
-
-    problems: List[str] = []
-    if not isinstance(snapshot, dict):
-        return ["snapshot must be a JSON object, got %s" % type(snapshot).__name__]
-    if snapshot.get("schema") != BENCH_SCHEMA_VERSION:
-        problems.append(
-            "schema must be %r, got %r"
-            % (BENCH_SCHEMA_VERSION, snapshot.get("schema"))
-        )
-    if not _is_count(snapshot.get("rows")) or snapshot.get("rows") == 0:
-        problems.append("'rows' must be a positive integer")
-    if not _positive_number(snapshot.get("period")):
-        problems.append("'period' must be a positive number")
-
-    sweep = snapshot.get("sweep")
-    if not isinstance(sweep, list) or not sweep:
-        problems.append("'sweep' must be a non-empty array")
-    else:
-        for position, entry in enumerate(sweep):
-            where = "sweep[%d]" % position
-            if not isinstance(entry, dict):
-                problems.append("%s must be an object" % where)
-                continue
-            if not _is_count(entry.get("width_rows")) or entry.get("width_rows") == 0:
-                problems.append("%s needs a positive integer 'width_rows'" % where)
-            if entry.get("kernel") not in ("block", "strided"):
-                problems.append(
-                    "%s kernel must be 'block' or 'strided', got %r"
-                    % (where, entry.get("kernel"))
-                )
-            for key in ("seconds", "rows_per_second"):
-                if not _positive_number(entry.get(key)):
-                    problems.append("%s needs a positive numeric %r" % (where, key))
-
-    memo = snapshot.get("memo")
-    if not isinstance(memo, list) or not memo:
-        problems.append("'memo' must be a non-empty array")
-    else:
-        for position, entry in enumerate(memo):
-            where = "memo[%d]" % position
-            if not isinstance(entry, dict):
-                problems.append("%s must be an object" % where)
-                continue
-            if not isinstance(entry.get("memo"), bool):
-                problems.append("%s needs a boolean 'memo'" % where)
-            for key in ("seconds", "rows_per_second"):
-                if not _positive_number(entry.get(key)):
-                    problems.append("%s needs a positive numeric %r" % (where, key))
-
-    speedups = snapshot.get("speedups")
-    if not isinstance(speedups, dict) or not speedups:
-        problems.append("'speedups' must be a non-empty object")
-    else:
-        for name, value in speedups.items():
-            if not _positive_number(value):
-                problems.append(
-                    "speedup %r must be a positive number, got %r" % (name, value)
-                )
-    return problems
-
-
-def require_valid_bench_snapshot(snapshot: object) -> Dict[str, object]:
-    """Validate and return a bench snapshot; raise ``ValueError`` otherwise."""
-    problems = validate_bench_snapshot(snapshot)
-    if problems:
-        raise ValueError(
-            "invalid bench snapshot: %s" % "; ".join(problems)
-        )
-    return snapshot  # type: ignore[return-value]

@@ -15,7 +15,6 @@ campaign seed and the row label, so the whole table is reproducible.
 
 from __future__ import annotations
 
-import gc
 import zlib
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -391,11 +390,6 @@ class RobustnessCampaign:
                 ),
             )
         result = self._simulate(test)
-        # The finished testbench is cyclic garbage (its bus holds the
-        # simulator's bound methods) that keeps this test's trace alive;
-        # reclaim it now instead of letting finished testbenches pile up
-        # until the next full collection.
-        gc.collect()
         live = [rule for rule in self.rules if rule.rule_id not in dead]
         with registry.span("campaign.check"):
             monitor = Monitor(live) if dead else self.make_monitor()

@@ -2,15 +2,21 @@
 
 The contract: memoization (and metrics instrumentation) may never change
 a verdict.  Letters, violations, and report digests are byte-identical
-with the cache on or off, with metrics on or off.
+with the cache on or off, with metrics on or off.  The memo-off
+reference is built at the :class:`EvalContext` seam (see
+:func:`memo_off`); the monitors themselves always memoize.
 """
 
+import contextlib
+import functools
 import pickle
 
 import numpy as np
 import pytest
 
 from helpers import uniform_trace
+from repro.core import monitor as monitor_module
+from repro.core import online as online_module
 from repro.core.ast import _HASH_SLOT
 from repro.core.evaluator import EvalContext, evaluate_expr, evaluate_formula
 from repro.core.monitor import Monitor, Rule
@@ -29,6 +35,16 @@ def shared_gate_rules():
         Rule.from_text("r2", "b", "eventually[0, 200ms] y < 5", gate=gate),
         Rule.from_text("r3", "c", "always[0, 100ms] y < 5", gate=gate),
     ]
+
+
+@contextlib.contextmanager
+def memo_off():
+    """Make every monitor in the block evaluate with ``memo=False``."""
+    unmemoized = functools.partial(EvalContext, memo=False)
+    with pytest.MonkeyPatch.context() as patch:
+        for module in (monitor_module, online_module):
+            patch.setattr(module, "EvalContext", unmemoized)
+        yield
 
 
 def busy_trace(n=200):
@@ -89,8 +105,8 @@ class TestMemoCounters:
     def test_memo_off_counts_nothing(self):
         registry = MetricsRegistry()
         trace = busy_trace()
-        with use_registry(registry):
-            Monitor(shared_gate_rules(), period=PERIOD, memo=False).check(trace)
+        with use_registry(registry), memo_off():
+            Monitor(shared_gate_rules(), period=PERIOD).check(trace)
         counters = registry.snapshot()["counters"]
         assert "eval.memo.formula.hits" not in counters
         assert "eval.memo.formula.misses" not in counters
@@ -108,8 +124,9 @@ class TestVerdictInvariance:
     def test_memo_on_off_reports_identical(self):
         trace = busy_trace(400)
         rules = shared_gate_rules()
-        on = Monitor(rules, period=PERIOD, memo=True).check(trace)
-        off = Monitor(rules, period=PERIOD, memo=False).check(trace)
+        on = Monitor(rules, period=PERIOD).check(trace)
+        with memo_off():
+            off = Monitor(rules, period=PERIOD).check(trace)
         assert on.to_dict() == off.to_dict()
 
     def test_metrics_on_off_reports_identical(self):
@@ -124,14 +141,21 @@ class TestVerdictInvariance:
         trace = busy_trace(300)
         rules = shared_gate_rules()
 
-        def run(memo):
-            online = OnlineMonitor(
-                rules, period=PERIOD, min_chunk_rows=7, memo=memo
-            )
-            online.feed_trace(trace)
-            return online.finish()
+        def run():
+            registry = MetricsRegistry()
+            with use_registry(registry):
+                online = OnlineMonitor(rules, period=PERIOD, min_chunk_rows=7)
+                online.feed_trace(trace)
+                report = online.finish()
+            return report, registry.snapshot()["counters"]
 
-        assert run(True).to_dict() == run(False).to_dict()
+        on, on_counters = run()
+        with memo_off():
+            off, off_counters = run()
+        assert on.to_dict() == off.to_dict()
+        # The reference really ran unmemoized.
+        assert on_counters["eval.memo.formula.hits"] > 0
+        assert "eval.memo.formula.hits" not in off_counters
 
 
 class TestStructuralHashCache:

@@ -20,6 +20,7 @@ from repro.core.statemachine import StateMachine
 from repro.core.types import Verdict
 from repro.core.warmup import WarmupSpec
 from repro.errors import TraceError
+from repro.obs import MetricsRegistry, use_registry
 
 PERIOD = 0.02
 
@@ -555,17 +556,25 @@ class TestBoundedMemoryAcceptance:
         assert online.late_events == 0
 
     def test_constant_stream_buffer_is_flat(self):
-        """Double the stream, same peak buffer — the O(1)-amortized
-        ring buffer, not the old re-record-everything trim."""
+        """Double the stream, same peak buffer and same evaluation work
+        per emitted row — the O(1)-amortized ring buffer, not the old
+        re-record-everything trim."""
         rule = Rule.from_text("r", "n", "always[0, 100ms] x > 0")
 
-        def peak(n_events):
-            online = OnlineMonitor([rule], min_chunk_rows=10, retention=0.5)
-            for i in range(n_events):
-                online.feed(i * PERIOD, "x", 1.0)
-            return online.peak_buffer_rows
+        def run(n_events):
+            registry = MetricsRegistry()
+            with use_registry(registry):
+                online = OnlineMonitor([rule], min_chunk_rows=10, retention=0.5)
+                for i in range(n_events):
+                    online.feed(i * PERIOD, "x", 1.0)
+            counters = registry.snapshot()["counters"]
+            work = counters["online.rows_reevaluated"] / counters["online.rows_emitted"]
+            return online.peak_buffer_rows, work
 
-        assert peak(8000) == peak(4000)
+        short_peak, short_work = run(4000)
+        long_peak, long_work = run(8000)
+        assert long_peak == short_peak
+        assert long_work == pytest.approx(short_work, rel=0.01)
 
 
 ROBUSTNESS_FUZZ_POOL = (

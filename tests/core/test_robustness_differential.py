@@ -9,11 +9,12 @@ boolean evaluator on the same context:
   UNKNOWN ⇒ ``lower <= 0 <= upper``,
 * ``lower <= upper`` everywhere, and no NaN ever.
 
-This file checks that guarantee three ways: on every paper rule over
+This file checks that guarantee four ways: on every paper rule over
 the shared nominal HIL run, on a randomized negation-free spec
-generator over random traces (500 fuzzed (spec, trace) pairs), and on
+generator over random traces (500 fuzzed (spec, trace) pairs), on
 hand-picked edge semantics (NaN comparisons, ``==``/``!=`` distances,
-vacuous infinities, zero-row views).
+vacuous infinities, zero-row views), and on one nested future/past
+formula at window widths of 25 and 1000 rows.
 
 The generator additionally earns an *exact perturbation* property the
 paper rules cannot offer: its specs are monotone with coefficient-1
@@ -354,3 +355,34 @@ class TestEdgeSemantics:
         assert unknown.any()
         assert (bounds.lower[unknown] == -math.inf).all()
         assert (bounds.upper[unknown] > 0).all()
+
+
+# ----------------------------------------------------------------------
+# Window width
+# ----------------------------------------------------------------------
+
+
+class TestWindowWidths:
+    #: One future and one past window over propositional structure (the
+    #: operator mix of the paper rules) at a parameterized width.
+    FORMULA = (
+        "always[0, %(ms)dms] (x < 2.0 and (y > -3.0 or once[0, %(ms)dms] y > 0.5))"
+    )
+
+    @pytest.mark.parametrize("width_rows", [25, 1000])
+    @pytest.mark.parametrize("low,high", [(0.0, 1.0), (-4.0, 4.0)])
+    def test_sign_consistency_across_widths(self, width_rows, low, high):
+        # Benign values in [0, 1] keep every decided row true; values
+        # in [-4, 4] make the window false almost everywhere.
+        rng = np.random.default_rng(2014)
+        rows = 3 * width_rows
+        source = self.FORMULA % {"ms": round(width_rows * PERIOD * 1000)}
+        _, codes = _bounds_and_codes(
+            source,
+            {
+                "x": rng.uniform(low, high, size=rows).tolist(),
+                "y": rng.uniform(low, high, size=rows).tolist(),
+            },
+        )
+        expected = TRUE_CODE if low >= 0 else FALSE_CODE
+        assert (codes == expected).sum() > width_rows

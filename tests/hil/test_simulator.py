@@ -1,6 +1,8 @@
 """HIL testbench integration behaviour."""
 
+import gc
 import math
+import weakref
 
 import pytest
 
@@ -117,3 +119,22 @@ class TestScenarioDynamics:
     def test_jitter_bound_validated(self):
         with pytest.raises(SimulationError):
             HilSimulator(steady_follow(10.0), jitter_max=CONTROL_PERIOD)
+
+
+class TestReclamation:
+    def test_stepped_simulator_dies_without_cycle_collector(self):
+        # The bus must not hold the simulator's bound methods: a finished
+        # testbench (and the trace it keeps alive) is freed by reference
+        # counting alone, with no gc.collect() between campaign tests.
+        simulator = HilSimulator(steady_follow(5.0), seed=3)
+        simulator.run_for(1.0)
+        assert simulator.result().frames_sent > 0
+        sim_ref = weakref.ref(simulator)
+        bus_ref = weakref.ref(simulator.bus)
+        gc.disable()
+        try:
+            del simulator
+            assert sim_ref() is None
+            assert bus_ref() is None
+        finally:
+            gc.enable()
