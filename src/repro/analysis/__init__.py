@@ -35,9 +35,6 @@ from repro.analysis.audit import (
     CampaignPlan,
     audit_rules,
     audit_specs,
-    contradicts,
-    implies,
-    negate,
     paper_plan,
 )
 from repro.analysis.automata import (
@@ -161,7 +158,6 @@ __all__ = [
     "compare",
     "compile_formula",
     "compile_rule",
-    "contradicts",
     "count_by_severity",
     "database_env",
     "dbc_environment",
@@ -171,13 +167,11 @@ __all__ = [
     "formula_status",
     "fsracc_flow",
     "has_errors",
-    "implies",
     "lint_file",
     "lint_rules",
     "lint_specs",
     "make_diagnostic",
     "margin_env",
-    "negate",
     "paper_plan",
     "prove_contradicts",
     "prove_implies",

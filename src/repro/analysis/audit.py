@@ -7,9 +7,9 @@ plan, and the checker-profile registry.  Three analysis families, one
 per report section:
 
 * **rule-set verification** (``AU1xx``) — pairwise contradiction and
-  subsumption between rules via a conservative implication prover seeded
-  with DBC physical ranges, plus set-level vacuity and duplicate
-  signal-coverage reports;
+  subsumption between rules, decided on the product automaton of both
+  formulas under the DBC physical ranges, plus set-level vacuity and
+  duplicate signal-coverage reports;
 * **monitoring coverage** (``AU2xx``) — DBC signals, machine states and
   ACC operating modes referenced by no rule, computed over the
   :class:`~repro.analysis.depgraph.DependencyGraph`;
@@ -19,14 +19,13 @@ per report section:
   (injection x rule) cells, unknown checker profiles, and monitor
   periods that undersample rule-referenced signals.
 
-The symbolic automata pass (:mod:`repro.analysis.automata`) backs two
-more layers: when the syntactic prover answers "unknown" on a pair or
-vacuity question, the decision procedure retries it on the compiled
-product automaton (same AU101/AU102/AU103 codes, message marked as a
-decision-procedure proof), and every rule gets a monitorability
-certificate cross-checked against the online monitor's conservative
-horizon (``AU6xx``: no finite decision horizon, over-provisioned
-buffering, or an uncertifiable rule).
+The symbolic automata pass (:mod:`repro.analysis.automata`) is the one
+static prover behind two layers: it answers every AU101/AU102 pair
+question and the AU103 vacuity questions that interval folding leaves
+open, and every rule gets a monitorability certificate cross-checked
+against the online monitor's conservative horizon (``AU6xx``: no
+finite decision horizon, over-provisioned buffering, or an
+uncertifiable rule).
 
 The static margin prover (:mod:`repro.analysis.margins`) adds the
 quantitative ``AU5xx`` findings on top: provably unfalsifiable rules
@@ -38,17 +37,19 @@ section, plus the ``provably_safe_rules`` / ``margin_prunable_cells`` /
 
 Like the rest of the package the auditor is pure static analysis: it
 reads parsed ASTs, the database, and a :class:`CampaignPlan` — no trace
-data, no simulation.  The implication prover is *conservative*: it only
+data, no simulation.  The decision procedure is *conservative*: it only
 answers "proved" or "unknown", so every AU101/AU102 finding is a real
 entailment under the stated model.  As with
 :mod:`repro.analysis.intervals`, the model is in-range, non-NaN data —
-negation rewrites comparisons classically (``not (x < 5)`` becomes
-``x >= 5``), which NaN rows would falsify.
+negation is classical (``not (x < 5)`` means ``x >= 5``), which NaN
+rows would falsify.  Past operators (``once`` / ``historically``) are
+outside the compiled fragment: a pair question over them answers
+"unknown" and is counted as
+``audit.prover.undecided.unsupported_formula``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import (
     Callable,
@@ -78,24 +79,9 @@ from repro.analysis.diagnostics import (
     has_errors,
     sort_diagnostics,
 )
-from repro.analysis.intervals import ALWAYS, Interval, MAYBE, NEVER, intersect
+from repro.analysis.intervals import ALWAYS, Interval, MAYBE
 from repro.analysis.predicates import dbc_environment
-from repro.core.ast import (
-    Always,
-    And,
-    BoolConst,
-    Comparison,
-    Constant,
-    Eventually,
-    Formula,
-    Historically,
-    Implies,
-    Next,
-    Not,
-    Once,
-    Or,
-    SignalRef,
-)
+from repro.core.ast import Formula
 from repro.core.monitor import DEFAULT_PERIOD
 from repro.core.statemachine import StateMachine
 
@@ -106,10 +92,6 @@ ACC_MODES: Tuple[str, ...] = ("off", "standby", "engaged", "fault")
 
 #: Report sections, in presentation order.
 SECTIONS: Tuple[str, ...] = ("rules", "coverage", "plan")
-
-#: Default (unconstrained) signal environment for the standalone prover
-#: entry points — every signal unbounded.
-_EMPTY_ENV: Mapping[str, Interval] = {}
 
 _SECTION_TITLES = {
     "rules": "rule-set verification",
@@ -146,310 +128,6 @@ def paper_plan() -> CampaignPlan:
     from repro.testing.campaign import table1_tests
 
     return CampaignPlan(tests=tuple(table1_tests()))
-
-
-# ----------------------------------------------------------------------
-# Conservative implication prover
-# ----------------------------------------------------------------------
-
-_NEGATED_OP = {
-    "<": ">=",
-    "<=": ">",
-    ">": "<=",
-    ">=": "<",
-    "==": "!=",
-    "!=": "==",
-}
-
-#: Recursion fuel for the prover; formulas deeper than this stay "unknown".
-_MAX_DEPTH = 32
-
-
-def negate(formula: Formula) -> Formula:
-    """The classical negation of ``formula``, pushed toward the atoms.
-
-    Comparisons flip their operator — valid for in-range, non-NaN data
-    only (NaN makes both ``x < 5`` and ``x >= 5`` false); the prover's
-    verdicts inherit that caveat.  Temporal duals follow the usual
-    rewriting (``not always`` = ``eventually not`` and so on).
-    """
-    if isinstance(formula, BoolConst):
-        return BoolConst(not formula.value)
-    if isinstance(formula, Not):
-        return formula.operand
-    if isinstance(formula, Comparison):
-        return Comparison(_NEGATED_OP[formula.op], formula.left, formula.right)
-    if isinstance(formula, And):
-        return Or(negate(formula.left), negate(formula.right))
-    if isinstance(formula, Or):
-        return And(negate(formula.left), negate(formula.right))
-    if isinstance(formula, Implies):
-        return And(formula.left, negate(formula.right))
-    if isinstance(formula, Always):
-        return Eventually(formula.lo, formula.hi, negate(formula.operand))
-    if isinstance(formula, Eventually):
-        return Always(formula.lo, formula.hi, negate(formula.operand))
-    if isinstance(formula, Once):
-        return Historically(formula.lo, formula.hi, negate(formula.operand))
-    if isinstance(formula, Historically):
-        return Once(formula.lo, formula.hi, negate(formula.operand))
-    if isinstance(formula, Next):
-        return Next(negate(formula.operand))
-    return Not(formula)
-
-
-def _point_satisfies(value: float, op: str, bound: float) -> bool:
-    if op == "<":
-        return value < bound
-    if op == "<=":
-        return value <= bound
-    if op == ">":
-        return value > bound
-    if op == ">=":
-        return value >= bound
-    if op == "==":
-        return value == bound
-    return value != bound
-
-
-def _satisfied_subset(op1: str, c: float, op2: str, d: float) -> bool:
-    """Whether ``{x | x op1 c}`` is a subset of ``{x | x op2 d}``.
-
-    The satisfied sets are over the reals; inclusion over a superset
-    domain implies inclusion over any DBC-restricted subdomain, so this
-    is conservative without consulting the environment.
-    """
-    if op1 == "==":
-        return _point_satisfies(c, op2, d)
-    if op1 == "<":
-        if op2 in ("<", "<="):
-            return c <= d
-        if op2 == "!=":
-            return d >= c
-        return False
-    if op1 == "<=":
-        if op2 == "<":
-            return c < d
-        if op2 == "<=":
-            return c <= d
-        if op2 == "!=":
-            return d > c
-        return False
-    if op1 == ">":
-        if op2 in (">", ">="):
-            return c >= d
-        if op2 == "!=":
-            return d <= c
-        return False
-    if op1 == ">=":
-        if op2 == ">":
-            return c > d
-        if op2 == ">=":
-            return c >= d
-        if op2 == "!=":
-            return d < c
-        return False
-    # op1 == "!=": unbounded on both sides, only itself fits.
-    return op2 == "!=" and c == d
-
-
-def _comparison_implies(a: Comparison, b: Comparison) -> bool:
-    """Entailment between comparisons over the same left-hand side."""
-    if a.left != b.left:
-        return False
-    if not isinstance(a.right, Constant) or not isinstance(b.right, Constant):
-        return False
-    return _satisfied_subset(
-        a.op, float(a.right.value), b.op, float(b.right.value)
-    )
-
-
-def _comparison_constraint(
-    formula: Formula,
-) -> Optional[Tuple[str, Interval]]:
-    """The satisfying interval of a bare ``signal OP constant``
-    comparison (either orientation), or ``None``.
-
-    Intervals are closed, so strict bounds are *widened* by keeping the
-    endpoint: the result over-approximates the satisfying set, which is
-    the sound direction for both uses below (a superset that still
-    forces ``b`` true, or a superset that is still empty).
-    """
-    if not isinstance(formula, Comparison):
-        return None
-    if isinstance(formula.left, SignalRef) and isinstance(
-        formula.right, Constant
-    ):
-        name, op, bound = formula.left.name, formula.op, formula.right.value
-    elif isinstance(formula.right, SignalRef) and isinstance(
-        formula.left, Constant
-    ):
-        mirrored = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "=="}
-        if formula.op not in mirrored:
-            return None
-        name, op, bound = (
-            formula.right.name,
-            mirrored[formula.op],
-            formula.left.value,
-        )
-    else:
-        return None
-    inf = math.inf
-    if op in ("<", "<="):
-        return name, Interval(-inf, bound)
-    if op in (">", ">="):
-        return name, Interval(bound, inf)
-    if op == "==":
-        return name, Interval(bound, bound)
-    return None  # != constrains nothing representable as one interval
-
-
-def _refine_env(
-    a: Formula, env: Mapping[str, Interval]
-) -> Tuple[Optional[Mapping[str, Interval]], bool]:
-    """Intersect every bare-signal comparison conjunct of ``a`` into
-    ``env``.
-
-    Returns ``(refined_env, contradictory)``.  ``contradictory`` means
-    some signal's constraints have an empty intersection, so no in-range
-    row satisfies ``a`` at all.  ``refined_env`` is ``None`` when no
-    conjunct narrowed anything.
-
-    This is the re-seeding step the pairwise decomposition used to miss:
-    ``implies(And(x >= 2, y >= 4), x + y > 5)`` recursed into each
-    conjunct separately, so the compound consequent — decidable only
-    under the *joint* refinement — always came back unknown.
-    """
-    refined: Dict[str, Interval] = {}
-    contradictory = False
-    stack = [a]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, And):
-            stack.append(node.left)
-            stack.append(node.right)
-            continue
-        constraint = _comparison_constraint(node)
-        if constraint is None:
-            continue
-        name, interval = constraint
-        known = refined.get(name, env.get(name))
-        narrowed = (
-            interval if known is None else intersect(known, interval)
-        )
-        if narrowed is None:
-            contradictory = True
-            break
-        refined[name] = narrowed
-    if not refined and not contradictory:
-        return None, False
-    merged = dict(env)
-    merged.update(refined)
-    return merged, contradictory
-
-
-def implies(
-    a: Formula,
-    b: Formula,
-    env: Mapping[str, Interval] = _EMPTY_ENV,
-    _depth: int = 0,
-) -> bool:
-    """Try to prove that every row satisfying ``a`` satisfies ``b``.
-
-    Returns True only when a proof was found; False means *unknown*, not
-    refuted.  ``env`` maps signal names to physical ranges (see
-    :func:`~repro.analysis.analyzer.database_env`) and powers the
-    "statically true / false" shortcuts.
-    """
-    if _depth > _MAX_DEPTH:
-        return False
-    if a == b:
-        return True
-    if formula_status(b, env) == ALWAYS:
-        return True
-    if formula_status(a, env) == NEVER:
-        return True
-    if isinstance(a, Not) and isinstance(b, Not):
-        if implies(b.operand, a.operand, env, _depth + 1):
-            return True
-    # Material implication rewrites to a disjunction on either side.
-    if isinstance(a, Implies):
-        if implies(Or(negate(a.left), a.right), b, env, _depth + 1):
-            return True
-    if isinstance(b, Implies):
-        if implies(a, Or(negate(b.left), b.right), env, _depth + 1):
-            return True
-    # Disjunctive antecedent / conjunctive consequent need both branches.
-    if isinstance(a, Or):
-        if implies(a.left, b, env, _depth + 1) and implies(
-            a.right, b, env, _depth + 1
-        ):
-            return True
-    if isinstance(b, And):
-        if implies(a, b.left, env, _depth + 1) and implies(
-            a, b.right, env, _depth + 1
-        ):
-            return True
-    # Conjunctive antecedent / disjunctive consequent: either branch.
-    if isinstance(a, And):
-        if implies(a.left, b, env, _depth + 1) or implies(
-            a.right, b, env, _depth + 1
-        ):
-            return True
-        # Re-seed the environment with the conjuncts' joint ranges: a
-        # compound consequent (x + y > 5) is invisible to the pairwise
-        # decomposition above but decidable once every conjunct's
-        # interval is intersected in (see _refine_env).
-        refined, contradictory = _refine_env(a, env)
-        if contradictory:
-            return True  # unsatisfiable antecedent implies anything
-        if refined is not None and formula_status(b, refined) == ALWAYS:
-            return True
-    if isinstance(b, Or):
-        if implies(a, b.left, env, _depth + 1) or implies(
-            a, b.right, env, _depth + 1
-        ):
-            return True
-    if isinstance(a, Comparison) and isinstance(b, Comparison):
-        if _comparison_implies(a, b):
-            return True
-    # Temporal monotonicity: a wider always proves a narrower one, a
-    # narrower eventually proves a wider one; same for the past duals.
-    for universal, existential in ((Always, Eventually), (Historically, Once)):
-        if isinstance(a, universal):
-            if (
-                isinstance(b, universal)
-                and a.lo <= b.lo
-                and b.hi <= a.hi
-                and implies(a.operand, b.operand, env, _depth + 1)
-            ):
-                return True
-            # A window starting now includes the current row.
-            if a.lo == 0 and implies(a.operand, b, env, _depth + 1):
-                return True
-        if isinstance(b, existential):
-            if (
-                isinstance(a, existential)
-                and b.lo <= a.lo
-                and a.hi <= b.hi
-                and implies(a.operand, b.operand, env, _depth + 1)
-            ):
-                return True
-            # The current row witnesses a window starting now.
-            if b.lo == 0 and implies(a, b.operand, env, _depth + 1):
-                return True
-    if isinstance(a, Next) and isinstance(b, Next):
-        if implies(a.operand, b.operand, env, _depth + 1):
-            return True
-    return False
-
-
-def contradicts(
-    a: Formula, b: Formula, env: Mapping[str, Interval] = _EMPTY_ENV
-) -> bool:
-    """Try to prove ``a`` and ``b`` cannot hold on the same row
-    (in-range, non-NaN model — see :func:`negate`)."""
-    return implies(a, negate(b), env) or implies(b, negate(a), env)
 
 
 # ----------------------------------------------------------------------
@@ -550,11 +228,9 @@ class AuditReport:
 
 @dataclass(frozen=True)
 class _ProverContext:
-    """Everything the decision-procedure fallback needs beyond ``env``.
-
-    The syntactic prover stays first (it is cheap and its messages name
-    the entailment shape); the automata prover only retries questions
-    the syntactic pass left unknown, so findings never duplicate.
+    """Everything the automata decision procedure needs beyond ``env``:
+    the spec machines ``in_state`` atoms run against, the DBC boolean
+    signals, and the sampling period that fixes the window row counts.
     """
 
     machines: Tuple[StateMachine, ...] = ()
@@ -606,22 +282,6 @@ def _rule_pair_checks(
                     # Statically constant formulas are vacuity findings
                     # (AU103 / speclint), not pair conflicts.
                     continue
-                if contradicts(rule_a.formula, rule_b.formula, env):
-                    findings.append(
-                        make_diagnostic(
-                            "AU101",
-                            "rule %s" % rule_a.rule_id,
-                            "formula statically contradicts rule %s under "
-                            "the DBC ranges: no in-range row can satisfy "
-                            "both" % rule_b.rule_id,
-                            suggestion=(
-                                "every gated row will violate one of the "
-                                "two; reconcile the bounds or split the "
-                                "gates"
-                            ),
-                        )
-                    )
-                    continue
                 if _proves(
                     prove_contradicts,
                     (rule_a.formula, rule_b.formula),
@@ -663,20 +323,6 @@ def _subsumption_pair(
         # report, so only an unfiltered strong rule truly covers it.
         if strong.filters:
             continue
-        if implies(strong.formula, weak.formula, env):
-            return [
-                make_diagnostic(
-                    "AU102",
-                    "rule %s" % weak.rule_id,
-                    "statically subsumed by rule %s: any trace violating "
-                    "%s also violates %s, so this rule adds no detection "
-                    "power"
-                    % (strong.rule_id, weak.rule_id, strong.rule_id),
-                    suggestion=(
-                        "tighten this rule's bound or drop it from the set"
-                    ),
-                )
-            ]
         if _proves(
             prove_implies, (strong.formula, weak.formula), env, ctx
         ):

@@ -18,8 +18,9 @@ the construction:
 * an **emptiness/containment prover** — ``a`` contradicts ``b`` iff
   the automaton of ``a ∧ b`` cannot reach its accepting sink (and
   cannot loop satisfied forever); ``a`` implies ``b`` iff ``a ∧ ¬b``
-  is empty — upgrading the syntactic AU1xx checks to
-  language-theoretic proofs;
+  is empty — the only prover behind the audit's AU101/AU102 pair
+  findings and the AU103 vacuity questions interval folding leaves
+  open;
 * **observable-signal reduction** — a signal is droppable for a rule
   when no reachable state distinguishes letters that differ only in
   that signal's atoms, which the fleet rollup surfaces as a
@@ -37,14 +38,15 @@ forever is true); where that evaluation is indeterminate the
 classifier degrades to ``neither`` and the provers to ``unknown`` —
 conservative, never unsound.
 
-Soundness contract (shared with the syntactic audit prover and the
-margin prover): verdicts hold for in-range, non-NaN data under
-classical comparison negation.  The letter set over-approximates
-feasibility (see :mod:`repro.analysis.predicates`), so ``prove_*``
-answers "proved" only when *no* letter sequence — feasible or not —
-reaches a satisfying verdict.  Past operators (``once`` /
-``historically``) are outside the compiled fragment and reported as
-unsupported; the syntactic prover remains the fallback for them.
+Soundness contract (shared with the margin prover): verdicts hold for
+in-range, non-NaN data under classical comparison negation.  The
+letter set over-approximates feasibility (see
+:mod:`repro.analysis.predicates`), so ``prove_*`` answers "proved" only
+when *no* letter sequence — feasible or not — reaches a satisfying
+verdict.  Past operators (``once`` / ``historically``) are outside the
+compiled fragment and reported as unsupported: a ``prove_*`` question
+over them answers "unknown" and is counted as
+``audit.prover.undecided.unsupported_formula``.
 """
 
 from __future__ import annotations

@@ -24,7 +24,8 @@ filter intersects), so dropping a letter never removes a real
 behaviour.  The converse does not hold — a surviving letter may still
 be infeasible — which can only make the automata prover *less*
 complete, never unsound.  Out-of-range or NaN data voids the
-guarantee, exactly as it does for the syntactic audit prover.
+guarantee, exactly as it does for interval folding and the margin
+prover.
 """
 
 from __future__ import annotations

@@ -1,4 +1,5 @@
-"""Cross-artifact audit — prover, checks, schema, and golden output."""
+"""Cross-artifact audit — checks, prover findings, schema, and golden
+output."""
 
 from __future__ import annotations
 
@@ -6,24 +7,26 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from helpers import rule_trace
 
 from repro.analysis import (
     audit_rules,
     build_audit_report,
-    contradicts,
-    implies,
-    negate,
     paper_plan,
     require_valid_audit_report,
     validate_audit_report,
 )
 from repro.analysis.audit import ACC_MODES, CampaignPlan
 from repro.analysis.catalog import CATALOG
-from repro.core.ast import Always, And, BoolConst, Eventually, Not, Or
-from repro.core.monitor import Rule
+from repro.core.ast import Eventually
+from repro.core.evaluator import EvalContext, evaluate_formula
+from repro.core.monitor import DEFAULT_PERIOD, Rule
 from repro.core.parser import parse_formula
 from repro.core.statemachine import StateMachine
+from repro.core.types import TRUE_CODE
 from repro.rules.safety_rules import paper_rules
 from repro.testing.campaign import InjectionTest
 
@@ -94,62 +97,6 @@ def fixture_report():
         plan=fixture_plan(),
         target="inconsistent fixture",
     )
-
-
-class TestProver:
-    def c(self, text):
-        return parse_formula(text)
-
-    def test_structural_equality(self):
-        assert implies(self.c("Velocity < 50"), self.c("Velocity < 50"))
-
-    def test_comparison_entailment(self):
-        assert implies(self.c("Velocity < 50"), self.c("Velocity < 100"))
-        assert implies(self.c("Velocity < 50"), self.c("Velocity <= 50"))
-        assert implies(self.c("Velocity > 5"), self.c("Velocity >= 5"))
-        assert implies(self.c("Velocity == 3"), self.c("Velocity < 10"))
-        assert not implies(self.c("Velocity < 100"), self.c("Velocity < 50"))
-        assert not implies(self.c("Velocity < 50"), self.c("ThrotPos < 50"))
-
-    def test_connectives(self):
-        a = self.c("Velocity < 50 and ThrotPos > 0")
-        assert implies(a, self.c("Velocity < 100"))
-        assert implies(self.c("Velocity < 50"), self.c("Velocity < 50 or ThrotPos > 0"))
-        assert implies(
-            self.c("Velocity < 40 or Velocity < 30"), self.c("Velocity < 50")
-        )
-        assert not implies(
-            self.c("Velocity < 40 or ThrotPos < 1"), self.c("Velocity < 50")
-        )
-
-    def test_implication_rewrites(self):
-        gated = self.c("ACCEnabled -> Velocity < 50")
-        assert implies(self.c("Velocity < 40"), gated)
-        assert not implies(gated, self.c("Velocity < 50"))
-
-    def test_temporal_monotonicity(self):
-        p, q = self.c("Velocity < 50"), self.c("Velocity < 100")
-        assert implies(Always(0, 10, p), Always(2, 5, q))
-        assert not implies(Always(2, 5, p), Always(0, 10, p))
-        assert implies(Eventually(2, 5, p), Eventually(0, 10, q))
-        assert implies(Always(0, 10, p), q)  # window includes now
-        assert implies(p, Eventually(0, 10, q))  # now witnesses it
-
-    def test_negation_duals(self):
-        p = self.c("Velocity < 50")
-        assert negate(p) == self.c("Velocity >= 50")
-        assert negate(Not(p)) == p
-        assert negate(And(p, p)) == Or(negate(p), negate(p))
-        assert negate(Always(0, 5, p)) == Eventually(0, 5, negate(p))
-        assert negate(BoolConst(True)) == BoolConst(False)
-        # Atoms without a classical dual stay wrapped.
-        atom = self.c("in_state(acc, on)")
-        assert negate(atom) == Not(atom)
-
-    def test_contradiction(self):
-        assert contradicts(self.c("Velocity >= 0"), self.c("Velocity < 0"))
-        assert contradicts(self.c("Velocity < 10"), self.c("Velocity > 20"))
-        assert not contradicts(self.c("Velocity < 10"), self.c("Velocity < 20"))
 
 
 class TestPaperAudit:
@@ -306,59 +253,11 @@ class TestAuditSchema:
         assert any("summary" in p for p in validate_audit_report(dump))
 
 
-class TestRefineEnvSeeding:
-    """Regression: the prover used to decompose conjunctive antecedents
-    pairwise only, so compound consequents like ``x + y > 5`` — true
-    only under the *joint* refinement — always came back unknown."""
-
-    def test_joint_refinement_decides_arithmetic_consequent(self):
-        a = parse_formula("Velocity >= 2 and RequestedDecel >= 4")
-        b = parse_formula("Velocity + RequestedDecel > 5")
-        assert implies(a, b)
-
-    def test_mirrored_comparison_orientation_seeds_too(self):
-        a = parse_formula("2 <= Velocity and 4 <= RequestedDecel")
-        b = parse_formula("Velocity + RequestedDecel > 5")
-        assert implies(a, b)
-
-    def test_joint_refinement_respects_existing_env(self, database):
-        from repro.analysis.analyzer import database_env
-
-        env = database_env(database)
-        # Velocity's DBC range is [-10, 120]; with the conjunct
-        # narrowing it to [100, 120] the sum is provably > 90.
-        a = parse_formula("Velocity >= 100 and RequestedDecel >= 0")
-        b = parse_formula("Velocity + RequestedDecel > 90")
-        assert implies(a, b, env)
-
-    def test_unprovable_consequent_stays_unknown(self):
-        a = parse_formula("Velocity >= 2 and RequestedDecel >= 4")
-        b = parse_formula("Velocity + RequestedDecel > 10")
-        assert not implies(a, b)
-
-    def test_refine_env_reports_contradictory_antecedent(self):
-        from repro.analysis.audit import _refine_env
-
-        refined, contradictory = _refine_env(
-            parse_formula("Velocity >= 10 and Velocity < 5"), {}
-        )
-        assert contradictory
-        assert refined is not None
-
-    def test_refine_env_none_when_nothing_narrows(self):
-        from repro.analysis.audit import _refine_env
-
-        refined, contradictory = _refine_env(
-            parse_formula("Velocity > 0 or BrakeRequested"), {}
-        )
-        assert refined is None
-        assert not contradictory
-
-
 class TestDecisionProcedureFindings:
-    """AU101/102/103 retried through the automata prover when the
-    syntactic pass comes back unknown — the finding text names the
-    decision procedure so triage knows the proof's provenance."""
+    """AU101/102 pair questions and the AU103 questions interval
+    folding leaves open are answered by the automata decision
+    procedure — the finding text names it so triage knows the proof's
+    provenance."""
 
     def _env_ctx(self, database):
         from repro.analysis.analyzer import database_env
@@ -376,7 +275,6 @@ class TestDecisionProcedureFindings:
             Rule.from_text("rA", "a", "abs(RequestedDecel) <= 0.5"),
             Rule.from_text("rB", "b", "RequestedDecel > 0.75"),
         ]
-        assert not contradicts(rules[0].formula, rules[1].formula, env)
         findings = _rule_pair_checks(rules, env, ctx)
         au101 = [f for f in findings if f.code == "AU101"]
         assert len(au101) == 1
@@ -395,7 +293,6 @@ class TestDecisionProcedureFindings:
             ),
             Rule.from_text("weak", "w", "always[0, 0.2] Velocity > 5"),
         ]
-        assert not implies(rules[0].formula, rules[1].formula, env)
         findings = _rule_pair_checks(rules, env, ctx)
         au102 = [f for f in findings if f.code == "AU102"]
         assert len(au102) == 1
@@ -414,20 +311,52 @@ class TestDecisionProcedureFindings:
         assert len(au103) == 1
         assert "by decision procedure" in au103[0].message
 
-    def test_syntactic_proof_keeps_syntactic_message(self, database):
-        # When the cheap prover already decides, the automata retry
-        # must not run (and must not duplicate the finding).
+    def test_consistent_pair_is_not_a_contradiction(self, database):
+        # rA bounds Velocity on the current row only; rB constrains
+        # later rows.  A prover that applies rA's range to rB's window
+        # reports this satisfiable pair as an error-level AU101.
+        rules = [
+            Rule.from_text("rA", "a", "Velocity <= 0 and BrakeRequested"),
+            Rule.from_text("rB", "b", "always[0.04, 0.08] (Velocity > 30)"),
+        ]
+        report = audit_rules(rules, database=database)
+        assert "AU101" not in report.codes()
+        assert not report.failed
+        # The witness: both rules hold at rows 0 and 1 of this trace.
+        trace = rule_trace(
+            8,
+            {
+                "Velocity": [0, 0, 40, 40, 40, 40, 40, 40],
+                "BrakeRequested": [1] * 8,
+            },
+            period=DEFAULT_PERIOD,
+        )
+        eval_ctx = EvalContext(trace.to_view(DEFAULT_PERIOD))
+        for rule in rules:
+            codes = evaluate_formula(rule.formula, eval_ctx)
+            assert np.all(codes[:2] == TRUE_CODE), rule.rule_id
+
+    def test_past_operator_pair_is_undecided(self, database):
+        # Past operators are outside the automata fragment: the pair
+        # stays "unknown" (no AU102) and the give-up is counted.
         from repro.analysis.audit import _rule_pair_checks
+        from repro.obs import MetricsRegistry, use_registry
 
         env, ctx = self._env_ctx(database)
         rules = [
-            Rule.from_text("rA", "a", "Velocity >= 0"),
-            Rule.from_text("rB", "b", "Velocity < 0"),
+            Rule.from_text(
+                "strong", "s", "historically[0, 0.2] (Velocity < 50)"
+            ),
+            Rule.from_text(
+                "weak", "w", "historically[0, 0.1] (Velocity < 100)"
+            ),
         ]
-        findings = _rule_pair_checks(rules, env, ctx)
-        au101 = [f for f in findings if f.code == "AU101"]
-        assert len(au101) == 1
-        assert "statically contradicts" in au101[0].message
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            findings = _rule_pair_checks(rules, env, ctx)
+        assert not [f for f in findings if f.code == "AU102"]
+        counters = registry.snapshot()["counters"]
+        assert counters["audit.prover.undecided.unsupported_formula"] > 0
 
 
 class TestProverGiveUps:

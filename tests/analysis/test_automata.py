@@ -4,9 +4,10 @@ Covers the determinizer's edge cases (zero-width windows, unbounded
 operands, unreachable machine states, period-mismatched bounds), the
 monitorability certificates against both the online monitor's
 configuration and its *empirical* behaviour on a drive log, the
-observable-signal reduction, the decision procedures (including the
-catalog of facts the syntactic prover cannot decide), and the
-``repro.automata/v1`` schema with its committed golden fixture.
+observable-signal reduction, the decision procedures (one table of
+implication, contradiction and validity questions with their expected
+answers), and the ``repro.automata/v1`` schema with its committed
+golden fixture.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ import pytest
 
 from helpers import PERIOD, rule_trace
 
-from repro.analysis.audit import contradicts, implies
 from repro.analysis.automata import (
     BOUNDED,
     CO_SAFETY,
@@ -49,7 +49,6 @@ from repro.analysis.automata import (
     to_dot,
     until,
 )
-from repro.analysis.checks import formula_status
 from repro.analysis.predicates import build_alphabet, dbc_environment
 from repro.analysis.schema import (
     AUTOMATA_SCHEMA_VERSION,
@@ -425,59 +424,142 @@ class TestProvers:
         )
 
 
-class TestProverGapCatalog:
-    """Facts the syntactic prover cannot decide but the automata
-    decision procedure settles — the documented reason AU101/102/103
-    retry with the automaton when the cheap pass comes back unknown."""
+#: ``(case id, question, a, b, expected answer)``: ``implies`` asks
+#: ``prove_implies(a, b)``, ``contradicts`` asks ``prove_contradicts(a,
+#: b)`` and ``valid`` asks ``prove_valid(a)``, all under the DBC ranges.
+#: The ``unknown`` rows pin questions that must *not* be proved.
+PROVER_CASES = [
+    # Comparisons over one signal.
+    ("equal", "implies", "Velocity < 50", "Velocity < 50", PROVED),
+    ("lt_wider", "implies", "Velocity < 50", "Velocity < 100", PROVED),
+    ("lt_le", "implies", "Velocity < 50", "Velocity <= 50", PROVED),
+    ("gt_ge", "implies", "Velocity > 5", "Velocity >= 5", PROVED),
+    ("eq_lt", "implies", "Velocity == 3", "Velocity < 10", PROVED),
+    ("lt_narrower", "implies", "Velocity < 100", "Velocity < 50", UNKNOWN),
+    ("other_signal", "implies", "Velocity < 50", "ThrotPos < 50", UNKNOWN),
+    # Boolean connectives and material implication.
+    (
+        "conjunct", "implies",
+        "Velocity < 50 and ThrotPos > 0", "Velocity < 100", PROVED,
+    ),
+    (
+        "disjunct", "implies",
+        "Velocity < 50", "Velocity < 50 or ThrotPos > 0", PROVED,
+    ),
+    (
+        "both_disjuncts", "implies",
+        "Velocity < 40 or Velocity < 30", "Velocity < 50", PROVED,
+    ),
+    (
+        "one_disjunct", "implies",
+        "Velocity < 40 or ThrotPos < 1", "Velocity < 50", UNKNOWN,
+    ),
+    (
+        "into_gate", "implies",
+        "Velocity < 40", "ACCEnabled -> Velocity < 50", PROVED,
+    ),
+    (
+        "out_of_gate", "implies",
+        "ACCEnabled -> Velocity < 50", "Velocity < 50", UNKNOWN,
+    ),
+    (
+        "boolean_resolution", "implies",
+        "(Velocity > 0 or BrakeRequested) and Velocity <= 0",
+        "BrakeRequested", PROVED,
+    ),
+    # Temporal monotonicity.
+    (
+        "always_narrower", "implies",
+        "always[0, 10] (Velocity < 50)", "always[2, 5] (Velocity < 100)",
+        PROVED,
+    ),
+    (
+        "always_wider", "implies",
+        "always[2, 5] (Velocity < 50)", "always[0, 10] (Velocity < 50)",
+        UNKNOWN,
+    ),
+    (
+        "eventually_wider", "implies",
+        "eventually[2, 5] (Velocity < 50)",
+        "eventually[0, 10] (Velocity < 100)", PROVED,
+    ),
+    (
+        "always_includes_now", "implies",
+        "always[0, 10] (Velocity < 50)", "Velocity < 100", PROVED,
+    ),
+    (
+        "now_witnesses_eventually", "implies",
+        "Velocity < 50", "eventually[0, 10] (Velocity < 100)", PROVED,
+    ),
+    # Joins of adjacent windows, distribution over conjunction.
+    (
+        "always_distributes_over_and", "implies",
+        "(always[0, 0.1] Velocity > 5) and (always[0, 0.1] TargetRange > 10)",
+        "always[0, 0.1] (Velocity > 5 and TargetRange > 10)", PROVED,
+    ),
+    (
+        "adjacent_windows_join", "implies",
+        "(always[0, 0.1] Velocity > 5) and (always[0.12, 0.2] Velocity > 5)",
+        "always[0, 0.2] Velocity > 5", PROVED,
+    ),
+    (
+        "next_distributes_over_and", "implies",
+        "(next Velocity > 5) and (next TargetRange > 10)",
+        "next (Velocity > 5 and TargetRange > 10)", PROVED,
+    ),
+    # Joint ranges of a conjunctive antecedent decide a compound
+    # consequent.
+    (
+        "joint_ranges", "implies",
+        "Velocity >= 2 and RequestedDecel >= 4",
+        "Velocity + RequestedDecel > 5", PROVED,
+    ),
+    (
+        "joint_ranges_mirrored", "implies",
+        "2 <= Velocity and 4 <= RequestedDecel",
+        "Velocity + RequestedDecel > 5", PROVED,
+    ),
+    (
+        "joint_ranges_within_dbc", "implies",
+        "Velocity >= 100 and RequestedDecel >= 0",
+        "Velocity + RequestedDecel > 90", PROVED,
+    ),
+    (
+        "joint_ranges_too_weak", "implies",
+        "Velocity >= 2 and RequestedDecel >= 4",
+        "Velocity + RequestedDecel > 10", UNKNOWN,
+    ),
+    # Contradiction and validity.
+    ("sign_split", "contradicts", "Velocity >= 0", "Velocity < 0", PROVED),
+    ("disjoint", "contradicts", "Velocity < 10", "Velocity > 20", PROVED),
+    ("overlapping", "contradicts", "Velocity < 10", "Velocity < 20", UNKNOWN),
+    (
+        "abs_gap", "contradicts",
+        "abs(RequestedDecel) <= 0.5", "RequestedDecel > 0.75", PROVED,
+    ),
+    (
+        "excluded_middle", "valid",
+        "Velocity > 5 or Velocity <= 5", None, PROVED,
+    ),
+]
 
-    def test_always_distributes_over_conjunction(self, dbc_env):
-        env, bools = dbc_env
-        a = parse_formula(
-            "(always[0, 0.1] Velocity > 5) "
-            "and (always[0, 0.1] TargetRange > 10)"
-        )
-        b = parse_formula("always[0, 0.1] (Velocity > 5 and TargetRange > 10)")
-        assert not implies(a, b, env)
-        assert prove_implies(a, b, env=env, bool_signals=bools) == PROVED
 
-    def test_adjacent_windows_join(self, dbc_env):
-        env, bools = dbc_env
-        a = parse_formula(
-            "(always[0, 0.1] Velocity > 5) "
-            "and (always[0.12, 0.2] Velocity > 5)"
-        )
-        b = parse_formula("always[0, 0.2] Velocity > 5")
-        assert not implies(a, b, env)
-        assert prove_implies(a, b, env=env, bool_signals=bools) == PROVED
-
-    def test_next_distributes_over_conjunction(self, dbc_env):
-        env, bools = dbc_env
-        a = parse_formula("(next Velocity > 5) and (next TargetRange > 10)")
-        b = parse_formula("next (Velocity > 5 and TargetRange > 10)")
-        assert not implies(a, b, env)
-        assert prove_implies(a, b, env=env, bool_signals=bools) == PROVED
-
-    def test_boolean_resolution(self, dbc_env):
-        env, bools = dbc_env
-        a = parse_formula("(Velocity > 0 or BrakeRequested) and Velocity <= 0")
-        b = parse_formula("BrakeRequested")
-        assert not implies(a, b, env)
-        assert prove_implies(a, b, env=env, bool_signals=bools) == PROVED
-
-    def test_abs_gap_contradiction(self, dbc_env):
-        env, bools = dbc_env
-        a = parse_formula("abs(RequestedDecel) <= 0.5")
-        b = parse_formula("RequestedDecel > 0.75")
-        assert not contradicts(a, b, env)
-        assert (
-            prove_contradicts(a, b, env=env, bool_signals=bools) == PROVED
-        )
-
-    def test_excluded_middle_tautology(self, dbc_env):
-        env, bools = dbc_env
-        formula = parse_formula("Velocity > 5 or Velocity <= 5")
-        assert formula_status(formula, env) != "always"
-        assert prove_valid(formula, env=env, bool_signals=bools) == PROVED
+@pytest.mark.parametrize(
+    "question, a, b, expected",
+    [case[1:] for case in PROVER_CASES],
+    ids=[case[0] for case in PROVER_CASES],
+)
+def test_prover_table(dbc_env, question, a, b, expected):
+    env, bools = dbc_env
+    formulas = [parse_formula(a)]
+    if b is not None:
+        formulas.append(parse_formula(b))
+    prover = {
+        "implies": prove_implies,
+        "contradicts": prove_contradicts,
+        "valid": prove_valid,
+    }[question]
+    assert prover(*formulas, env=env, bool_signals=bools) == expected
 
 
 class TestProverSoundness:

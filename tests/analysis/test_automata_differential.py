@@ -146,12 +146,8 @@ class TestFuzzedPairs:
         rng = random.Random(SEED)
         formulas = []
         while len(formulas) < 60:
-            text = random_formula(rng, depth=3)
-            try:
-                formula = parse_formula(text)
-                automaton = compile_formula(formula, period=PERIOD)
-            except Exception:  # over-budget alphabet: skip, keep count
-                continue
+            formula = parse_formula(random_formula(rng, depth=3))
+            automaton = compile_formula(formula, period=PERIOD)
             formulas.append((formula, automaton))
         traces = [random_trace(rng, i) for i in range(9)]
         contexts = [EvalContext(trace.to_view(PERIOD)) for trace in traces]
@@ -171,14 +167,10 @@ class TestFuzzedPairs:
         contexts = [EvalContext(trace.to_view(PERIOD)) for trace in traces]
         checked = 0
         for _ in range(30):
-            text = random_formula(rng, depth=2)
-            try:
-                formula = parse_formula(text)
-                automaton = compile_formula(
-                    formula, env=env, bool_signals=bools, period=PERIOD
-                )
-            except Exception:
-                continue
+            formula = parse_formula(random_formula(rng, depth=2))
+            automaton = compile_formula(
+                formula, env=env, bool_signals=bools, period=PERIOD
+            )
             letters = set(automaton.alphabet.letters)
             for ctx in contexts:
                 for mask in letter_masks(automaton, ctx):
@@ -218,11 +210,8 @@ class TestProverDifferential:
         contexts = [EvalContext(trace.to_view(PERIOD)) for trace in traces]
         proved = 0
         for _ in range(120):
-            try:
-                a = parse_formula(random_formula(rng, depth=2))
-                b = parse_formula(random_formula(rng, depth=2))
-            except Exception:
-                continue
+            a = parse_formula(random_formula(rng, depth=2))
+            b = parse_formula(random_formula(rng, depth=2))
             if prove_implies(a, b, period=PERIOD) != PROVED:
                 continue
             proved += 1
@@ -243,11 +232,8 @@ class TestProverDifferential:
         contexts = [EvalContext(trace.to_view(PERIOD)) for trace in traces]
         proved = 0
         for _ in range(120):
-            try:
-                a = parse_formula(random_formula(rng, depth=2))
-                b = parse_formula(random_formula(rng, depth=2))
-            except Exception:
-                continue
+            a = parse_formula(random_formula(rng, depth=2))
+            b = parse_formula(random_formula(rng, depth=2))
             if prove_contradicts(a, b, period=PERIOD) != PROVED:
                 continue
             proved += 1
