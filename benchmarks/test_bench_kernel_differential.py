@@ -10,15 +10,15 @@ kernel and compared as formatted text.
 Shortened holds (2 s) keep the two runs inside a benchmark budget, as in
 the parallel-campaign bench; the injected switch transients already
 manifest at that hold time.  Runs are sequential (``jobs=1``) so the
-kernel selection — a process-local setting — governs both legs fully.
+kernel patch — process-local — governs both legs fully.
 """
 
 from __future__ import annotations
 
 import time
 
-from repro.core.windows import use_kernel
 from repro.testing.campaign import RobustnessCampaign, table1_tests
+from tests.helpers import window_kernel
 
 #: Same seed as every other reproduction artifact (see conftest.py).
 SEED = 2014
@@ -34,12 +34,12 @@ def test_table1_letters_identical_across_kernels(publish):
     tests = table1_tests()
 
     started = time.perf_counter()
-    with use_kernel("strided"):
+    with window_kernel("strided"):
         reference = _campaign().run_table1(tests=tests, jobs=1)
     strided_s = time.perf_counter() - started
 
     started = time.perf_counter()
-    with use_kernel("block"):
+    with window_kernel("block"):
         result = _campaign().run_table1(tests=tests, jobs=1)
     block_s = time.perf_counter() - started
 

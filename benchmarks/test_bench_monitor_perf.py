@@ -16,9 +16,9 @@ import pytest
 from repro.core.evaluator import EvalContext, evaluate_formula
 from repro.core.monitor import Monitor, Rule
 from repro.core.parser import parse_formula
-from repro.core.windows import active_kernel, use_kernel
 from repro.obs import MetricsRegistry, use_registry
 from repro.rules.safety_rules import paper_rules
+from tests.helpers import window_kernel
 
 PROPOSITIONAL = "BrakeRequested -> RequestedDecel <= 0"
 SHORT_WINDOW = (
@@ -94,7 +94,6 @@ def test_full_rule_set_throughput(benchmark, long_trace, publish):
                 "%-36s %d" % ("trace rows", view.n_rows),
                 "%-36s %.0f" % ("rows checked per second", rows_per_second),
                 "%-36s %.0fx" % ("headroom over 50 Hz real time", rows_per_second / 50.0),
-                "%-36s %s" % ("window kernel", active_kernel()),
                 "%-36s %d hits / %d misses (%.0f%%)"
                 % (
                     "memoized subformula lookups",
@@ -147,7 +146,7 @@ def test_window_width_sweep(benign_trace, publish):
         view = trace.to_view(SWEEP_PERIOD, signals=monitor.required_signals())
         seconds = {}
         for kernel in ("block", "strided"):
-            with use_kernel(kernel):
+            with window_kernel(kernel):
                 seconds[kernel] = best_of(3, lambda: monitor.check_view(view))
             lines.append(
                 "%-12s %-9s %12.5f %16.0f"

@@ -93,27 +93,25 @@ from repro.analysis.margins import (
     rule_margin,
 )
 from repro.analysis.schema import (
+    AUDIT_REPORT,
     AUDIT_SCHEMA_VERSION,
+    AUTOMATA_REPORT,
     AUTOMATA_SCHEMA_VERSION,
+    LINT_REPORT,
+    MARGINS_REPORT,
     MARGINS_SCHEMA_VERSION,
     SCHEMA_VERSION,
     build_audit_report,
     build_automata_report,
     build_margins_report,
     build_report,
-    require_valid_audit_report,
-    require_valid_automata_report,
-    require_valid_margins_report,
-    require_valid_report,
-    validate_audit_report,
-    validate_automata_report,
-    validate_margins_report,
-    validate_report,
 )
 
 __all__ = [
     "ALWAYS",
+    "AUDIT_REPORT",
     "AUDIT_SCHEMA_VERSION",
+    "AUTOMATA_REPORT",
     "AUTOMATA_SCHEMA_VERSION",
     "Alphabet",
     "AlphabetError",
@@ -129,7 +127,9 @@ __all__ = [
     "Diagnostic",
     "FlowEdge",
     "Interval",
+    "LINT_REPORT",
     "LintContext",
+    "MARGINS_REPORT",
     "MARGINS_SCHEMA_VERSION",
     "MAYBE",
     "MarginEnv",
@@ -177,15 +177,7 @@ __all__ = [
     "prove_implies",
     "prove_valid",
     "reduce_observables",
-    "require_valid_audit_report",
-    "require_valid_automata_report",
-    "require_valid_margins_report",
-    "require_valid_report",
     "rule_margin",
     "sort_diagnostics",
     "to_dot",
-    "validate_audit_report",
-    "validate_automata_report",
-    "validate_margins_report",
-    "validate_report",
 ]

@@ -35,21 +35,45 @@ diagnostics split into the three analysis-family ``sections``
       "counts": {"error": 0, "warning": 6, "info": 9}
     }
 
-Validation is hand-rolled like :mod:`repro.obs.schema` (zero-dependency
-beyond numpy): :func:`validate_report` / :func:`validate_audit_report`
-return a list of problems, and the ``require_*`` variants raise — the CI
-``lint-specs`` and ``audit`` jobs call the latter over the bundled and
-example spec files.
+Each format is also a shape literal (:data:`LINT_REPORT`,
+:data:`AUDIT_REPORT`, :data:`MARGINS_REPORT`, :data:`AUTOMATA_REPORT`)
+for :func:`repro.schema.validate` / :func:`repro.schema.require_valid`;
+the CI ``lint-specs``, ``audit``, ``margins`` and ``automata`` jobs call
+the latter on the reports they produce.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from collections import Counter
+from typing import Any, Callable, Dict, Iterable, List, Sequence, Tuple
 
 from repro.analysis.diagnostics import (
     Diagnostic,
     Severity,
     count_by_severity,
+)
+from repro.schema import (
+    Rule,
+    Shape,
+    absent_ok,
+    array,
+    boolean,
+    bounds_ordered,
+    const,
+    count,
+    integer,
+    mapping,
+    margin_bound,
+    non_negative,
+    nullable,
+    obj,
+    one_of,
+    partitions,
+    positive,
+    positive_int,
+    prefixed,
+    string,
+    when,
 )
 
 #: Identifier of the report format this module reads and writes.
@@ -94,108 +118,80 @@ def build_report(
     }
 
 
-def _validate_counts(owner: str, counts: object) -> List[str]:
-    if not isinstance(counts, dict):
-        return ["%s needs a 'counts' object" % owner]
+def _tally_matches(diagnostics: Callable[[Dict[str, Any]], Iterable]) -> Rule:
+    """Rule: a target's ``counts`` are the severity tally of the
+    diagnostics it lists."""
+
+    def rule(target: Dict[str, Any]) -> List[str]:
+        seen = Counter(d["severity"] for d in diagnostics(target))
+        return [
+            "declares %d %s findings but lists %d"
+            % (target["counts"][severity], severity, seen[severity])
+            for severity in _SEVERITIES
+            if target["counts"][severity] != seen[severity]
+        ]
+
+    return rule
+
+
+def _totals_match(report: Dict[str, Any]) -> List[str]:
+    """Rule: the report's ``counts`` are the sum over its targets."""
     problems = []
     for severity in _SEVERITIES:
-        value = counts.get(severity)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        total = sum(target["counts"][severity] for target in report["targets"])
+        if report["counts"][severity] != total:
             problems.append(
-                "%s count %r must be a non-negative integer" % (owner, severity)
+                "declares %d %s findings but targets sum to %d"
+                % (report["counts"][severity], severity, total)
             )
     return problems
 
 
-def _validate_diagnostic(
-    owner: str, dump: object, prefixes: Tuple[str, ...] = ("SL",)
-) -> List[str]:
-    if not isinstance(dump, dict):
-        return ["%s diagnostics must be objects" % owner]
-    problems = []
-    code = dump.get("code")
-    if not (isinstance(code, str) and code.startswith(prefixes)):
-        problems.append(
-            "%s diagnostic code %r is not a %s code"
-            % (owner, code, "/".join(prefixes))
-        )
-    if dump.get("severity") not in _SEVERITIES:
-        problems.append(
-            "%s diagnostic severity %r invalid" % (owner, dump.get("severity"))
-        )
-    for key in ("subject", "message", "suggestion"):
-        if not isinstance(dump.get(key), str):
-            problems.append("%s diagnostic needs a string %r" % (owner, key))
-    for key in ("file",):
-        if dump.get(key) is not None and not isinstance(dump.get(key), str):
-            problems.append("%s diagnostic %r must be a string or null" % (owner, key))
-    for key in ("line", "column"):
-        value = dump.get(key)
-        if value is not None and (not isinstance(value, int) or isinstance(value, bool)):
-            problems.append(
-                "%s diagnostic %r must be an integer or null" % (owner, key)
-            )
-    return problems
-
-
-def validate_report(report: object) -> List[str]:
-    """All the ways ``report`` fails to be a valid lint report."""
-    if not isinstance(report, dict):
-        return ["report must be a JSON object, got %s" % type(report).__name__]
-    problems: List[str] = []
-    if report.get("schema") != SCHEMA_VERSION:
-        problems.append(
-            "schema must be %r, got %r" % (SCHEMA_VERSION, report.get("schema"))
-        )
-    targets = report.get("targets")
-    if not isinstance(targets, list):
-        return problems + ["missing or non-array 'targets'"]
-    problems.extend(_validate_counts("report", report.get("counts")))
-    totals = {severity: 0 for severity in _SEVERITIES}
-    for target in targets:
-        if not isinstance(target, dict):
-            problems.append("targets must be objects")
-            continue
-        name = target.get("name")
-        if not isinstance(name, str):
-            problems.append("target needs a string 'name'")
-            name = "<unnamed>"
-        owner = "target %r" % name
-        diagnostics = target.get("diagnostics")
-        if not isinstance(diagnostics, list):
-            problems.append("%s needs a 'diagnostics' array" % owner)
-            diagnostics = []
-        seen = {severity: 0 for severity in _SEVERITIES}
-        for dump in diagnostics:
-            problems.extend(_validate_diagnostic(owner, dump))
-            if isinstance(dump, dict) and dump.get("severity") in seen:
-                seen[dump["severity"]] += 1
-        problems.extend(_validate_counts(owner, target.get("counts")))
-        if isinstance(target.get("counts"), dict):
-            for severity in _SEVERITIES:
-                declared = target["counts"].get(severity)
-                if isinstance(declared, int) and declared != seen[severity]:
-                    problems.append(
-                        "%s declares %r %s findings but lists %d"
-                        % (owner, declared, severity, seen[severity])
-                    )
-                totals[severity] += seen[severity]
-    if isinstance(report.get("counts"), dict) and not problems:
-        for severity in _SEVERITIES:
-            if report["counts"].get(severity) != totals[severity]:
-                problems.append(
-                    "report declares %r %s findings but targets sum to %d"
-                    % (report["counts"].get(severity), severity, totals[severity])
+def _findings_report(
+    version: str,
+    name: str,
+    target: Dict[str, Shape],
+    diagnostics: Callable[[Dict[str, Any]], Iterable],
+) -> Shape:
+    """The lint/audit envelope around per-target ``target`` members."""
+    counts = obj(dict.fromkeys(_SEVERITIES, count))
+    return obj(
+        {
+            "schema": const(version),
+            "targets": array(
+                obj(
+                    {"name": string, **target, "counts": counts},
+                    _tally_matches(diagnostics),
                 )
-    return problems
+            ),
+            "counts": counts,
+        },
+        _totals_match,
+        name=name,
+    )
 
 
-def require_valid_report(report: object) -> Dict[str, object]:
-    """Validate and return ``report``; raise ``ValueError`` otherwise."""
-    problems = validate_report(report)
-    if problems:
-        raise ValueError("invalid lint report: %s" % "; ".join(problems))
-    return report  # type: ignore[return-value]
+def _diagnostic(prefix: str) -> Shape:
+    return obj(
+        {
+            "code": prefixed(prefix),
+            "severity": one_of(*_SEVERITIES),
+            "subject": string,
+            "message": string,
+            "suggestion": string,
+            "file": nullable(string),
+            "line": nullable(integer),
+            "column": nullable(integer),
+        }
+    )
+
+
+LINT_REPORT = _findings_report(
+    SCHEMA_VERSION,
+    "lint report",
+    {"diagnostics": array(_diagnostic("SL"))},
+    lambda target: target["diagnostics"],
+)
 
 
 # ----------------------------------------------------------------------
@@ -220,91 +216,20 @@ def build_audit_report(reports: Sequence) -> Dict[str, object]:
     }
 
 
-def validate_audit_report(report: object) -> List[str]:
-    """All the ways ``report`` fails to be a valid audit report."""
-    if not isinstance(report, dict):
-        return ["report must be a JSON object, got %s" % type(report).__name__]
-    problems: List[str] = []
-    if report.get("schema") != AUDIT_SCHEMA_VERSION:
-        problems.append(
-            "schema must be %r, got %r"
-            % (AUDIT_SCHEMA_VERSION, report.get("schema"))
-        )
-    targets = report.get("targets")
-    if not isinstance(targets, list):
-        return problems + ["missing or non-array 'targets'"]
-    problems.extend(_validate_counts("report", report.get("counts")))
-    totals = {severity: 0 for severity in _SEVERITIES}
-    for target in targets:
-        if not isinstance(target, dict):
-            problems.append("targets must be objects")
-            continue
-        name = target.get("name")
-        if not isinstance(name, str):
-            problems.append("target needs a string 'name'")
-            name = "<unnamed>"
-        owner = "target %r" % name
-        sections = target.get("sections")
-        if not isinstance(sections, dict):
-            problems.append("%s needs a 'sections' object" % owner)
-            sections = {}
-        for key in sections:
-            if key not in AUDIT_SECTIONS:
-                problems.append("%s has unknown section %r" % (owner, key))
-        seen = {severity: 0 for severity in _SEVERITIES}
-        for section in AUDIT_SECTIONS:
-            diagnostics = sections.get(section, [])
-            if not isinstance(diagnostics, list):
-                problems.append(
-                    "%s section %r must be an array" % (owner, section)
-                )
-                continue
-            for dump in diagnostics:
-                problems.extend(
-                    _validate_diagnostic(owner, dump, prefixes=("AU",))
-                )
-                if isinstance(dump, dict) and dump.get("severity") in seen:
-                    seen[dump["severity"]] += 1
-        summary = target.get("summary")
-        if not isinstance(summary, dict):
-            problems.append("%s needs a 'summary' object" % owner)
-        else:
-            for key, value in summary.items():
-                if (
-                    not isinstance(value, int)
-                    or isinstance(value, bool)
-                    or value < 0
-                ):
-                    problems.append(
-                        "%s summary %r must be a non-negative integer"
-                        % (owner, key)
-                    )
-        problems.extend(_validate_counts(owner, target.get("counts")))
-        if isinstance(target.get("counts"), dict):
-            for severity in _SEVERITIES:
-                declared = target["counts"].get(severity)
-                if isinstance(declared, int) and declared != seen[severity]:
-                    problems.append(
-                        "%s declares %r %s findings but lists %d"
-                        % (owner, declared, severity, seen[severity])
-                    )
-                totals[severity] += seen[severity]
-    if isinstance(report.get("counts"), dict) and not problems:
-        for severity in _SEVERITIES:
-            if report["counts"].get(severity) != totals[severity]:
-                problems.append(
-                    "report declares %r %s findings but targets sum to %d"
-                    % (report["counts"].get(severity), severity, totals[severity])
-                )
-    return problems
-
-
-def require_valid_audit_report(report: object) -> Dict[str, object]:
-    """Validate and return ``report``; raise ``ValueError`` otherwise."""
-    problems = validate_audit_report(report)
-    if problems:
-        raise ValueError("invalid audit report: %s" % "; ".join(problems))
-    return report  # type: ignore[return-value]
+AUDIT_REPORT = _findings_report(
+    AUDIT_SCHEMA_VERSION,
+    "audit report",
+    {
+        "sections": obj(
+            dict.fromkeys(AUDIT_SECTIONS, absent_ok(array(_diagnostic("AU")))),
+            closed=True,
+        ),
+        "summary": mapping(count),
+    },
+    lambda target: (
+        d for section in target["sections"].values() for d in section
+    ),
+)
 
 
 # ----------------------------------------------------------------------
@@ -314,22 +239,7 @@ def require_valid_audit_report(report: object) -> Dict[str, object]:
 # ``repro margins --format json`` (and ``--seeds-out``) emit one report
 # object: the single analysis target flattened into the envelope, with
 # every bound serialized through ``repro.core.robustness.float_to_json``
-# (infinities become the strings "inf" / "-inf"; NaN is illegal)::
-#
-#     {
-#       "schema": "repro.margins/v1",
-#       "name": "paper rules",
-#       "period": 0.02, "threshold": 0.0,
-#       "rules": [{"rule": "rule5", "provably_safe": false,
-#                  "lower": -12.0, "upper": "inf"}, ...],
-#       "cells": [{"test": "...", "kind": "ballista", "targets": [...],
-#                  "rule": "rule5", "prunable": false, "doomed": false,
-#                  "lower": "-inf", "upper": "inf"}, ...],
-#       "seeds": [{"rank": 1, "test": "...", "rule": "...",
-#                  "lower": "-inf", "upper": "inf"}, ...],
-#       "summary": {"rules": 7, "provably_safe_rules": 0, "cells": 224,
-#                   "prunable_cells": 0, "doomed_cells": 0, "seeds": 224}
-#     }
+# (infinities become the strings "inf" / "-inf"; NaN is illegal).
 
 
 def build_margins_report(report) -> Dict[str, object]:
@@ -340,125 +250,74 @@ def build_margins_report(report) -> Dict[str, object]:
     return dump
 
 
-def _validate_bound(owner: str, dump: Dict[str, object]) -> List[str]:
-    """Check one lower/upper pair (JSON floats or "inf"/"-inf")."""
-    from repro.core.robustness import float_from_json
+def _summary_matches(
+    tally: Callable[[Dict[str, Any]], Dict[str, int]]
+) -> Rule:
+    """Rule: the report's ``summary`` equals what it lists."""
 
-    problems = []
-    values = {}
-    for key in ("lower", "upper"):
-        raw = dump.get(key)
-        try:
-            value = float_from_json(raw)  # type: ignore[arg-type]
-        except (TypeError, ValueError):
-            problems.append("%s %r is not a margin bound: %r" % (owner, key, raw))
-            continue
-        if value != value:
-            problems.append("%s %r is NaN" % (owner, key))
-            continue
-        values[key] = value
-    if len(values) == 2 and values["lower"] > values["upper"]:
-        problems.append("%s bounds are inverted" % owner)
-    return problems
+    def rule(report: Dict[str, Any]) -> List[str]:
+        summary = report["summary"]
+        return [
+            "summary declares %r %s but the report lists %d"
+            % (summary.get(key), key, listed)
+            for key, listed in tally(report).items()
+            if summary.get(key) != listed
+        ]
+
+    return rule
 
 
-def validate_margins_report(report: object) -> List[str]:
-    """All the ways ``report`` fails to be a valid margins report."""
-    if not isinstance(report, dict):
-        return ["report must be a JSON object, got %s" % type(report).__name__]
-    problems: List[str] = []
-    if report.get("schema") != MARGINS_SCHEMA_VERSION:
-        problems.append(
-            "schema must be %r, got %r"
-            % (MARGINS_SCHEMA_VERSION, report.get("schema"))
-        )
-    if not isinstance(report.get("name"), str):
-        problems.append("report needs a string 'name'")
-    for key in ("period", "threshold"):
-        value = report.get(key)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            problems.append("report %r must be a number" % key)
-        elif key == "period" and value <= 0:
-            problems.append("period must be positive")
-        elif key == "threshold" and value < 0:
-            problems.append("threshold must be non-negative")
-    for key in ("rules", "cells", "seeds"):
-        if not isinstance(report.get(key), list):
-            problems.append("report needs a %r array" % key)
-    if problems:
-        return problems
-    for entry in report["rules"]:
-        if not isinstance(entry, dict):
-            problems.append("rule entries must be objects")
-            continue
-        owner = "rule %r" % entry.get("rule")
-        if not isinstance(entry.get("rule"), str):
-            problems.append("rule entries need a string 'rule'")
-        if not isinstance(entry.get("provably_safe"), bool):
-            problems.append("%s needs a boolean 'provably_safe'" % owner)
-        problems.extend(_validate_bound(owner, entry))
-    for entry in report["cells"]:
-        if not isinstance(entry, dict):
-            problems.append("cell entries must be objects")
-            continue
-        owner = "cell %r x %r" % (entry.get("test"), entry.get("rule"))
-        for key in ("test", "kind", "rule"):
-            if not isinstance(entry.get(key), str):
-                problems.append("%s needs a string %r" % (owner, key))
-        targets = entry.get("targets")
-        if not (
-            isinstance(targets, list)
-            and all(isinstance(t, str) for t in targets)
-        ):
-            problems.append("%s needs a string array 'targets'" % owner)
-        for key in ("prunable", "doomed"):
-            if not isinstance(entry.get(key), bool):
-                problems.append("%s needs a boolean %r" % (owner, key))
-        problems.extend(_validate_bound(owner, entry))
-    for expected, entry in enumerate(report["seeds"], start=1):
-        if not isinstance(entry, dict):
-            problems.append("seed entries must be objects")
-            continue
-        owner = "seed #%d" % expected
-        if entry.get("rank") != expected:
-            problems.append(
-                "%s declares rank %r (seeds must be ranked 1..n in order)"
-                % (owner, entry.get("rank"))
+def _ranked_in_order(report: Dict[str, Any]) -> List[str]:
+    """Rule: seeds are ranked 1..n in order."""
+    return [
+        "seeds[%d] declares rank %r (seeds must be ranked 1..n in order)"
+        % (rank - 1, seed.get("rank"))
+        for rank, seed in enumerate(report["seeds"], start=1)
+        if seed.get("rank") != rank
+    ]
+
+
+_BOUNDS = {"lower": margin_bound, "upper": margin_bound}
+
+MARGINS_REPORT = obj(
+    {
+        "schema": const(MARGINS_SCHEMA_VERSION),
+        "name": string,
+        "period": positive,
+        "threshold": non_negative,
+        "rules": array(
+            obj(
+                {"rule": string, "provably_safe": boolean, **_BOUNDS},
+                bounds_ordered,
             )
-        for key in ("test", "rule"):
-            if not isinstance(entry.get(key), str):
-                problems.append("%s needs a string %r" % (owner, key))
-        problems.extend(_validate_bound(owner, entry))
-    summary = report.get("summary")
-    if not isinstance(summary, dict):
-        problems.append("report needs a 'summary' object")
-    else:
-        for key, value in summary.items():
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                problems.append(
-                    "summary %r must be a non-negative integer" % key
-                )
-        if not problems:
-            declared = {
-                "rules": len(report["rules"]),
-                "cells": len(report["cells"]),
-                "seeds": len(report["seeds"]),
-            }
-            for key, count in declared.items():
-                if summary.get(key) != count:
-                    problems.append(
-                        "summary declares %r %s but the report lists %d"
-                        % (summary.get(key), key, count)
-                    )
-    return problems
-
-
-def require_valid_margins_report(report: object) -> Dict[str, object]:
-    """Validate and return ``report``; raise ``ValueError`` otherwise."""
-    problems = validate_margins_report(report)
-    if problems:
-        raise ValueError("invalid margins report: %s" % "; ".join(problems))
-    return report  # type: ignore[return-value]
+        ),
+        "cells": array(
+            obj(
+                {
+                    "test": string,
+                    "kind": string,
+                    "rule": string,
+                    "targets": array(string),
+                    "prunable": boolean,
+                    "doomed": boolean,
+                    **_BOUNDS,
+                },
+                bounds_ordered,
+            )
+        ),
+        "seeds": array(
+            obj({"test": string, "rule": string, **_BOUNDS}, bounds_ordered)
+        ),
+        "summary": mapping(count),
+    },
+    _ranked_in_order,
+    _summary_matches(
+        lambda report: {
+            key: len(report[key]) for key in ("rules", "cells", "seeds")
+        }
+    ),
+    name="margins report",
+)
 
 
 # ----------------------------------------------------------------------
@@ -466,25 +325,7 @@ def require_valid_margins_report(report: object) -> Dict[str, object]:
 # ----------------------------------------------------------------------
 #
 # ``repro automata --format json`` emits one report object — the single
-# analysis target flattened into the envelope like ``repro.margins/v1``::
-#
-#     {
-#       "schema": "repro.automata/v1",
-#       "name": "paper rules (strict)",
-#       "period": 0.02,
-#       "rules": [{"rule": "rule2", "name": "...", "status": "ok",
-#                  "reason": "", "class": "bounded", "safety": true,
-#                  "co_safety": true, "horizon_rows": 1,
-#                  "monitor_horizon_rows": 1, "states": 3, "letters": 4,
-#                  "atoms": ["BrakeRequested", "RequestedDecel <= 0"],
-#                  "satisfiable": "yes", "falsifiable": "yes",
-#                  "observability": {"referenced": [...],
-#                                    "required": [...],
-#                                    "droppable": [...]}}, ...],
-#       "summary": {"rules": 7, "bounded": 7, "safety": 0,
-#                   "co-safety": 0, "neither": 0, "unsupported": 0}
-#     }
-#
+# analysis target flattened into the envelope like ``repro.margins/v1``.
 # ``status`` is "ok" | "unsupported" | "budget"; every certificate field
 # ("class" through "observability") is null for a non-"ok" entry.
 
@@ -504,148 +345,64 @@ def build_automata_report(report) -> Dict[str, object]:
     return dump
 
 
-def _validate_rule_automaton(entry: object) -> List[str]:
-    if not isinstance(entry, dict):
-        return ["rule entries must be objects"]
-    problems = []
-    owner = "rule %r" % entry.get("rule")
-    for key in ("rule", "name", "reason"):
-        if not isinstance(entry.get(key), str):
-            problems.append("%s needs a string %r" % (owner, key))
-    status = entry.get("status")
-    if status not in _AUTOMATA_STATUSES:
-        problems.append(
-            "%s status %r is not one of %s"
-            % (owner, status, "/".join(_AUTOMATA_STATUSES))
-        )
-    compiled = status == "ok"
-    klass = entry.get("class")
-    if compiled:
-        if klass not in _AUTOMATA_CLASSES:
-            problems.append(
-                "%s class %r is not one of %s"
-                % (owner, klass, "/".join(_AUTOMATA_CLASSES))
+def _automata_tally(report: Dict[str, Any]) -> Dict[str, int]:
+    tally = dict.fromkeys(_AUTOMATA_SUMMARY_KEYS, 0)
+    tally["rules"] = len(report["rules"])
+    for entry in report["rules"]:
+        ok = entry["status"] == "ok"
+        tally[entry["class"] if ok else "unsupported"] += 1
+    return tally
+
+
+_RULE_AUTOMATON = {
+    "rule": string,
+    "name": string,
+    "reason": string,
+    "status": one_of(*_AUTOMATA_STATUSES),
+    "horizon_rows": nullable(count),
+    "monitor_horizon_rows": nullable(count),
+    "satisfiable": one_of(*_TRI_STATE),
+    "falsifiable": one_of(*_TRI_STATE),
+    "atoms": array(string),
+}
+
+AUTOMATA_REPORT = obj(
+    {
+        "schema": const(AUTOMATA_SCHEMA_VERSION),
+        "name": string,
+        "period": positive,
+        "rules": array(
+            when(
+                lambda entry: entry.get("status") == "ok",
+                obj(
+                    {
+                        **_RULE_AUTOMATON,
+                        "class": one_of(*_AUTOMATA_CLASSES),
+                        "safety": boolean,
+                        "co_safety": boolean,
+                        "states": positive_int,
+                        "letters": positive_int,
+                        "observability": obj(
+                            {
+                                "referenced": array(string),
+                                "required": array(string),
+                                "droppable": array(string),
+                            },
+                            partitions("referenced", "required", "droppable"),
+                        ),
+                    }
+                ),
+                obj(
+                    {
+                        **_RULE_AUTOMATON,
+                        "class": const(None),
+                        "observability": const(None),
+                    }
+                ),
             )
-        for key in ("safety", "co_safety"):
-            if not isinstance(entry.get(key), bool):
-                problems.append("%s needs a boolean %r" % (owner, key))
-        for key in ("states", "letters"):
-            value = entry.get(key)
-            if (
-                not isinstance(value, int)
-                or isinstance(value, bool)
-                or value < 1
-            ):
-                problems.append(
-                    "%s %r must be a positive integer" % (owner, key)
-                )
-    elif klass is not None:
-        problems.append("%s is not compiled but declares a class" % owner)
-    for key in ("horizon_rows", "monitor_horizon_rows"):
-        value = entry.get(key)
-        if value is not None and (
-            not isinstance(value, int)
-            or isinstance(value, bool)
-            or value < 0
-        ):
-            problems.append(
-                "%s %r must be a non-negative integer or null" % (owner, key)
-            )
-    for key in ("satisfiable", "falsifiable"):
-        if entry.get(key) not in _TRI_STATE:
-            problems.append(
-                "%s %r must be one of %s"
-                % (owner, key, "/".join(_TRI_STATE))
-            )
-    atoms = entry.get("atoms")
-    if not (
-        isinstance(atoms, list) and all(isinstance(a, str) for a in atoms)
-    ):
-        problems.append("%s needs a string array 'atoms'" % owner)
-    observability = entry.get("observability")
-    if compiled:
-        if not isinstance(observability, dict):
-            problems.append("%s needs an 'observability' object" % owner)
-        else:
-            sets = {}
-            for key in ("referenced", "required", "droppable"):
-                names = observability.get(key)
-                if not (
-                    isinstance(names, list)
-                    and all(isinstance(n, str) for n in names)
-                ):
-                    problems.append(
-                        "%s observability %r must be a string array"
-                        % (owner, key)
-                    )
-                else:
-                    sets[key] = set(names)
-            if len(sets) == 3 and sets["required"] | sets["droppable"] != sets[
-                "referenced"
-            ]:
-                problems.append(
-                    "%s observability sets do not partition 'referenced'"
-                    % owner
-                )
-    elif observability is not None:
-        problems.append(
-            "%s is not compiled but declares observability" % owner
-        )
-    return problems
-
-
-def validate_automata_report(report: object) -> List[str]:
-    """All the ways ``report`` fails to be a valid automata report."""
-    if not isinstance(report, dict):
-        return ["report must be a JSON object, got %s" % type(report).__name__]
-    problems: List[str] = []
-    if report.get("schema") != AUTOMATA_SCHEMA_VERSION:
-        problems.append(
-            "schema must be %r, got %r"
-            % (AUTOMATA_SCHEMA_VERSION, report.get("schema"))
-        )
-    if not isinstance(report.get("name"), str):
-        problems.append("report needs a string 'name'")
-    period = report.get("period")
-    if not isinstance(period, (int, float)) or isinstance(period, bool):
-        problems.append("report 'period' must be a number")
-    elif period <= 0:
-        problems.append("period must be positive")
-    rules = report.get("rules")
-    if not isinstance(rules, list):
-        return problems + ["report needs a 'rules' array"]
-    counted = {key: 0 for key in _AUTOMATA_SUMMARY_KEYS}
-    counted["rules"] = len(rules)
-    for entry in rules:
-        problems.extend(_validate_rule_automaton(entry))
-        if not isinstance(entry, dict):
-            continue
-        if entry.get("status") != "ok":
-            counted["unsupported"] += 1
-        elif entry.get("class") in _AUTOMATA_CLASSES:
-            counted[entry["class"]] += 1
-    summary = report.get("summary")
-    if not isinstance(summary, dict):
-        problems.append("report needs a 'summary' object")
-    else:
-        for key, value in summary.items():
-            if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-                problems.append(
-                    "summary %r must be a non-negative integer" % key
-                )
-        if not problems:
-            for key in _AUTOMATA_SUMMARY_KEYS:
-                if summary.get(key) != counted[key]:
-                    problems.append(
-                        "summary declares %r %s but the report lists %d"
-                        % (summary.get(key), key, counted[key])
-                    )
-    return problems
-
-
-def require_valid_automata_report(report: object) -> Dict[str, object]:
-    """Validate and return ``report``; raise ``ValueError`` otherwise."""
-    problems = validate_automata_report(report)
-    if problems:
-        raise ValueError("invalid automata report: %s" % "; ".join(problems))
-    return report  # type: ignore[return-value]
+        ),
+        "summary": mapping(count),
+    },
+    _summary_matches(_automata_tally),
+    name="automata report",
+)

@@ -103,9 +103,10 @@ def _metrics_registry(args: argparse.Namespace):
 
 def _write_metrics(registry, path: str) -> None:
     """Persist a validated snapshot; the human summary goes to stderr."""
-    from repro.obs import require_valid_snapshot
+    from repro.obs import METRICS_SNAPSHOT
+    from repro.schema import require_valid
 
-    snapshot = require_valid_snapshot(registry.snapshot())
+    snapshot = require_valid(METRICS_SNAPSHOT, registry.snapshot())
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(snapshot, handle, indent=2)
         handle.write("\n")
@@ -727,11 +728,8 @@ def _cmd_fleet_help(args: argparse.Namespace) -> int:
 
 def _cmd_fleet_replay(args: argparse.Namespace) -> int:
     from repro.errors import TraceError
-    from repro.fleet import (
-        load_log_directory,
-        replay_traces,
-        require_valid_fleet_snapshot,
-    )
+    from repro.fleet import FLEET_ROLLUP, load_log_directory, replay_traces
+    from repro.schema import require_valid
 
     specs = _load_specset(args.rules, relaxed=args.relaxed)
     try:
@@ -757,7 +755,7 @@ def _cmd_fleet_replay(args: argparse.Namespace) -> int:
         robustness=args.robustness,
         observability=args.observability,
     )
-    rollup = require_valid_fleet_snapshot(report.rollup)
+    rollup = require_valid(FLEET_ROLLUP, report.rollup)
     if args.rollup_out:
         with open(args.rollup_out, "w", encoding="utf-8") as handle:
             json.dump(rollup, handle, indent=2, sort_keys=True)

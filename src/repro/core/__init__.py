@@ -88,14 +88,10 @@ from repro.core.violations import (
 )
 from repro.core.warmup import WarmupSpec, activation_warmup
 from repro.core.windows import (
-    KERNELS,
-    active_kernel,
     bounds_to_rows,
     future_aggregate,
     past_aggregate,
-    set_kernel,
     sliding_extreme,
-    use_kernel,
 )
 
 __all__ = [
@@ -118,7 +114,6 @@ __all__ = [
     "Implies",
     "InState",
     "IntentFilter",
-    "KERNELS",
     "MagnitudeFilter",
     "Monitor",
     "MonitorReport",
@@ -150,7 +145,6 @@ __all__ = [
     "Violation",
     "WarmupSpec",
     "activation_warmup",
-    "active_kernel",
     "annotate_margins",
     "apply_filters",
     "as_formula",
@@ -174,10 +168,8 @@ __all__ = [
     "merge_close",
     "parse_expr",
     "parse_formula",
-    "set_kernel",
     "sliding_extreme",
     "summarize_bounds",
     "summarize_codes",
     "update_interval_histogram",
-    "use_kernel",
 ]

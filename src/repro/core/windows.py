@@ -23,14 +23,14 @@ calls of the same shape) so a campaign's worth of window aggregates
 does not churn three fresh allocations per operator; outputs are always
 freshly allocated and never alias the pool.
 
-Both kernels share the seed implementation's padding semantics exactly:
-rows whose window extends past the end (future operators) or before the
-start (past operators) of the trace aggregate against UNKNOWN padding,
-which yields the correct three-valued verdict for truncated evidence.
-The original strided kernel is retained, selectable via
-:func:`use_kernel`, as the reference implementation for differential
-tests and the benchmark ablation; outputs are byte-identical by
-construction (and checked by the fuzz suite).
+Rows whose window extends past the end (future operators) or before
+the start (past operators) of the trace aggregate against UNKNOWN
+padding, which yields the correct three-valued verdict for truncated
+evidence.  The original O(n·w) strided kernel lives on in the test
+helpers as the oracle for differential tests and the benchmark
+ablation, which route the aggregates through it by patching
+:func:`sliding_extreme`; outputs are byte-identical (checked by the
+fuzz suite).
 """
 
 from __future__ import annotations
@@ -44,52 +44,6 @@ import numpy as np
 
 from repro.core.types import UNKNOWN_CODE
 from repro.errors import EvaluationError
-
-#: Selectable kernel implementations (see :func:`use_kernel`).
-KERNELS = ("block", "strided")
-
-_active_kernel = "block"
-
-
-def active_kernel() -> str:
-    """Name of the kernel currently evaluating window aggregates."""
-    return _active_kernel
-
-
-def set_kernel(name: str) -> str:
-    """Select the window kernel; returns the previously active name.
-
-    ``"block"`` is the O(n) van Herk/Gil–Werman scheme (the default);
-    ``"strided"`` is the original O(n·w) strided-reduction reference.
-    """
-    global _active_kernel
-    if name not in KERNELS:
-        raise ValueError(
-            "unknown window kernel %r (choose from %s)" % (name, KERNELS)
-        )
-    previous = _active_kernel
-    _active_kernel = name
-    return previous
-
-
-class use_kernel:
-    """Context manager selecting a kernel for a ``with`` block.
-
-    >>> with use_kernel("strided"):
-    ...     report = monitor.check(trace)
-    """
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self._previous = ""
-
-    def __enter__(self) -> "use_kernel":
-        self._previous = set_kernel(self.name)
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        set_kernel(self._previous)
-
 
 def bounds_to_rows(lo: float, hi: float, period: float) -> Tuple[int, int]:
     """Convert a ``[lo, hi]`` second bound to inclusive row offsets.
@@ -223,24 +177,6 @@ def sliding_extreme(
     )
 
 
-def _strided_extreme(
-    values: np.ndarray, width: int, minimum: bool
-) -> np.ndarray:
-    """The original O(n·w) strided-reduction kernel (reference path)."""
-    windows = np.lib.stride_tricks.sliding_window_view(
-        values, width, axis=-1
-    )
-    if minimum:
-        return windows.min(axis=-1)
-    return windows.max(axis=-1)
-
-
-def _extreme(values: np.ndarray, width: int, minimum: bool) -> np.ndarray:
-    if _active_kernel == "block":
-        return sliding_extreme(values, width, minimum)
-    return _strided_extreme(values, width, minimum)
-
-
 # ----------------------------------------------------------------------
 # Padded temporal aggregates
 # ----------------------------------------------------------------------
@@ -267,7 +203,7 @@ def future_aggregate(
     width = hi_idx - lo_idx + 1
     pad = np.full(codes.shape[:-1] + (hi_idx,), pad_value, dtype=codes.dtype)
     padded = np.concatenate([codes, pad], axis=-1)
-    extremes = _extreme(padded, width, minimum)
+    extremes = sliding_extreme(padded, width, minimum)
     return extremes[..., lo_idx : lo_idx + n].astype(codes.dtype)
 
 
@@ -290,7 +226,7 @@ def past_aggregate(
     width = hi_idx - lo_idx + 1
     pad = np.full(codes.shape[:-1] + (hi_idx,), pad_value, dtype=codes.dtype)
     padded = np.concatenate([pad, codes], axis=-1)
-    extremes = _extreme(padded, width, minimum)
+    extremes = sliding_extreme(padded, width, minimum)
     return extremes[..., :n].astype(codes.dtype)
 
 

@@ -4,7 +4,7 @@ The package turns the single-stream :class:`~repro.core.online.OnlineMonitor`
 into a service: one bounded-memory monitor shard per vehicle stream
 (:mod:`repro.fleet.shard`), asyncio ingestion with explicit backpressure
 (:mod:`repro.fleet.service`), mergeable fleet-wide metric rollups
-(:mod:`repro.fleet.rollup`, format in :mod:`repro.fleet.schema`), a live
+(:mod:`repro.fleet.rollup`, which also defines the format), a live
 HTTP status endpoint (:mod:`repro.fleet.status`), and a log-replay driver
 that fans a directory of drive logs across N streams
 (:mod:`repro.fleet.replay`).
@@ -18,16 +18,12 @@ from repro.fleet.replay import (
     replay_traces,
     replay_traces_async,
 )
-from repro.fleet.rollup import fleet_rollup
-from repro.fleet.schema import (
-    FLEET_SCHEMA_VERSION,
-    require_valid_fleet_snapshot,
-    validate_fleet_snapshot,
-)
+from repro.fleet.rollup import FLEET_ROLLUP, FLEET_SCHEMA_VERSION, fleet_rollup
 from repro.fleet.service import POLICIES, FleetReport, FleetService
 from repro.fleet.shard import StreamEvent, StreamShard
 
 __all__ = [
+    "FLEET_ROLLUP",
     "FLEET_SCHEMA_VERSION",
     "POLICIES",
     "FleetReport",
@@ -41,6 +37,4 @@ __all__ = [
     "replay_directory",
     "replay_traces",
     "replay_traces_async",
-    "require_valid_fleet_snapshot",
-    "validate_fleet_snapshot",
 ]

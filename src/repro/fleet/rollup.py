@@ -1,22 +1,59 @@
-"""Fleet-wide metrics rollup.
+"""Fleet-wide metrics rollup and its ``repro.fleet/v1`` format.
 
 Each :class:`~repro.fleet.shard.StreamShard` snapshots its private
 registry; :func:`fleet_rollup` merges those snapshots (plus the
 service's own backpressure counters) with
 :meth:`~repro.obs.MetricsRegistry.merge_snapshot` — the associative,
 order-independent merge the parallel campaign already relies on — and
-wraps them in the ``repro.fleet/v1`` document described in
-:mod:`repro.fleet.schema`.
+wraps them in one JSON object of per-stream entries and fleet totals,
+laid out by :data:`FLEET_ROLLUP`.
+
+Per-stream ``margins`` is null unless the shard runs with
+``robustness=True``; bounds are JSON-safe floats (``"-inf"``/``"inf"``
+strings for the infinities, per ``repro.core.robustness.float_to_json``)
+with ``lower <= upper``.  The fleet-level block is the per-rule
+pointwise minimum over reporting streams — the fleet's worst margin.
+
+Per-stream ``observability`` is null unless the shard runs with
+``observability=True``: the symbolic automata pass's minimal
+observable-signal set unioned over the shard's rules
+(``required`` and ``droppable`` partition ``referenced``;
+``bandwidth_hint`` is the droppable fraction).  The fleet-level block
+unions the reporting streams — a signal is fleet-droppable only when no
+stream requires it.
+
+Per-stream ``metrics`` are full ``repro.obs/v1`` snapshots; the
+fleet-level ``metrics`` object is their associative merge plus the
+service's own counters, so totals are independent of the order streams
+were rolled up in.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional
+from typing import Any, Dict, Iterable, List, Optional
 
-from repro.fleet.schema import FLEET_SCHEMA_VERSION
 from repro.fleet.shard import StreamShard
-from repro.obs import MetricsRegistry
+from repro.obs import METRICS_SNAPSHOT, MetricsRegistry
+from repro.schema import (
+    array,
+    boolean,
+    bounds_ordered,
+    const,
+    count,
+    fraction,
+    mapping,
+    margin_bound,
+    nullable,
+    obj,
+    one_of,
+    partitions,
+    positive,
+    string,
+)
+
+#: Rollup format identifier; bump when the JSON layout changes.
+FLEET_SCHEMA_VERSION = "repro.fleet/v1"
 
 
 def _merged_counter(registry: MetricsRegistry, name: str) -> int:
@@ -125,3 +162,89 @@ def fleet_rollup(
             "metrics": merged.snapshot(),
         },
     }
+
+
+def _streams_echo_keys(rollup: Dict[str, Any]) -> List[str]:
+    """Rule: each stream entry's ``stream`` field echoes its key."""
+    return [
+        "streams.%s.stream is %r (must echo its key)" % (key, entry["stream"])
+        for key, entry in rollup["streams"].items()
+        if entry["stream"] != key
+    ]
+
+
+def _fleet_counts_streams(rollup: Dict[str, Any]) -> List[str]:
+    """Rule: ``fleet.streams`` is the number of stream entries."""
+    declared, present = rollup["fleet"]["streams"], len(rollup["streams"])
+    if declared == present:
+        return []
+    return [
+        "fleet.streams is %d but %d stream entries are present"
+        % (declared, present)
+    ]
+
+
+_MARGINS = nullable(
+    mapping(
+        obj({"lower": margin_bound, "upper": margin_bound}, bounds_ordered),
+        key=string,
+    )
+)
+
+_OBSERVABILITY = nullable(
+    obj(
+        {
+            "referenced": array(string),
+            "required": array(string),
+            "droppable": array(string),
+            "bandwidth_hint": fraction,
+        },
+        partitions("referenced", "required", "droppable"),
+    )
+)
+
+#: The ``repro.fleet/v1`` shape, for :func:`repro.schema.validate`.
+FLEET_ROLLUP = obj(
+    {
+        "schema": const(FLEET_SCHEMA_VERSION),
+        "streams": mapping(
+            obj(
+                {
+                    "stream": string,
+                    "events": count,  # events fed to the shard
+                    "chunks": count,  # chunk emissions so far
+                    "rows_emitted": count,
+                    "violations": count,
+                    "late_events": count,  # dropped behind the frontier
+                    "emit_waits": count,  # emissions deferred, signals missing
+                    "peak_buffer_rows": count,  # fullest per-signal buffer
+                    "max_buffer_rows": count,  # the bounded-memory invariant
+                    "decision_latency": positive,  # worst verdict delay, s
+                    "finished": boolean,
+                    # Null while the stream is live.
+                    "letters": nullable(mapping(one_of("S", "V"), key=string)),
+                    "margins": _MARGINS,
+                    "observability": _OBSERVABILITY,
+                    "metrics": METRICS_SNAPSHOT,
+                }
+            )
+        ),
+        "fleet": obj(
+            {
+                "streams": count,
+                "events": count,
+                "chunks": count,
+                "violations": count,
+                "late_events": count,
+                "peak_buffer_rows": count,  # max over streams
+                "margins": _MARGINS,  # per-rule pointwise min over streams
+                "observability": _OBSERVABILITY,  # union over streams
+                "backpressure": obj({"dropped": count, "blocked": count}),
+                "metrics": METRICS_SNAPSHOT,  # all shards + service, merged
+            }
+        ),
+    },
+    _streams_echo_keys,
+    _fleet_counts_streams,
+    name="fleet rollup",
+)

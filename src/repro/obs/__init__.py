@@ -5,12 +5,13 @@ The instrumentation layer behind ``table1 --metrics-out`` and
 :class:`MetricsRegistry` (a no-op by default), worker processes snapshot
 their private registries, and snapshots merge associatively into one
 campaign-level report.  See :mod:`repro.obs.metrics` for the instruments
-and :mod:`repro.obs.schema` for the JSON snapshot format.  End-to-end
+and :data:`METRICS_SNAPSHOT` for the JSON snapshot format.  End-to-end
 timing is not measured here: the repository's one benchmark harness is
 ``bench/run.py`` (workloads and per-layer breakdown in ``bench/README.md``).
 """
 
 from repro.obs.metrics import (
+    METRICS_SNAPSHOT,
     SCHEMA_VERSION,
     Counter,
     Gauge,
@@ -23,9 +24,9 @@ from repro.obs.metrics import (
     set_registry,
     use_registry,
 )
-from repro.obs.schema import require_valid_snapshot, validate_snapshot
 
 __all__ = [
+    "METRICS_SNAPSHOT",
     "SCHEMA_VERSION",
     "Counter",
     "Gauge",
@@ -37,6 +38,4 @@ __all__ = [
     "get_registry",
     "set_registry",
     "use_registry",
-    "require_valid_snapshot",
-    "validate_snapshot",
 ]

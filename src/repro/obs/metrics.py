@@ -22,10 +22,55 @@ from __future__ import annotations
 import functools
 import math
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+
+from repro.schema import const, count, leaf, mapping, number, obj
 
 #: Snapshot format identifier; bump when the JSON layout changes.
 SCHEMA_VERSION = "repro.obs/v1"
+
+
+def _is_index(key: Any) -> bool:
+    try:
+        int(key)
+    except (TypeError, ValueError, OverflowError):
+        return False
+    return True
+
+
+def _buckets_sum_to_count(histogram: Dict[str, Any]) -> List[str]:
+    """Rule: a histogram's bucket counts add up to its ``count``."""
+    total = sum(histogram["buckets"].values())
+    if total == histogram["count"]:
+        return []
+    return [
+        "bucket counts sum to %d but 'count' is %d" % (total, histogram["count"])
+    ]
+
+
+#: The ``repro.obs/v1`` shape, for :func:`repro.schema.validate`.
+METRICS_SNAPSHOT = obj(
+    {
+        "schema": const(SCHEMA_VERSION),
+        "counters": mapping(count),
+        "gauges": mapping(obj({"value": number, "updates": count})),
+        "histograms": mapping(
+            obj(
+                {
+                    "count": count,
+                    "sum": number,
+                    "min": number,
+                    "max": number,
+                    "buckets": mapping(
+                        count, key=leaf(_is_index, "an integer bucket index")
+                    ),
+                },
+                _buckets_sum_to_count,
+            )
+        ),
+    },
+    name="metrics snapshot",
+)
 
 #: Histogram bucket resolution: boundaries at powers of this base
 #: (10 buckets per decade — ~26% relative quantile error, plenty for
@@ -290,8 +335,8 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, object]:
         """A JSON-serializable dump of every instrument.
 
-        The format is documented in :mod:`repro.obs.schema`; bucket
-        indices become string keys because JSON objects require them.
+        The format is :data:`METRICS_SNAPSHOT`; bucket indices become
+        string keys because JSON objects require them.
         """
         return {
             "schema": SCHEMA_VERSION,

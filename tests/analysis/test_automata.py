@@ -51,10 +51,9 @@ from repro.analysis.automata import (
 )
 from repro.analysis.predicates import build_alphabet, dbc_environment
 from repro.analysis.schema import (
+    AUTOMATA_REPORT,
     AUTOMATA_SCHEMA_VERSION,
     build_automata_report,
-    require_valid_automata_report,
-    validate_automata_report,
 )
 from repro.core.ast import Always, Eventually, InState
 from repro.core.evaluator import EvalContext, evaluate_formula
@@ -70,6 +69,7 @@ from repro.rules.safety_rules import (
     paper_specset,
     rule5_modal,
 )
+from repro.schema import require_valid, validate
 
 GOLDEN_AUTOMATA = (
     Path(__file__).resolve().parent.parent.parent
@@ -638,8 +638,8 @@ class TestSchema:
         )
         doc = build_automata_report(report)
         assert doc["schema"] == AUTOMATA_SCHEMA_VERSION
-        assert validate_automata_report(doc) == []
-        assert require_valid_automata_report(doc) is doc
+        assert validate(AUTOMATA_REPORT, doc) == []
+        assert require_valid(AUTOMATA_REPORT, doc) is doc
 
     def test_mixed_statuses_validate(self, database):
         inner = Eventually(0.0, math.inf, parse_formula("Velocity > 5"))
@@ -649,7 +649,7 @@ class TestSchema:
             Rule.from_text("past", "past", "once[0, 0.2] ServiceACC"),
         ]
         doc = build_automata_report(analyze_automata(rules))
-        assert validate_automata_report(doc) == []
+        assert validate(AUTOMATA_REPORT, doc) == []
 
     def test_corrupted_documents_are_rejected(self, database):
         report = analyze_automata(paper_rules(), database=database)
@@ -657,25 +657,25 @@ class TestSchema:
 
         bad = json.loads(json.dumps(doc))
         bad["schema"] = "repro.automata/v0"
-        assert validate_automata_report(bad)
+        assert validate(AUTOMATA_REPORT, bad)
 
         bad = json.loads(json.dumps(doc))
         bad["rules"][0]["class"] = "liveness"
-        assert validate_automata_report(bad)
+        assert validate(AUTOMATA_REPORT, bad)
 
         bad = json.loads(json.dumps(doc))
         bad["rules"][0]["observability"]["droppable"] = ["Velocity"]
         assert any(
             "partition" in problem
-            for problem in validate_automata_report(bad)
+            for problem in validate(AUTOMATA_REPORT, bad)
         )
 
         bad = json.loads(json.dumps(doc))
         bad["summary"]["bounded"] = 99
-        assert validate_automata_report(bad)
+        assert validate(AUTOMATA_REPORT, bad)
 
         with pytest.raises(ValueError):
-            require_valid_automata_report({"schema": "nope"})
+            require_valid(AUTOMATA_REPORT, {"schema": "nope"})
 
 
 class TestGoldenFixture:
@@ -692,6 +692,6 @@ class TestGoldenFixture:
         assert regenerated == committed
 
     def test_committed_fixture_is_valid(self):
-        require_valid_automata_report(
-            json.loads(GOLDEN_AUTOMATA.read_text())
+        require_valid(
+            AUTOMATA_REPORT, json.loads(GOLDEN_AUTOMATA.read_text())
         )

@@ -4,6 +4,7 @@ import pytest
 
 from repro.analysis import (
     CATALOG,
+    LINT_REPORT,
     SCHEMA_VERSION,
     Diagnostic,
     Severity,
@@ -11,10 +12,9 @@ from repro.analysis import (
     count_by_severity,
     has_errors,
     make_diagnostic,
-    require_valid_report,
     sort_diagnostics,
-    validate_report,
 )
+from repro.schema import require_valid, validate
 
 
 def diag(code="SL101", severity=Severity.ERROR, subject="rule r", message="m"):
@@ -120,21 +120,21 @@ class TestReportSchema:
             ]
         )
         assert report["schema"] == SCHEMA_VERSION
-        assert validate_report(report) == []
-        assert require_valid_report(report) is report
+        assert validate(LINT_REPORT, report) == []
+        assert require_valid(LINT_REPORT, report) is report
         assert report["counts"] == {"error": 1, "warning": 0, "info": 1}
 
     def test_bad_schema_version_rejected(self):
         report = build_report([("a.rules", [])])
         report["schema"] = "nope"
-        assert any("schema" in p for p in validate_report(report))
+        assert any("schema" in p for p in validate(LINT_REPORT, report))
 
     def test_count_mismatch_rejected(self):
         report = build_report([("a.rules", [diag()])])
         report["targets"][0]["counts"]["error"] = 5
-        problems = validate_report(report)
+        problems = validate(LINT_REPORT, report)
         assert any("declares" in p for p in problems)
 
     def test_require_valid_raises(self):
         with pytest.raises(ValueError):
-            require_valid_report({"schema": SCHEMA_VERSION})
+            require_valid(LINT_REPORT, {"schema": SCHEMA_VERSION})

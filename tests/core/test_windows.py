@@ -8,22 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import uniform_trace
+from unittest import mock
+
+from helpers import KERNELS, strided_extreme, uniform_trace, window_kernel
+from repro.core import windows
 from repro.core.evaluator import EvalContext, evaluate_formula
 from repro.core.monitor import Monitor, Rule
 from repro.core.online import OnlineMonitor
 from repro.core.parser import parse_formula
 from repro.core.types import FALSE_CODE, TRUE_CODE, UNKNOWN_CODE
 from repro.core.windows import (
-    KERNELS,
-    active_kernel,
     bounds_to_rows,
     dilate_backwards,
     future_aggregate,
     past_aggregate,
-    set_kernel,
     sliding_extreme,
-    use_kernel,
 )
 from repro.errors import EvaluationError
 
@@ -90,24 +89,6 @@ class TestSlidingExtreme:
         )
 
 
-class TestKernelSwitch:
-    def test_default_is_block(self):
-        assert active_kernel() == "block"
-
-    def test_use_kernel_restores(self):
-        with use_kernel("strided"):
-            assert active_kernel() == "strided"
-        assert active_kernel() == "block"
-
-    def test_unknown_kernel_rejected(self):
-        with pytest.raises(ValueError):
-            set_kernel("quantum")
-        assert active_kernel() == "block"
-
-    def test_kernels_constant_lists_both(self):
-        assert set(KERNELS) == {"block", "strided"}
-
-
 class TestAggregateParity:
     """Block and strided kernels are byte-identical on fuzzed inputs."""
 
@@ -121,7 +102,7 @@ class TestAggregateParity:
     def test_future_and_past_parity(self, codes, lo_idx, extra, minimum):
         values = np.array(codes, dtype=np.int8)
         hi_idx = lo_idx + extra
-        with use_kernel("strided"):
+        with window_kernel("strided"):
             future_ref = future_aggregate(values, lo_idx, hi_idx, minimum)
             past_ref = past_aggregate(values, lo_idx, hi_idx, minimum)
         future_new = future_aggregate(values, lo_idx, hi_idx, minimum)
@@ -130,10 +111,19 @@ class TestAggregateParity:
         assert np.array_equal(future_ref, future_new)
         assert np.array_equal(past_ref, past_new)
 
+    def test_kernel_patch_reaches_both_aggregates(self):
+        codes = np.array([T, F, U, T], dtype=np.int8)
+        with mock.patch.object(
+            windows, "sliding_extreme", wraps=strided_extreme
+        ) as kernel:
+            future_aggregate(codes, 0, 2, True)
+            past_aggregate(codes, 0, 2, False)
+        assert kernel.call_count == 2
+
     def test_empty_input_yields_empty(self):
         empty = np.empty(0, dtype=np.int8)
         for kernel in KERNELS:
-            with use_kernel(kernel):
+            with window_kernel(kernel):
                 assert len(future_aggregate(empty, 0, 10, True)) == 0
                 assert len(past_aggregate(empty, 0, 10, False)) == 0
 
@@ -195,7 +185,7 @@ def online_letters(formula, signals):
 @pytest.mark.parametrize("operator", OPERATORS)
 class TestDegenerateWindows:
     def test_single_row_trace(self, operator, kernel):
-        with use_kernel(kernel):
+        with window_kernel(kernel):
             codes = eval_codes(
                 "%s[0, 1s] x > 0" % operator, {"x": [1.0]}
             )
@@ -208,7 +198,7 @@ class TestDegenerateWindows:
             assert codes[0] == U
 
     def test_window_wider_than_trace(self, operator, kernel):
-        with use_kernel(kernel):
+        with window_kernel(kernel):
             codes = eval_codes(
                 "%s[0, 10s] x > 0" % operator, {"x": [1, 1, 1, 1, 1]}
             )
@@ -216,7 +206,7 @@ class TestDegenerateWindows:
         assert (codes != F).all()
 
     def test_point_window(self, operator, kernel):
-        with use_kernel(kernel):
+        with window_kernel(kernel):
             codes = eval_codes(
                 "%s[40ms, 40ms] x > 0" % operator, {"x": [1, 0, 1, 0]}
             )
@@ -230,7 +220,7 @@ class TestDegenerateWindows:
     def test_empty_code_array(self, operator, kernel):
         node = parse_formula("%s[0, 100ms] x > 0" % operator)
         empty = np.empty(0, dtype=np.int8)
-        with use_kernel(kernel):
+        with window_kernel(kernel):
             if operator in ("always", "eventually"):
                 out = future_aggregate(empty, 0, 5, operator == "always")
             else:
@@ -240,14 +230,14 @@ class TestDegenerateWindows:
         assert node is not None
 
     def test_online_single_row(self, operator, kernel):
-        with use_kernel(kernel):
+        with window_kernel(kernel):
             offline, online = online_letters(
                 "%s[0, 1s] x > 0" % operator, {"x": [1.0]}
             )
         assert offline.letters() == online.letters()
 
     def test_online_window_wider_than_trace(self, operator, kernel):
-        with use_kernel(kernel):
+        with window_kernel(kernel):
             offline, online = online_letters(
                 "%s[0, 10s] x > 0" % operator, {"x": [1, 1, 0, 1, 1]}
             )
@@ -260,7 +250,7 @@ class TestDegenerateWindows:
         ]
 
     def test_online_point_window(self, operator, kernel):
-        with use_kernel(kernel):
+        with window_kernel(kernel):
             offline, online = online_letters(
                 "%s[40ms, 40ms] x > 0" % operator,
                 {"x": [1, 0, 1, 0, 1, 1, 0, 1]},
@@ -341,7 +331,7 @@ class TestMonitorDifferential:
         trace = uniform_trace({"x": values, "y": values}, period=PERIOD)
         rule = Rule.from_text("r", "diff", FORMULAS[pick])
         monitor = Monitor([rule], period=PERIOD)
-        with use_kernel("strided"):
+        with window_kernel("strided"):
             reference = monitor.check(trace)
         report = monitor.check(trace)
         assert reference.letters() == report.letters()

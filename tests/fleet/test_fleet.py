@@ -10,6 +10,7 @@ from helpers import uniform_trace
 from repro.core.monitor import Rule
 from repro.errors import TraceError
 from repro.fleet import (
+    FLEET_ROLLUP,
     FLEET_SCHEMA_VERSION,
     FleetService,
     StreamShard,
@@ -17,10 +18,9 @@ from repro.fleet import (
     fleet_rollup,
     interleave,
     replay_traces,
-    require_valid_fleet_snapshot,
-    validate_fleet_snapshot,
 )
 from repro.fleet.status import StatusServer
+from repro.schema import require_valid, validate
 
 PERIOD = 0.02
 
@@ -122,7 +122,7 @@ class TestShardMargins:
             near.feed(i * PERIOD, "x", 1.0)
         far.finish()
         near.finish()
-        rollup = require_valid_fleet_snapshot(fleet_rollup([far, near]))
+        rollup = require_valid(FLEET_ROLLUP, fleet_rollup([far, near]))
         fleet_margins = rollup["fleet"]["margins"]
         near_margins = rollup["streams"]["near"]["margins"]
         assert fleet_margins["pos"] == near_margins["pos"]
@@ -136,14 +136,14 @@ class TestShardMargins:
         for i in range(100):
             plain.feed(i * PERIOD, "x", 1.0)
             rob.feed(i * PERIOD, "x", 1.0)
-        rollup = require_valid_fleet_snapshot(fleet_rollup([plain, rob]))
+        rollup = require_valid(FLEET_ROLLUP, fleet_rollup([plain, rob]))
         assert rollup["streams"]["plain"]["margins"] is None
         assert set(rollup["fleet"]["margins"]) == {"pos", "alw"}
 
     def test_boolean_only_fleet_has_null_aggregate(self):
         shard = StreamShard("v1", simple_rules(), min_chunk_rows=10)
         shard.feed(0.0, "x", 1.0)
-        rollup = require_valid_fleet_snapshot(fleet_rollup([shard]))
+        rollup = require_valid(FLEET_ROLLUP, fleet_rollup([shard]))
         assert rollup["fleet"]["margins"] is None
 
     def test_validator_rejects_inverted_bounds(self):
@@ -158,7 +158,7 @@ class TestShardMargins:
         }
         assert any(
             "inverted" in problem
-            for problem in validate_fleet_snapshot(rollup)
+            for problem in validate(FLEET_ROLLUP, rollup)
         )
 
 
@@ -223,7 +223,7 @@ class TestShardObservability:
         b = StreamShard(
             "b", simple_rules(), min_chunk_rows=10, observability=True
         )
-        rollup = require_valid_fleet_snapshot(fleet_rollup([a, b]))
+        rollup = require_valid(FLEET_ROLLUP, fleet_rollup([a, b]))
         block = rollup["fleet"]["observability"]
         assert block["referenced"] == ["w", "x", "y"]
         assert block["required"] == ["w", "x"]
@@ -234,13 +234,13 @@ class TestShardObservability:
         obs = StreamShard(
             "obs", partitioned_rules(), min_chunk_rows=10, observability=True
         )
-        rollup = require_valid_fleet_snapshot(fleet_rollup([plain, obs]))
+        rollup = require_valid(FLEET_ROLLUP, fleet_rollup([plain, obs]))
         assert rollup["streams"]["plain"]["observability"] is None
         assert rollup["fleet"]["observability"]["droppable"] == ["x", "y"]
 
     def test_fleet_block_null_when_nobody_reports(self):
         shard = StreamShard("v1", simple_rules(), min_chunk_rows=10)
-        rollup = require_valid_fleet_snapshot(fleet_rollup([shard]))
+        rollup = require_valid(FLEET_ROLLUP, fleet_rollup([shard]))
         assert rollup["fleet"]["observability"] is None
 
     def test_validator_rejects_broken_partition(self):
@@ -251,7 +251,7 @@ class TestShardObservability:
         rollup["streams"]["v1"]["observability"]["droppable"] = []
         assert any(
             "partition" in problem
-            for problem in validate_fleet_snapshot(rollup)
+            for problem in validate(FLEET_ROLLUP, rollup)
         )
         fresh = StreamShard(
             "v1", partitioned_rules(), min_chunk_rows=10, observability=True
@@ -260,7 +260,7 @@ class TestShardObservability:
         rollup["fleet"]["observability"]["bandwidth_hint"] = 1.5
         assert any(
             "bandwidth_hint" in problem
-            for problem in validate_fleet_snapshot(rollup)
+            for problem in validate(FLEET_ROLLUP, rollup)
         )
 
 
@@ -281,7 +281,7 @@ class TestFleetService:
         assert report.reports["good"].letters()["pos"] == "S"
         assert report.reports["bad"].letters()["pos"] == "V"
         assert report.violated_streams() == ["bad"]
-        rollup = require_valid_fleet_snapshot(report.rollup)
+        rollup = require_valid(FLEET_ROLLUP, report.rollup)
         assert rollup["fleet"]["streams"] == 2
         assert rollup["fleet"]["events"] == 600
 
@@ -345,23 +345,23 @@ class TestRollupSchema:
     def test_valid_rollup_passes(self):
         rollup = self._rollup()
         assert rollup["schema"] == FLEET_SCHEMA_VERSION
-        assert validate_fleet_snapshot(rollup) == []
+        assert validate(FLEET_ROLLUP, rollup) == []
 
     def test_rollup_round_trips_through_json(self):
         rollup = json.loads(json.dumps(self._rollup()))
-        assert validate_fleet_snapshot(rollup) == []
+        assert validate(FLEET_ROLLUP, rollup) == []
 
     def test_mutations_are_caught(self):
         rollup = self._rollup()
         rollup["streams"]["v1"]["letters"] = {"pos": "maybe"}
-        assert validate_fleet_snapshot(rollup)
+        assert validate(FLEET_ROLLUP, rollup)
         rollup = self._rollup()
         rollup["fleet"]["streams"] = 7
-        assert validate_fleet_snapshot(rollup)
+        assert validate(FLEET_ROLLUP, rollup)
         rollup = self._rollup()
         del rollup["fleet"]["backpressure"]
         with pytest.raises(ValueError):
-            require_valid_fleet_snapshot(rollup)
+            require_valid(FLEET_ROLLUP, rollup)
 
     def test_merged_totals_match_stream_sums(self):
         a = StreamShard("a", simple_rules(), min_chunk_rows=10)
@@ -404,7 +404,7 @@ class TestStatusServer:
             return status, health, missing
 
         status, health, missing = asyncio.run(scenario())
-        assert validate_fleet_snapshot(status) == []
+        assert validate(FLEET_ROLLUP, status) == []
         assert status["streams"]["s"]["events"] == 100
         assert health == {"ok": True}
         assert missing == 404
@@ -445,7 +445,7 @@ class TestReplay:
     def test_replay_across_eight_streams(self):
         traces = [sawtooth_trace(name="t%d" % i, n=200 + 40 * i) for i in range(3)]
         report = replay_traces(traces, simple_rules(), streams=8, min_chunk_rows=10)
-        rollup = require_valid_fleet_snapshot(report.rollup)
+        rollup = require_valid(FLEET_ROLLUP, report.rollup)
         assert rollup["fleet"]["streams"] == 8
         for entry in rollup["streams"].values():
             assert entry["chunks"] > 0, entry["stream"]

@@ -1,9 +1,15 @@
-"""Shared helpers for building small, hand-authored traces in tests."""
+"""Shared helpers for building small, hand-authored traces in tests,
+plus the O(n·w) window-kernel oracle."""
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Sequence
+from contextlib import contextmanager
+from typing import Dict, Iterator, Mapping, Sequence
+from unittest import mock
 
+import numpy as np
+
+from repro.core import windows
 from repro.logs.trace import Trace
 
 #: The default monitor period used throughout the tests.
@@ -89,3 +95,22 @@ def rule_trace(
             )
         columns[name] = list(values)
     return uniform_trace(columns, period=period)
+
+
+def strided_extreme(values: np.ndarray, width: int, minimum: bool) -> np.ndarray:
+    """The original O(n·w) strided-reduction window kernel: the oracle
+    for :func:`repro.core.windows.sliding_extreme`."""
+    views = np.lib.stride_tricks.sliding_window_view(values, width, axis=-1)
+    return views.min(axis=-1) if minimum else views.max(axis=-1)
+
+
+#: The window kernels the temporal aggregates can run on, by name.
+KERNELS = {"block": windows.sliding_extreme, "strided": strided_extreme}
+
+
+@contextmanager
+def window_kernel(name: str) -> Iterator[None]:
+    """Run the window aggregates on the named kernel inside a ``with``
+    block, by patching the function they call."""
+    with mock.patch.object(windows, "sliding_extreme", KERNELS[name]):
+        yield

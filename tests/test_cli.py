@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.cli import main
-from repro.obs import validate_snapshot
+from repro.obs import METRICS_SNAPSHOT
+from repro.schema import require_valid, validate
 
 
 class TestRulesCommand:
@@ -111,12 +112,14 @@ class TestLintCommand:
         assert "%s:1:" % path in capsys.readouterr().out
 
     def test_json_report_is_schema_valid(self, tmp_path, capsys):
-        from repro.analysis import require_valid_report
+        from repro.analysis import LINT_REPORT
 
         path = tmp_path / "bad.rules"
         path.write_text(self.BAD_SPEC, encoding="utf-8")
         code = main(["lint", str(path), "--format", "json"])
-        report = require_valid_report(json.loads(capsys.readouterr().out))
+        report = require_valid(
+            LINT_REPORT, json.loads(capsys.readouterr().out)
+        )
         assert code == 1
         assert report["counts"]["error"] == 1
         assert report["targets"][0]["name"] == str(path)
@@ -266,7 +269,7 @@ class TestMetricsOut:
         assert main(argv) == 0
         captured = capsys.readouterr()
         snapshot = json.loads(metrics_file.read_text())
-        assert validate_snapshot(snapshot) == []
+        assert validate(METRICS_SNAPSHOT, snapshot) == []
         assert snapshot["counters"]["campaign.tests"] == 2
         assert any(
             name.startswith("monitor.rule.") for name in snapshot["histograms"]
@@ -294,7 +297,7 @@ class TestMetricsOut:
         capsys.readouterr()
         assert metrics_table.read_bytes() == plain_file.read_bytes()
         snapshot = json.loads(metrics_file.read_text())
-        assert validate_snapshot(snapshot) == []
+        assert validate(METRICS_SNAPSHOT, snapshot) == []
         assert snapshot["counters"]["campaign.tests"] == 3
         assert snapshot["histograms"]["campaign.test.seconds"]["count"] == 3
         for phase in ("sim", "inject", "check"):
@@ -311,7 +314,7 @@ class TestMetricsOut:
         ) == 0
         captured = capsys.readouterr()
         snapshot = json.loads(metrics_file.read_text())
-        assert validate_snapshot(snapshot) == []
+        assert validate(METRICS_SNAPSHOT, snapshot) == []
         assert snapshot["counters"]["monitor.checks"] == 1
         assert any(
             name.startswith("eval.formula.") for name in snapshot["histograms"]
@@ -338,11 +341,11 @@ class TestAuditCommand:
         assert "summary:" in out
 
     def test_json_report_is_schema_valid(self, capsys):
-        from repro.analysis import require_valid_audit_report
+        from repro.analysis import AUDIT_REPORT
 
         assert main(["audit", "--format", "json", "--strict"]) == 0
-        report = require_valid_audit_report(
-            json.loads(capsys.readouterr().out)
+        report = require_valid(
+            AUDIT_REPORT, json.loads(capsys.readouterr().out)
         )
         assert report["schema"] == "repro.audit/v1"
         assert report["counts"]["error"] == 0
@@ -416,11 +419,11 @@ class TestMarginsCommand:
         assert "summary: 7 rule(s) (0 provably safe)" in out
 
     def test_json_report_is_schema_valid(self, capsys):
-        from repro.analysis import require_valid_margins_report
+        from repro.analysis import MARGINS_REPORT
 
         assert main(["margins", "--format", "json"]) == 0
-        report = require_valid_margins_report(
-            json.loads(capsys.readouterr().out)
+        report = require_valid(
+            MARGINS_REPORT, json.loads(capsys.readouterr().out)
         )
         assert report["schema"] == "repro.margins/v1"
         # No paper cell is prunable: every cell seeds falsification.
@@ -468,11 +471,11 @@ class TestAutomataCommand:
         assert main(["automata", "--strict"]) == 0
 
     def test_json_report_is_schema_valid(self, capsys):
-        from repro.analysis import require_valid_automata_report
+        from repro.analysis import AUTOMATA_REPORT
 
         assert main(["automata", "--format", "json"]) == 0
-        report = require_valid_automata_report(
-            json.loads(capsys.readouterr().out)
+        report = require_valid(
+            AUTOMATA_REPORT, json.loads(capsys.readouterr().out)
         )
         assert report["summary"]["bounded"] == 7
 
@@ -549,7 +552,7 @@ class TestFleetCommand:
         return log_dir
 
     def test_replay_writes_validated_rollup(self, tmp_path, capsys):
-        from repro.fleet import validate_fleet_snapshot
+        from repro.fleet import FLEET_ROLLUP
 
         log_dir = self._write_logs(tmp_path, capsys)
         rollup_file = tmp_path / "rollup.json"
@@ -564,14 +567,14 @@ class TestFleetCommand:
         assert code == 0
         assert "fleet: 4 stream(s)" in out
         rollup = json.loads(rollup_file.read_text())
-        assert validate_fleet_snapshot(rollup) == []
+        assert validate(FLEET_ROLLUP, rollup) == []
         assert rollup["fleet"]["streams"] == 4
         assert all(e["chunks"] > 0 for e in rollup["streams"].values())
 
     def test_observability_flag_attaches_bandwidth_hints(
         self, tmp_path, capsys
     ):
-        from repro.fleet import validate_fleet_snapshot
+        from repro.fleet import FLEET_ROLLUP
 
         log_dir = self._write_logs(tmp_path, capsys)
         rollup_file = tmp_path / "rollup.json"
@@ -586,7 +589,7 @@ class TestFleetCommand:
         capsys.readouterr()
         assert code == 0
         rollup = json.loads(rollup_file.read_text())
-        assert validate_fleet_snapshot(rollup) == []
+        assert validate(FLEET_ROLLUP, rollup) == []
         for entry in rollup["streams"].values():
             assert entry["observability"] is not None
         fleet_block = rollup["fleet"]["observability"]

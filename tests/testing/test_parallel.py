@@ -11,7 +11,8 @@ import pickle
 
 import pytest
 
-from repro.obs import MetricsRegistry, use_registry, validate_snapshot
+from repro.obs import METRICS_SNAPSHOT, MetricsRegistry, use_registry
+from repro.schema import validate
 from repro.testing.campaign import RobustnessCampaign, single_signal_tests
 from repro.testing.parallel import resolve_jobs, run_table1_parallel
 
@@ -110,8 +111,8 @@ class TestMetricsAcrossWorkers:
         assert par_table.format() == seq_table.format()
         seq_snapshot = seq_registry.snapshot()
         par_snapshot = par_registry.snapshot()
-        assert validate_snapshot(seq_snapshot) == []
-        assert validate_snapshot(par_snapshot) == []
+        assert validate(METRICS_SNAPSHOT, seq_snapshot) == []
+        assert validate(METRICS_SNAPSHOT, par_snapshot) == []
         # Campaign counter sums are exactly mergeable-equal across
         # worker counts; the parallel run additionally reports its own
         # process-boundary traffic (``parallel.pickle_bytes.*``).
