@@ -12,12 +12,18 @@ Frame *taps* are transformation hooks applied to the encoded payload just
 before delivery; the robustness-testing injection harness installs itself
 as a tap, which is how injected and bit-flipped values become visible to
 both the system under test and the monitor.
+
+Sending a frame is the testbench's hot path, so the per-message work is
+resolved once: each scheduled entry carries its message and provider,
+the database codes whole frames with a compiled per-message codec, and
+a frame no tap rewrote is delivered with the values its encode already
+knows, without being decoded again.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -35,20 +41,35 @@ Listener = Callable[[CanFrame, str, Dict[str, SignalValue]], None]
 FrameTap = Callable[[MessageDef, bytes, float], Optional[bytes]]
 
 
+#: Unit draws taken from the jitter generator at a time.
+JITTER_BLOCK = 1024
+
+
 class JitterModel:
-    """Uniform random transmission delay in ``[0, max_jitter]`` seconds."""
+    """Uniform random transmission delay in ``[0, max_jitter]`` seconds.
+
+    Unit draws are taken from the generator in blocks and scaled by
+    ``max_jitter`` when used, which gives the same sequence as one
+    ``uniform(0, max_jitter)`` draw per delay, also when ``max_jitter``
+    changes between delays.
+    """
 
     def __init__(self, max_jitter: float = 0.0, seed: int = 0) -> None:
         if max_jitter < 0:
             raise BusError("max_jitter must be non-negative")
         self.max_jitter = max_jitter
         self._rng = np.random.default_rng(seed)
+        self._units: Iterator[float] = iter(())
 
     def delay(self) -> float:
         """Sample one transmission delay."""
         if self.max_jitter == 0.0:
             return 0.0
-        return float(self._rng.uniform(0.0, self.max_jitter))
+        unit = next(self._units, None)
+        if unit is None:
+            self._units = iter(self._rng.random(JITTER_BLOCK).tolist())
+            unit = next(self._units)
+        return self.max_jitter * unit
 
 
 class CanBus:
@@ -73,8 +94,9 @@ class CanBus:
         self._listeners: List[Listener] = []
         self._taps: List[FrameTap] = []
         self._phase_stagger = phase_stagger
-        # Min-heap of (due_time, can_id, message_name).
-        self._schedule: List[Tuple[float, int, str]] = []
+        # Min-heap of (due_time, can_id, (message, provider)); CAN ids
+        # are unique, so the heap never compares the third item.
+        self._schedule: List[Tuple[float, int, Tuple[MessageDef, Provider]]] = []
         self.frames_sent = 0
         self.frames_dropped = 0
 
@@ -85,7 +107,9 @@ class CanBus:
             raise BusError("message %s already has a publisher" % message_name)
         self._providers[message_name] = provider
         phase = (message.can_id % 16) * self._phase_stagger
-        heapq.heappush(self._schedule, (phase, message.can_id, message_name))
+        heapq.heappush(
+            self._schedule, (phase, message.can_id, (message, provider))
+        )
 
     def add_listener(self, listener: Listener) -> None:
         """Attach a passive listener that receives every decoded frame."""
@@ -116,15 +140,13 @@ class CanBus:
         makes naive multi-rate differencing misbehave.
         """
         delivered: List[CanFrame] = []
-        while self._schedule and self._schedule[0][0] <= now + 1e-12:
-            due, can_id, name = heapq.heappop(self._schedule)
-            message = self.database.message_by_name(name)
-            frame = self._transmit(message, due)
+        schedule = self._schedule
+        while schedule and schedule[0][0] <= now + 1e-12:
+            due, can_id, entry = heapq.heappop(schedule)
+            frame = self._transmit(entry, due)
             if frame is not None:
                 delivered.append(frame)
-            heapq.heappush(
-                self._schedule, (due + message.period, can_id, name)
-            )
+            heapq.heappush(schedule, (due + entry[0].period, can_id, entry))
         return delivered
 
     def run_until(self, end: float, dt: float = 0.01) -> None:
@@ -134,12 +156,13 @@ class CanBus:
             t += dt
             self.step(t)
 
-    def _transmit(self, message: MessageDef, due: float) -> Optional[CanFrame]:
-        provider = self._providers.get(message.name)
-        if provider is None:
-            raise BusError("message %s has no publisher" % message.name)
+    def _transmit(
+        self, entry: Tuple[MessageDef, Provider], due: float
+    ) -> Optional[CanFrame]:
+        message, provider = entry
         timestamp = due + self.jitter.delay()
-        data = self.database.encode(message.name, provider())
+        values: Dict[str, SignalValue] = {}
+        sent = data = self.database.encode(message.name, provider(), values)
         for tap in self._taps:
             data = tap(message, data, timestamp)
             if data is None:
@@ -147,7 +170,9 @@ class CanBus:
                 self.frames_dropped += 1
                 return None
         frame = CanFrame(message.can_id, data, timestamp)
-        _, values = self.database.decode(frame)
+        if data is not sent:
+            # A tap rewrote the payload: deliver what is on the wire.
+            _, values = self.database.decode(frame)
         for listener in self._listeners:
             listener(frame, message.name, values)
         self.frames_sent += 1

@@ -11,10 +11,16 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Iterable
+from typing import Dict, Iterable, Mapping, Optional, Sequence
 
 from repro.can.errors import CodecError
 from repro.can.signal import ByteOrder, SignalDef, SignalType, SignalValue
+
+#: IEEE-754 binary32 in wire order: the packing of every FLOAT signal.
+_FLOAT32 = struct.Struct("<f")
+
+_FLOAT = SignalType.FLOAT
+_BOOL = SignalType.BOOL
 
 
 def extract_raw(data: bytes, signal: SignalDef) -> int:
@@ -53,32 +59,16 @@ def insert_raw(data: bytes, signal: SignalDef, raw: int) -> bytes:
 def physical_to_raw(signal: SignalDef, value: SignalValue) -> int:
     """Convert a physical value to the raw field integer."""
     if signal.kind is SignalType.FLOAT:
-        try:
-            packed = struct.pack("<f", float(value))
-        except (OverflowError, ValueError, TypeError) as exc:
-            raise CodecError(
-                "%s: cannot encode %r as float32" % (signal.name, value)
-            ) from exc
-        return int.from_bytes(packed, "little")
+        return int.from_bytes(_pack_float(signal.name, value), "little")
     if signal.kind is SignalType.BOOL:
         return 1 if value else 0
-    # ENUM
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise CodecError(
-            "%s: enum value must be an integer, got %r" % (signal.name, value)
-        )
-    if not 0 <= value <= signal.max_raw:
-        raise CodecError(
-            "%s: enum value %d outside field range [0, %d]"
-            % (signal.name, value, signal.max_raw)
-        )
-    return value
+    return _check_enum(signal.name, value, signal.max_raw)
 
 
 def raw_to_physical(signal: SignalDef, raw: int) -> SignalValue:
     """Convert a raw field integer back to a physical value."""
     if signal.kind is SignalType.FLOAT:
-        return struct.unpack("<f", raw.to_bytes(4, "little"))[0]
+        return _FLOAT32.unpack(raw.to_bytes(4, "little"))[0]
     if signal.kind is SignalType.BOOL:
         return bool(raw & 1)
     return raw
@@ -118,6 +108,139 @@ def values_equal(a: SignalValue, b: SignalValue) -> bool:
         if math.isnan(a) and math.isnan(b):
             return True
     return a == b
+
+
+class FrameCodec:
+    """One message's signal layouts compiled for whole-payload coding.
+
+    :meth:`encode` and :meth:`decode` give, byte for byte and bit for
+    bit, what :func:`encode_signal` and :func:`decode_signal` give when
+    applied to every signal in turn, but convert the payload to an
+    integer once per frame instead of once per signal.  Each field keeps
+    its shift, mask and kind; the payload integer is little-endian, and
+    a big-endian field is placed by byte-swapping its big-endian image,
+    so messages that mix byte orders code exactly as the per-signal
+    functions do.
+    """
+
+    def __init__(self, length: int, signals: Sequence[SignalDef]) -> None:
+        self.length = length
+        full = (1 << 8 * length) - 1
+        self._has_big = False
+        #: Whether two fields share a payload bit, which only a big- and
+        #: a little-endian field can do (the two orders map start bits to
+        #: payload bits differently): the later field then wins the bit.
+        self._overlap = False
+        taken = 0
+        fields = []
+        for signal in signals:
+            big = signal.byte_order is ByteOrder.BIG_ENDIAN
+            if big:
+                self._has_big = True
+                shift = 8 * length - signal.start_bit - signal.bit_length
+                mask = self._swap(signal.max_raw << shift)
+            else:
+                shift = signal.start_bit
+                mask = signal.max_raw << shift
+            self._overlap = self._overlap or bool(taken & mask)
+            taken |= mask
+            fields.append(
+                (
+                    signal.name,
+                    signal.kind,
+                    big,
+                    shift,
+                    signal.max_raw,
+                    full ^ mask,
+                    signal.default_value(),
+                )
+            )
+        self._fields = tuple(fields)
+
+    def encode(
+        self,
+        values: Mapping[str, SignalValue],
+        delivered: Optional[Dict[str, SignalValue]] = None,
+    ) -> bytes:
+        """Pack ``values`` (defaults for missing signals) into a payload.
+
+        When ``delivered`` is given it receives, per signal, the value a
+        decode of the returned payload yields.
+        """
+        whole = 0
+        for name, kind, big, shift, max_raw, keep, default in self._fields:
+            value = values.get(name, default)
+            if kind is _FLOAT:
+                packed = _pack_float(name, value)
+                raw = int.from_bytes(packed, "little")
+                if delivered is not None:
+                    delivered[name] = _FLOAT32.unpack(packed)[0]
+            elif kind is _BOOL:
+                raw = 1 if value else 0
+                if delivered is not None:
+                    delivered[name] = raw == 1
+            else:
+                # A plain int, as a decode gives, also for int subclasses.
+                raw = int(_check_enum(name, value, max_raw))
+                if delivered is not None:
+                    delivered[name] = raw
+            placed = self._swap(raw << shift) if big else raw << shift
+            whole = (whole & keep) | placed
+        data = whole.to_bytes(self.length, "little")
+        if self._overlap and delivered is not None:
+            delivered.update(self.decode(data))
+        return data
+
+    def decode(self, data: bytes) -> Dict[str, SignalValue]:
+        """Unpack every signal from ``data`` (at least ``length`` bytes).
+
+        A big-endian field's shift counts from the end of ``data``, as
+        :func:`extract_raw` counts it, so a longer payload decodes as
+        the per-signal functions decode it.
+        """
+        whole = int.from_bytes(data, "little")
+        if self._has_big:
+            whole_big = int.from_bytes(data, "big")
+            extra = 8 * (len(data) - self.length)
+        values: Dict[str, SignalValue] = {}
+        for name, kind, big, shift, max_raw, _, _ in self._fields:
+            if big:
+                raw = (whole_big >> (shift + extra)) & max_raw
+            else:
+                raw = (whole >> shift) & max_raw
+            if kind is _FLOAT:
+                values[name] = _FLOAT32.unpack(raw.to_bytes(4, "little"))[0]
+            elif kind is _BOOL:
+                values[name] = bool(raw & 1)
+            else:
+                values[name] = raw
+        return values
+
+    def _swap(self, whole: int) -> int:
+        """Reinterpret a big-endian payload integer as little-endian."""
+        return int.from_bytes(whole.to_bytes(self.length, "big"), "little")
+
+
+def _pack_float(name: str, value: SignalValue) -> bytes:
+    try:
+        return _FLOAT32.pack(float(value))
+    except (OverflowError, ValueError, TypeError) as exc:
+        raise CodecError(
+            "%s: cannot encode %r as float32" % (name, value)
+        ) from exc
+
+
+def _check_enum(name: str, value: SignalValue, max_raw: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise CodecError(
+            "%s: enum value must be an integer, got %r" % (name, value)
+        )
+    if not 0 <= value <= max_raw:
+        raise CodecError(
+            "%s: enum value %d outside field range [0, %d]"
+            % (name, value, max_raw)
+        )
+    return value
 
 
 def _check_fits(data: bytes, signal: SignalDef) -> None:

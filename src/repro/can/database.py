@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
-from repro.can.codec import decode_signal, encode_signal
+from repro.can.codec import FrameCodec
 from repro.can.errors import DatabaseError
 from repro.can.frame import CanFrame, MAX_DLC
 from repro.can.signal import SignalDef, SignalValue
@@ -81,12 +81,17 @@ class MessageDef:
 
 
 class CanDatabase:
-    """A collection of message definitions with encode/decode helpers."""
+    """A collection of message definitions with encode/decode helpers.
+
+    Each message is compiled into a :class:`~repro.can.codec.FrameCodec`
+    when it is added, so coding a frame costs one pass over its signals.
+    """
 
     def __init__(self, messages: Iterable[MessageDef] = ()) -> None:
         self._by_id: Dict[int, MessageDef] = {}
         self._by_name: Dict[str, MessageDef] = {}
         self._signal_home: Dict[str, MessageDef] = {}
+        self._codecs: Dict[str, FrameCodec] = {}
         for message in messages:
             self.add_message(message)
 
@@ -108,6 +113,7 @@ class CanDatabase:
                 )
         self._by_id[message.can_id] = message
         self._by_name[message.name] = message
+        self._codecs[message.name] = FrameCodec(message.length, message.signals)
         for signal in message.signals:
             self._signal_home[signal.name] = message
 
@@ -167,19 +173,23 @@ class CanDatabase:
         return signal_name in self._signal_home
 
     def encode(
-        self, message_name: str, values: Mapping[str, SignalValue]
+        self,
+        message_name: str,
+        values: Mapping[str, SignalValue],
+        delivered: Optional[Dict[str, SignalValue]] = None,
     ) -> bytes:
         """Encode physical ``values`` into a payload for ``message_name``.
 
         Signals missing from ``values`` are encoded with their benign
         defaults, so a publisher only needs to supply what it produces.
+        When ``delivered`` is given it receives the values a
+        :meth:`decode` of the payload would yield, so a receiver of an
+        unchanged payload need not decode it.
         """
-        message = self.message_by_name(message_name)
-        data = bytes(message.length)
-        for signal in message.signals:
-            value = values.get(signal.name, signal.default_value())
-            data = encode_signal(data, signal, value)
-        return data
+        codec = self._codecs.get(message_name)
+        if codec is None:
+            raise DatabaseError("unknown message %s" % message_name)
+        return codec.encode(values, delivered)
 
     def decode(self, frame: CanFrame) -> Tuple[str, Dict[str, SignalValue]]:
         """Decode a frame into ``(message_name, {signal: physical value})``."""
@@ -189,11 +199,7 @@ class CanDatabase:
                 "%s: frame carries %d bytes, expected %d"
                 % (message.name, frame.dlc, message.length)
             )
-        values = {
-            signal.name: decode_signal(frame.data, signal)
-            for signal in message.signals
-        }
-        return message.name, values
+        return message.name, self._codecs[message.name].decode(frame.data)
 
     def frame_for(
         self,

@@ -201,6 +201,8 @@ class InjectionHarness:
         Returns ``None`` to drop the frame when a SILENCE injection is
         active on any of the message's signals.
         """
+        if not self._active:
+            return data
         for signal in message.signals:
             injection = self._active.get(signal.name)
             if injection is None:

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -94,6 +94,15 @@ class HilSimulator:
         # counting alone rather than waiting for the cycle collector.
         acc_inputs: Dict[str, float] = {}
         self._acc_input_cache = acc_inputs
+        # The FSRACC inputs each message carries, resolved once.
+        inputs_of: Dict[str, Tuple[str, ...]] = {
+            message.name: tuple(
+                signal.name
+                for signal in message.signals
+                if signal.name in FSRACC_ALL_INPUTS
+            )
+            for message in self.database.messages()
+        }
 
         def feed_acc_inputs(
             frame: CanFrame,
@@ -101,9 +110,8 @@ class HilSimulator:
             values: Dict[str, SignalValue],
         ) -> None:
             """Feed post-injection input signals into the FSRACC's receive cache."""
-            for name, value in values.items():
-                if name in FSRACC_ALL_INPUTS:
-                    acc_inputs[name] = value
+            for name in inputs_of[message_name]:
+                acc_inputs[name] = values[name]
 
         self.bus.add_listener(feed_acc_inputs)
 

@@ -39,10 +39,9 @@ class TraceRecorder:
     ) -> None:
         """Bus listener callback."""
         self.frames_seen += 1
-        for signal, value in values.items():
-            if self._filter is not None and signal not in self._filter:
-                continue
-            self.trace.record(signal, frame.timestamp, float(value))
+        if self._filter is not None:
+            values = {s: v for s, v in values.items() if s in self._filter}
+        self.trace.record_many(frame.timestamp, values)
 
     def restart(self, name: str = "") -> Trace:
         """Close out the current capture and begin a fresh one.

@@ -30,6 +30,13 @@ from repro.errors import TraceError
 TraceEvent = Tuple[float, str, float]
 
 
+def _out_of_order(signal: str, timestamp: float, last: float) -> TraceError:
+    return TraceError(
+        "%s: update at t=%.6f precedes last update at t=%.6f"
+        % (signal, timestamp, last)
+    )
+
+
 class Trace:
     """Per-signal timestamped update streams.
 
@@ -55,19 +62,26 @@ class Trace:
         """
         times = self._times.setdefault(signal, [])
         if times and timestamp < times[-1] - 1e-12:
-            raise TraceError(
-                "%s: update at t=%.6f precedes last update at t=%.6f"
-                % (signal, timestamp, times[-1])
-            )
+            raise _out_of_order(signal, timestamp, times[-1])
         times.append(float(timestamp))
         self._values.setdefault(signal, []).append(float(value))
 
     def record_many(
         self, timestamp: float, values: Dict[str, float]
     ) -> None:
-        """Record several signal updates sharing one timestamp."""
+        """Record several signal updates sharing one timestamp (one bus
+        frame), with :meth:`record`'s per-signal order check."""
+        timestamp = float(timestamp)
+        all_times, all_values = self._times, self._values
         for signal, value in values.items():
-            self.record(signal, timestamp, value)
+            times = all_times.get(signal)
+            if times is None:
+                times = all_times[signal] = []
+                all_values[signal] = []
+            elif times and timestamp < times[-1] - 1e-12:
+                raise _out_of_order(signal, timestamp, times[-1])
+            times.append(timestamp)
+            all_values[signal].append(float(value))
 
     # ------------------------------------------------------------------
     # Inspection
@@ -235,10 +249,7 @@ class StreamTrace:
         """
         times = self._times.setdefault(signal, deque())
         if times and timestamp < times[-1] - 1e-12:
-            raise TraceError(
-                "%s: update at t=%.6f precedes last update at t=%.6f"
-                % (signal, timestamp, times[-1])
-            )
+            raise _out_of_order(signal, timestamp, times[-1])
         times.append(float(timestamp))
         self._values.setdefault(signal, deque()).append(float(value))
 

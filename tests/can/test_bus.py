@@ -1,8 +1,11 @@
 """Broadcast bus: scheduling, periods, jitter, listeners, taps."""
 
+import struct
+
 import pytest
 
-from repro.can.bus import CanBus, JitterModel
+from helpers import ScalarJitter
+from repro.can.bus import JITTER_BLOCK, CanBus, JitterModel
 from repro.can.database import CanDatabase, MessageDef
 from repro.can.errors import BusError
 from repro.can.signal import SignalDef, SignalType
@@ -96,6 +99,23 @@ class TestJitter:
         model = JitterModel(0.003, seed=1)
         for _ in range(200):
             assert 0.0 <= model.delay() <= 0.003
+
+    @pytest.mark.parametrize("seed", [0, 3, 2014])
+    def test_block_draws_give_the_scalar_draw_sequence(self, seed):
+        # Cross two block boundaries, and change max_jitter mid-stream,
+        # to zero (no draw) and back, just before and after a boundary.
+        plan = (
+            [0.004] * (JITTER_BLOCK - 3)
+            + [0.0] * 5
+            + [0.0015] * 10
+            + [1e-9, 0.019, 0.0] * 400
+            + [0.004] * JITTER_BLOCK
+        )
+        model, scalar = JitterModel(plan[0], seed), ScalarJitter(plan[0], seed)
+        for max_jitter in plan:
+            model.max_jitter = scalar.max_jitter = max_jitter
+            got, want = model.delay(), scalar.delay()
+            assert struct.pack("<d", got) == struct.pack("<d", want)
 
     def test_negative_jitter_rejected(self):
         with pytest.raises(BusError):

@@ -1,15 +1,21 @@
 """Shared helpers for building small, hand-authored traces in tests,
-plus the O(n·w) window-kernel oracle."""
+plus two oracles: the O(n·w) window kernel and the per-frame CAN bus."""
 
 from __future__ import annotations
 
+import heapq
 from contextlib import contextmanager
-from typing import Dict, Iterator, Mapping, Sequence
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 from unittest import mock
 
 import numpy as np
 
+from repro.can.codec import decode_signal, encode_signal
+from repro.can.database import CanDatabase, MessageDef
+from repro.can.frame import CanFrame
+from repro.can.signal import SignalValue
 from repro.core import windows
+from repro.hil import simulator
 from repro.logs.trace import Trace
 
 #: The default monitor period used throughout the tests.
@@ -113,4 +119,123 @@ def window_kernel(name: str) -> Iterator[None]:
     """Run the window aggregates on the named kernel inside a ``with``
     block, by patching the function they call."""
     with mock.patch.object(windows, "sliding_extreme", KERNELS[name]):
+        yield
+
+
+# ----------------------------------------------------------------------
+# The per-frame bus oracle
+# ----------------------------------------------------------------------
+
+
+def per_signal_encode(
+    message: MessageDef, values: Mapping[str, SignalValue]
+) -> bytes:
+    """Encode a payload one :func:`encode_signal` call per signal: the
+    oracle for :meth:`repro.can.codec.FrameCodec.encode`."""
+    data = bytes(message.length)
+    for signal in message.signals:
+        value = values.get(signal.name, signal.default_value())
+        data = encode_signal(data, signal, value)
+    return data
+
+
+def per_signal_decode(message: MessageDef, data: bytes) -> Dict[str, SignalValue]:
+    """Decode a payload one :func:`decode_signal` call per signal: the
+    oracle for :meth:`repro.can.codec.FrameCodec.decode`."""
+    return {signal.name: decode_signal(data, signal) for signal in message.signals}
+
+
+class ScalarJitter:
+    """The jitter model drawing one ``uniform(0, max_jitter)`` per delay:
+    the oracle for :class:`repro.can.bus.JitterModel`."""
+
+    def __init__(self, max_jitter: float = 0.0, seed: int = 0) -> None:
+        self.max_jitter = max_jitter
+        self._rng = np.random.default_rng(seed)
+
+    def delay(self) -> float:
+        if self.max_jitter == 0.0:
+            return 0.0
+        return float(self._rng.uniform(0.0, self.max_jitter))
+
+
+class PerFrameBus:
+    """The bus that looked up, encoded and decoded every frame one
+    signal at a time: the oracle for :class:`repro.can.bus.CanBus`."""
+
+    def __init__(
+        self,
+        database: CanDatabase,
+        jitter: ScalarJitter,
+        phase_stagger: float = 0.0005,
+    ) -> None:
+        self.database = database
+        self.jitter = jitter
+        self._providers: Dict[str, Callable[[], Mapping[str, SignalValue]]] = {}
+        self._listeners: List[Callable] = []
+        self._taps: List[Callable] = []
+        self._phase_stagger = phase_stagger
+        self._schedule: List[Tuple[float, int, str]] = []
+        self.frames_sent = 0
+        self.frames_dropped = 0
+
+    def attach_publisher(self, message_name: str, provider) -> None:
+        message = self.database.message_by_name(message_name)
+        self._providers[message_name] = provider
+        phase = (message.can_id % 16) * self._phase_stagger
+        heapq.heappush(self._schedule, (phase, message.can_id, message_name))
+
+    def add_listener(self, listener) -> None:
+        self._listeners.append(listener)
+
+    def add_frame_tap(self, tap) -> None:
+        self._taps.append(tap)
+
+    def step(self, now: float) -> List[CanFrame]:
+        delivered: List[CanFrame] = []
+        while self._schedule and self._schedule[0][0] <= now + 1e-12:
+            due, can_id, name = heapq.heappop(self._schedule)
+            message = self.database.message_by_name(name)
+            frame = self._transmit(message, due)
+            if frame is not None:
+                delivered.append(frame)
+            heapq.heappush(
+                self._schedule, (due + message.period, can_id, name)
+            )
+        return delivered
+
+    def _transmit(self, message: MessageDef, due: float) -> Optional[CanFrame]:
+        provider = self._providers[message.name]
+        timestamp = due + self.jitter.delay()
+        data = per_signal_encode(message, provider())
+        for tap in self._taps:
+            data = tap(message, data, timestamp)
+            if data is None:
+                self.frames_dropped += 1
+                return None
+        frame = CanFrame(message.can_id, data, timestamp)
+        values = per_signal_decode(message, frame.data)
+        for listener in self._listeners:
+            listener(frame, message.name, values)
+        self.frames_sent += 1
+        return frame
+
+
+class PerSignalRecorder(simulator.TraceRecorder):
+    """The trace recorder appending one :meth:`Trace.record` per signal."""
+
+    def on_frame(self, frame, message_name, values) -> None:
+        self.frames_seen += 1
+        for signal, value in values.items():
+            self.trace.record(signal, frame.timestamp, float(value))
+
+
+@contextmanager
+def per_frame_bus() -> Iterator[None]:
+    """Build every :class:`~repro.hil.simulator.HilSimulator` inside a
+    ``with`` block on the per-frame bus oracle, by patching the classes
+    its constructor names."""
+    with mock.patch.object(simulator, "CanBus", PerFrameBus), mock.patch.object(
+        simulator, "JitterModel", ScalarJitter
+    ), mock.patch.object(simulator, "TraceRecorder", PerSignalRecorder):
         yield

@@ -36,6 +36,15 @@ class TestRecording:
         trace.record_many(0.5, {"a": 1.0, "b": 2.0})
         assert trace.signals() == ("a", "b")
 
+    def test_record_many_checks_order_per_signal(self):
+        trace = Trace()
+        trace.record("b", 1.0, 0.0)
+        trace.record_many(0.5 + 5e-13, {"a": True, "c": 3})
+        with pytest.raises(TraceError, match="b: update at t=0.500000"):
+            trace.record_many(0.5, {"a": 1.0, "b": 2.0})
+        assert trace.updates("a") == [(0.5 + 5e-13, 1.0), (0.5, 1.0)]
+        assert trace.updates("c") == [(0.5 + 5e-13, 3.0)]
+
     def test_nan_and_inf_are_recordable(self):
         trace = Trace()
         trace.record("a", 0.0, float("nan"))
