@@ -66,6 +66,13 @@ def _jobs_arg(value: str) -> int:
     return jobs
 
 
+def _non_negative(value: str) -> float:
+    number = float(value)
+    if not number >= 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %s" % value)
+    return number
+
+
 def _progress(text: str) -> None:
     """Progress lines go to stderr so piped stdout stays clean."""
     print(text, file=sys.stderr, flush=True)
@@ -174,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check_cmd.add_argument(
         "--near-miss-threshold",
-        type=float,
+        type=_non_negative,
         default=None,
         help=(
             "flag passing rules whose margin is at most this value "
@@ -403,7 +410,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     margins_cmd.add_argument(
         "--threshold",
-        type=float,
+        type=_non_negative,
         default=0.0,
         help=(
             "pruning bar: cells whose static lower bound exceeds this "
@@ -561,7 +568,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     table_cmd.add_argument(
         "--prune-threshold",
-        type=float,
+        type=_non_negative,
         default=0.0,
         help=(
             "margin bar for --prune margins: only cells whose static "
@@ -588,7 +595,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     table_cmd.add_argument(
         "--near-miss-threshold",
-        type=float,
+        type=_non_negative,
         default=None,
         help=(
             "flag passing cells whose margin is at most this value "
@@ -860,10 +867,6 @@ def _cmd_margins(args: argparse.Namespace) -> int:
         build_margins_report,
         paper_plan,
     )
-
-    if args.threshold < 0:
-        print("margins: --threshold must be non-negative", file=sys.stderr)
-        return 2
 
     plan = paper_plan()
     if args.files:

@@ -18,11 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.core.ast import Implies
 from repro.core.evaluator import EvalContext, evaluate_formula
-from repro.core.monitor import Monitor, Rule
+from repro.core.monitor import Monitor, Rule, row_mask
 from repro.core.types import TRUE_CODE
 from repro.logs.trace import Trace
 
@@ -142,14 +140,7 @@ def coverage_report(monitor: Monitor, trace: Trace) -> CoverageReport:
 
 
 def _rule_coverage(rule: Rule, ctx: EvalContext) -> RuleCoverage:
-    view = ctx.view
-    masked = np.zeros(view.n_rows, dtype=bool)
-    if rule.initial_settle > 0:
-        settle_rows = int(round(rule.initial_settle / view.period))
-        masked[: settle_rows + 1] = True
-    if rule.warmup is not None:
-        masked |= rule.warmup.mask(ctx)
-    checked = ~masked
+    checked = ~row_mask(rule, ctx)
 
     if rule.gate is not None:
         gate_codes = evaluate_formula(rule.gate, ctx)
@@ -167,7 +158,7 @@ def _rule_coverage(rule: Rule, ctx: EvalContext) -> RuleCoverage:
 
     return RuleCoverage(
         rule_id=rule.rule_id,
-        rows_total=view.n_rows,
+        rows_total=ctx.view.n_rows,
         rows_checked=int(checked.sum()),
         rows_gate_active=int(gate_active.sum()),
         rows_premise_active=int(premise_active.sum()),

@@ -22,7 +22,7 @@ paper's "relax the rule when false positives are found" workflow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -46,7 +46,6 @@ from repro.core.types import (
     TRUE_CODE,
     UNKNOWN_CODE,
     Verdict,
-    summarize_codes,
 )
 from repro.core.violations import (
     NearMiss,
@@ -420,11 +419,7 @@ class Monitor:
     ) -> MonitorReport:
         """Check every rule against an already-built view."""
         if near_miss_threshold is not None:
-            if near_miss_threshold < 0:
-                raise SpecError(
-                    "near_miss_threshold must be non-negative, got %r"
-                    % (near_miss_threshold,)
-                )
+            require_non_negative("near_miss_threshold", near_miss_threshold)
             robustness = True
         registry = get_registry()
         registry.counter("monitor.checks").inc()
@@ -457,80 +452,167 @@ class Monitor:
         robustness: bool = False,
         near_miss_threshold: Optional[float] = None,
     ) -> RuleResult:
-        view = ctx.view
-        codes = evaluate_formula(rule.effective_formula(), ctx).copy()
-
-        masked = np.zeros(view.n_rows, dtype=bool)
-        if rule.initial_settle > 0:
-            settle_rows = int(round(rule.initial_settle / view.period))
-            masked[: settle_rows + 1] = True
-        if rule.warmup is not None:
-            masked |= rule.warmup.mask(ctx)
-        codes[masked] = TRUE_CODE
-
-        # Witness columns are only materialized when a violation exists —
-        # the common all-satisfied rule pays nothing for them.
-        if (codes == FALSE_CODE).any():
-            witness_signals = {
-                name: view.values(name)
-                for name in rule.signals()
-                if name in view
-            }
-            raw = extract_violations(
-                codes, view.times, rule.rule_id, view.period, witness_signals
-            )
-        else:
-            raw = []
-        kept, dropped = apply_filters(raw, rule.filters, ctx)
-
-        if kept:
-            verdict = Verdict.FALSE
-        elif raw:
-            # All violations dismissed as not reflecting real intent.
-            verdict = Verdict.TRUE
-        else:
-            verdict = summarize_codes(codes)
-
-        rule_robustness: Optional[RuleRobustness] = None
-        near_miss = None
-        if robustness:
-            bounds = evaluate_robustness(rule.effective_formula(), ctx)
-            lower = bounds.lower.copy()
-            upper = bounds.upper.copy()
-            # Masked rows are neutral in the numeric lattice too — they
-            # cannot be the rule's minimum, exactly as the boolean path
-            # forces them TRUE.
-            lower[masked] = np.inf
-            upper[masked] = np.inf
-            rule_robustness = summarize_bounds(lower, upper, view.times)
-            kept = annotate_margins(kept, upper)
-            dropped = annotate_margins(dropped, upper)
-            near_miss = _detect_near_miss(
-                rule.rule_id, rule_robustness, kept, near_miss_threshold
-            )
-
-        result = RuleResult(
-            rule=rule,
-            verdict=verdict,
-            violations=kept,
-            dismissed=dropped,
-            rows_total=view.n_rows,
-            rows_checked=int((~masked).sum()),
-            rows_masked=int(masked.sum()),
-            rows_unknown=int((codes == UNKNOWN_CODE).sum()),
-            robustness=rule_robustness,
-            near_miss=near_miss,
+        codes = evaluate_formula(rule.effective_formula(), ctx)
+        result = check_rows(
+            rule, ctx, codes, 0, ctx.view.n_rows - 1, robustness=robustness
         )
+        if robustness:
+            result.near_miss = _detect_near_miss(
+                rule.rule_id,
+                result.robustness,
+                result.violations,
+                near_miss_threshold,
+            )
         registry = get_registry()
         registry.counter("monitor.rows_checked").inc(result.rows_checked)
         registry.counter("monitor.rows_masked").inc(result.rows_masked)
-        registry.counter("monitor.violations").inc(len(kept))
-        registry.counter("monitor.dismissed").inc(len(dropped))
+        registry.counter("monitor.violations").inc(len(result.violations))
+        registry.counter("monitor.dismissed").inc(len(result.dismissed))
         if robustness:
             registry.counter("monitor.margins").inc()
-            if near_miss is not None:
+            if result.near_miss is not None:
                 registry.counter("monitor.near_misses").inc()
         return result
+
+
+def require_non_negative(name: str, value: float) -> None:
+    """Reject a negative threshold with a :class:`SpecError`."""
+    if value < 0:
+        raise SpecError("%s must be non-negative, got %r" % (name, value))
+
+
+def row_mask(rule: Rule, ctx: EvalContext, first_row: int = 0) -> np.ndarray:
+    """Rows of ``ctx.view`` the rule leaves unchecked.
+
+    A row is masked inside the rule's initial settle window or inside a
+    warm-up window after its activation trigger.  The settle window is
+    anchored at stream row 0, and view row 0 is stream row
+    ``first_row`` (nonzero for an online chunk).
+    """
+    view = ctx.view
+    masked = np.zeros(view.n_rows, dtype=bool)
+    if rule.initial_settle > 0:
+        settle_end = int(round(rule.initial_settle / view.period)) - first_row
+        if settle_end >= 0:
+            masked[: settle_end + 1] = True
+    if rule.warmup is not None:
+        masked |= rule.warmup.mask(ctx)
+    return masked
+
+
+def rule_verdict(
+    violations: List[Violation],
+    dismissed: List[Violation],
+    rows_unknown: int,
+    rows_total: int,
+) -> Verdict:
+    """The rule-level verdict from a rule's (accumulated) row result."""
+    if violations:
+        return Verdict.FALSE
+    if dismissed:
+        # All violations dismissed as not reflecting real intent.
+        return Verdict.TRUE
+    if rows_unknown or not rows_total:
+        return Verdict.UNKNOWN
+    return Verdict.TRUE
+
+
+def check_rows(
+    rule: Rule,
+    ctx: EvalContext,
+    codes: np.ndarray,
+    lo: int,
+    hi: int,
+    first_row: int = 0,
+    origin: float = 0.0,
+    robustness: bool = False,
+) -> RuleResult:
+    """Check one rule on rows ``[lo, hi]`` of ``ctx.view``.
+
+    The single per-rule row checker behind both monitors: the offline
+    :class:`Monitor` runs it once over the whole view, the online
+    monitor once per chunk over the chunk's emitted rows.  ``codes``
+    are the rule's evaluated verdict codes over the view (not
+    modified).  View row 0 is stream row ``first_row``, and ``origin``
+    is the time of stream row 0 (read only when ``first_row`` is
+    nonzero); violation rows and the worst row are reported in stream
+    rows.  Rows outside ``[lo, hi]`` are neutral, exactly like masked
+    rows.  Touches no metrics registry.
+    """
+    view = ctx.view
+    masked = row_mask(rule, ctx, first_row)
+    rows_total = hi - lo + 1
+    rows_masked = int(masked[lo : hi + 1].sum())
+    masked[:lo] = True
+    masked[hi + 1 :] = True
+    codes = codes.copy()
+    codes[masked] = TRUE_CODE
+
+    # Witness columns are only materialized when a violation exists —
+    # the common all-satisfied rule pays nothing for them.
+    if (codes == FALSE_CODE).any():
+        witness_signals = {
+            name: view.values(name)
+            for name in rule.signals()
+            if name in view
+        }
+        raw = extract_violations(
+            codes, view.times, rule.rule_id, view.period, witness_signals
+        )
+    else:
+        raw = []
+    kept, dropped = apply_filters(raw, rule.filters, ctx)
+
+    rule_robustness: Optional[RuleRobustness] = None
+    if robustness:
+        bounds = evaluate_robustness(rule.effective_formula(), ctx)
+        lower = bounds.lower.copy()
+        upper = bounds.upper.copy()
+        # Masked rows are neutral in the numeric lattice too — they
+        # cannot be the rule's minimum, exactly as the boolean path
+        # forces them TRUE.
+        lower[masked] = np.inf
+        upper[masked] = np.inf
+        rule_robustness = summarize_bounds(lower, upper, view.times)
+        kept = annotate_margins(kept, upper)
+        dropped = annotate_margins(dropped, upper)
+        if first_row and rule_robustness.worst_row is not None:
+            # Recompute the time from the stream origin rather than
+            # reading the view's times: a chunk view's base is already
+            # the sum origin + first_row * period, and adding the
+            # in-view offset to that drifts a last-place unit from the
+            # offline view's origin + row * period.
+            row = first_row + rule_robustness.worst_row
+            rule_robustness = replace(
+                rule_robustness,
+                worst_row=row,
+                worst_time=origin + view.period * row,
+            )
+    if first_row:
+        kept, dropped = (
+            [
+                replace(
+                    violation,
+                    start_row=violation.start_row + first_row,
+                    end_row=violation.end_row + first_row,
+                )
+                for violation in group
+            ]
+            for group in (kept, dropped)
+        )
+
+    rows_unknown = int((codes == UNKNOWN_CODE).sum())
+    return RuleResult(
+        rule=rule,
+        verdict=rule_verdict(kept, dropped, rows_unknown, rows_total),
+        violations=kept,
+        dismissed=dropped,
+        rows_total=rows_total,
+        rows_checked=rows_total - rows_masked,
+        rows_masked=rows_masked,
+        rows_unknown=rows_unknown,
+        robustness=rule_robustness,
+    )
 
 
 def _detect_near_miss(

@@ -22,9 +22,18 @@ rows have accumulated (or on :meth:`finish`), evaluates a chunk:
 * state machines resume from their saved state at the history margin's
   first row, so modal state is continuous across chunks;
 * only rows whose temporal windows are complete inside the chunk are
-  emitted (the tail is re-evaluated next chunk), so emitted verdicts are
-  **identical to the offline monitor's** for filter-free rules —
-  a property the test suite checks exhaustively.
+  emitted (the tail is re-evaluated next chunk);
+* the emitted rows go through the offline monitor's own row checker,
+  :func:`~repro.core.monitor.check_rows` (mask, violation extraction,
+  intent filters, robustness bounds and violation depths), and each
+  chunk's :class:`~repro.core.monitor.RuleResult` is folded into a
+  running one: row counts add, violation runs split by a chunk boundary
+  join (the joined depth is the deeper segment's), the margin bounds
+  take their running minimum, and :meth:`OnlineMonitor.finish` applies
+  the offline verdict rule.  One row checker, two callers — so emitted
+  verdicts, row counts, violation spans and depths are **identical to
+  the offline monitor's** for filter-free rules, a property the test
+  suite checks exhaustively.
 
 Bounded memory
 --------------
@@ -58,7 +67,7 @@ Three documented deviations from offline semantics:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -66,11 +75,9 @@ import numpy as np
 from repro.core.evaluator import (
     EvalContext,
     evaluate_formula,
-    evaluate_robustness,
     future_reach,
     past_reach,
 )
-from repro.core.intent import apply_filters
 from repro.core.monitor import (
     DEFAULT_PERIOD,
     Monitor,
@@ -78,46 +85,17 @@ from repro.core.monitor import (
     Rule,
     RuleResult,
     _detect_near_miss,
+    check_rows,
+    require_non_negative,
+    rule_verdict,
 )
 from repro.core.robustness import RuleRobustness
 from repro.core.statemachine import StateMachine
-from repro.core.types import (
-    FALSE_CODE,
-    TRUE_CODE,
-    UNKNOWN_CODE,
-    Verdict,
-)
-from repro.core.violations import Violation, extract_violations
+from repro.core.types import Verdict
+from repro.core.violations import Violation
 from repro.errors import TraceError
 from repro.logs.trace import StreamTrace, Trace
 from repro.obs import get_registry
-
-
-@dataclass
-class _RuleProgress:
-    """Accumulated per-rule results across emitted chunks."""
-
-    violations: List[Violation] = field(default_factory=list)
-    dismissed: List[Violation] = field(default_factory=list)
-    rows_total: int = 0
-    rows_checked: int = 0
-    rows_masked: int = 0
-    rows_unknown: int = 0
-    any_false: bool = False
-    # Running minima of the emitted rows' robustness bounds.  Each
-    # emitted row's bounds equal the offline evaluation's (the chunk
-    # view covers its whole temporal window), so at finish these minima
-    # *are* the offline rule-level interval.  Mid-stream the certain
-    # bound (rob_upper) is already final for emitted rows and can only
-    # decrease; the lower bound is genuinely -inf until the stream ends
-    # (an unseen future row could be arbitrarily violating).
-    rob_lower: float = math.inf
-    rob_upper: float = math.inf
-    worst_row: Optional[int] = None
-    worst_time: Optional[float] = None
-    #: Stream time at which the interval first excluded zero (the
-    #: margin analogue of the boolean early-violation callback).
-    decided_time: Optional[float] = None
 
 
 class OnlineMonitor:
@@ -158,11 +136,7 @@ class OnlineMonitor:
         self.period = period
         self.min_chunk_rows = max(1, min_chunk_rows)
         if near_miss_threshold is not None:
-            if near_miss_threshold < 0:
-                raise TraceError(
-                    "near_miss_threshold must be non-negative, got %r"
-                    % (near_miss_threshold,)
-                )
+            require_non_negative("near_miss_threshold", near_miss_threshold)
             robustness = True
         self.robustness = robustness
         self.near_miss_threshold = near_miss_threshold
@@ -195,9 +169,29 @@ class OnlineMonitor:
         self._machine_resume: Dict[str, Tuple[int, str]] = {
             machine.name: (0, machine.initial) for machine in self.machines
         }
-        self._progress: Dict[str, _RuleProgress] = {
-            rule.rule_id: _RuleProgress() for rule in self.rules
+        # Per-rule row results folded over the emitted chunks.  Each
+        # emitted row's bounds equal the offline evaluation's (the chunk
+        # view covers its whole temporal window), so at finish the
+        # running minima *are* the offline rule-level interval.
+        self._results: Dict[str, RuleResult] = {
+            rule.rule_id: RuleResult(
+                rule=rule,
+                verdict=Verdict.UNKNOWN,
+                violations=[],
+                dismissed=[],
+                rows_total=0,
+                rows_checked=0,
+                rows_masked=0,
+                rows_unknown=0,
+                robustness=RuleRobustness(lower=math.inf, upper=math.inf)
+                if robustness
+                else None,
+            )
+            for rule in self.rules
         }
+        #: Stream time at which each rule's interval first excluded zero
+        #: (the margin analogue of the boolean early-violation callback).
+        self._decided: Dict[str, float] = {}
         self._finished = False
 
     # ------------------------------------------------------------------
@@ -288,7 +282,7 @@ class OnlineMonitor:
         if self._start_time is not None:
             last_row = self._row_of(self._latest)
             if last_row >= self._next_emit_row:
-                self._emit(last_row, allow_unknown_tail=True)
+                self._emit(last_row)
         report = MonitorReport(
             trace_name=trace_name,
             period=self.period,
@@ -314,45 +308,26 @@ class OnlineMonitor:
                 "seen them)" % self.late_events
             )
         for rule in self.rules:
-            progress = self._progress[rule.rule_id]
-            if progress.violations:
-                verdict = Verdict.FALSE
-            elif progress.any_false:
-                verdict = Verdict.TRUE  # everything dismissed by filters
-            elif progress.rows_unknown:
-                verdict = Verdict.UNKNOWN
-            elif progress.rows_total:
-                verdict = Verdict.TRUE
-            else:
-                verdict = Verdict.UNKNOWN
-            robustness = None
-            near_miss = None
+            result = self._results[rule.rule_id]
+            result.verdict = rule_verdict(
+                result.violations,
+                result.dismissed,
+                result.rows_unknown,
+                result.rows_total,
+            )
             if self.robustness:
-                lower, upper = self.robustness_intervals()[rule.rule_id]
-                robustness = RuleRobustness(
-                    lower=lower,
-                    upper=upper,
-                    worst_row=progress.worst_row,
-                    worst_time=progress.worst_time,
-                )
-                near_miss = _detect_near_miss(
+                if not result.rows_total:
+                    # No rows, no evidence: the whole line, as offline.
+                    result.robustness = RuleRobustness(
+                        lower=-math.inf, upper=math.inf
+                    )
+                result.near_miss = _detect_near_miss(
                     rule.rule_id,
-                    robustness,
-                    progress.violations,
+                    result.robustness,
+                    result.violations,
                     self.near_miss_threshold,
                 )
-            report.results[rule.rule_id] = RuleResult(
-                rule=rule,
-                verdict=verdict,
-                violations=progress.violations,
-                dismissed=progress.dismissed,
-                rows_total=progress.rows_total,
-                rows_checked=progress.rows_checked,
-                rows_masked=progress.rows_masked,
-                rows_unknown=progress.rows_unknown,
-                robustness=robustness,
-                near_miss=near_miss,
-            )
+            report.results[rule.rule_id] = result
         return report
 
     # ------------------------------------------------------------------
@@ -365,7 +340,7 @@ class OnlineMonitor:
     def _decidable_row(self) -> int:
         return self._row_of(self._latest) - self._horizon_rows
 
-    def _emit(self, upto_row: int, allow_unknown_tail: bool = False) -> List[Violation]:
+    def _emit(self, upto_row: int) -> List[Violation]:
         """Evaluate and finalize rows [next_emit_row .. upto_row].
 
         When metrics are on, each chunk records its emitted size
@@ -429,8 +404,9 @@ class OnlineMonitor:
             ctx.machine_states[machine.name] = states
             ctx.machine_alphabets[machine.name] = machine.alphabet
 
-        emit_lo = self._next_emit_row - history_start  # view-relative
-        emit_hi = upto_row - history_start
+        # Emitted rows [lo, hi], view-relative.
+        lo = self._next_emit_row - history_start
+        hi = min(upto_row - history_start, view.n_rows - 1)
         emitted_rows = upto_row - self._next_emit_row + 1
         registry.counter("online.chunks").inc()
         registry.histogram("online.chunk_rows").observe(emitted_rows)
@@ -439,10 +415,9 @@ class OnlineMonitor:
             max(view.n_rows - emitted_rows, 0)
         )
         fresh: List[Violation] = []
-        for rule in self.rules:
-            fresh.extend(
-                self._emit_rule(rule, ctx, history_start, emit_lo, emit_hi)
-            )
+        if hi >= lo:
+            for rule in self.rules:
+                fresh.extend(self._emit_rule(rule, ctx, history_start, lo, hi))
 
         # Save machine state for the next chunk's history start: the
         # state *entering* that row (i.e. after the preceding row), so
@@ -489,118 +464,48 @@ class OnlineMonitor:
         rule: Rule,
         ctx: EvalContext,
         history_start: int,
-        emit_lo: int,
-        emit_hi: int,
-    ) -> List[Violation]:
-        view = ctx.view
-        codes = evaluate_formula(rule.effective_formula(), ctx).copy()
-
-        masked = np.zeros(view.n_rows, dtype=bool)
-        if rule.initial_settle > 0:
-            settle_rows = int(round(rule.initial_settle / self.period))
-            # Absolute settle window, expressed in view-relative rows.
-            settle_end = settle_rows - history_start
-            if settle_end >= 0:
-                masked[: settle_end + 1] = True
-        if rule.warmup is not None:
-            masked |= rule.warmup.mask(ctx)
-        codes[masked] = TRUE_CODE
-
-        lo = max(emit_lo, 0)
-        hi = min(emit_hi, view.n_rows - 1)
-        if hi < lo:
-            return []
-        window = codes[lo : hi + 1]
-        progress = self._progress[rule.rule_id]
-        progress.rows_total += hi - lo + 1
-        progress.rows_masked += int(masked[lo : hi + 1].sum())
-        progress.rows_checked += int((~masked[lo : hi + 1]).sum())
-        progress.rows_unknown += int((window == UNKNOWN_CODE).sum())
-
-        if self.robustness:
-            self._accumulate_robustness(
-                rule, ctx, masked, progress, history_start, lo, hi
-            )
-
-        # As offline: witness columns are only sliced out when the
-        # emitted window actually contains a violation.
-        if (window == FALSE_CODE).any():
-            witness = {
-                name: view.values(name)[lo : hi + 1]
-                for name in rule.signals()
-                if name in view
-            }
-            raw = extract_violations(
-                window,
-                view.times[lo : hi + 1],
-                rule.rule_id,
-                self.period,
-                witness,
-            )
-        else:
-            raw = []
-        # Shift rows to view coordinates so intent filters index the
-        # chunk's context correctly.
-        raw = [self._shift(v, lo) for v in raw]
-        if raw:
-            progress.any_false = True
-        kept, dropped = apply_filters(raw, rule.filters, ctx)
-        # Re-anchor from view coordinates to absolute stream rows.
-        kept = [self._shift(v, history_start) for v in kept]
-        dropped = [self._shift(v, history_start) for v in dropped]
-        fresh = self._absorb(progress.violations, kept)
-        self._absorb(progress.dismissed, dropped)
-        return fresh
-
-    def _accumulate_robustness(
-        self,
-        rule: Rule,
-        ctx: EvalContext,
-        masked: np.ndarray,
-        progress: _RuleProgress,
-        history_start: int,
         lo: int,
         hi: int,
-    ) -> None:
-        """Fold the emitted rows' robustness bounds into the running
-        interval.
-
-        Emitted rows have complete temporal windows inside the chunk
-        view, so their bounds equal the offline evaluation's — the
-        running minima therefore converge to exactly the offline
-        rule-level interval (a property the fuzz harness checks).
-        """
-        bounds = evaluate_robustness(rule.effective_formula(), ctx)
-        row_lower = bounds.lower.copy()
-        row_upper = bounds.upper.copy()
-        row_lower[masked] = np.inf
-        row_upper[masked] = np.inf
-        chunk_lower = row_lower[lo : hi + 1]
-        chunk_upper = row_upper[lo : hi + 1]
-        progress.rob_lower = min(
-            progress.rob_lower, float(chunk_lower.min())
+    ) -> List[Violation]:
+        """Check the emitted rows and fold them into the rule's result;
+        returns the violations this chunk opened."""
+        codes = evaluate_formula(rule.effective_formula(), ctx)
+        chunk = check_rows(
+            rule,
+            ctx,
+            codes,
+            lo,
+            hi,
+            first_row=history_start,
+            origin=self._start_time,
+            robustness=self.robustness,
         )
-        chunk_min = float(chunk_upper.min())
-        if chunk_min < progress.rob_upper:
-            # Strict improvement only, so ties keep the earliest chunk's
-            # row — matching offline argmin's first-occurrence rule.
-            progress.rob_upper = chunk_min
-            index = int(np.argmin(chunk_upper))
-            progress.worst_row = history_start + lo + index
-            # Recompute from the stream origin rather than reading the
-            # chunk view's times: the view's base is already the sum
-            # t0 + history_start*period, and adding the in-view offset
-            # to that drifts a last-place unit from the offline view's
-            # t0 + row*period.
-            progress.worst_time = (
-                self._start_time + self.period * progress.worst_row
-            )
-        if progress.decided_time is None and progress.rob_upper < 0.0:
-            # The interval [-inf, rob_upper] now excludes zero: the
-            # rule is already certainly violated, however the stream
-            # continues.
-            progress.decided_time = self._latest
-            get_registry().counter("online.early_decisions").inc()
+        total = self._results[rule.rule_id]
+        total.rows_total += chunk.rows_total
+        total.rows_checked += chunk.rows_checked
+        total.rows_masked += chunk.rows_masked
+        total.rows_unknown += chunk.rows_unknown
+        fresh = self._absorb(total.violations, chunk.violations)
+        self._absorb(total.dismissed, chunk.dismissed)
+        if self.robustness:
+            running, step = total.robustness, chunk.robustness
+            if step.upper < running.upper:
+                # Strict improvement only, so ties keep the earliest
+                # chunk's row — matching offline argmin's
+                # first-occurrence rule.
+                total.robustness = replace(
+                    step, lower=min(running.lower, step.lower)
+                )
+            elif step.lower < running.lower:
+                total.robustness = replace(running, lower=step.lower)
+            decided = total.robustness.upper < 0
+            if decided and rule.rule_id not in self._decided:
+                # The interval [-inf, upper] now excludes zero: the rule
+                # is already certainly violated, however the stream
+                # continues.
+                self._decided[rule.rule_id] = self._latest
+                get_registry().counter("online.early_decisions").inc()
+        return fresh
 
     def robustness_intervals(self) -> Dict[str, Tuple[float, float]]:
         """Current per-rule ``[lower, upper]`` margin intervals.
@@ -618,23 +523,16 @@ class OnlineMonitor:
                 "robustness intervals require OnlineMonitor(robustness=True)"
             )
         intervals: Dict[str, Tuple[float, float]] = {}
-        for rule in self.rules:
-            progress = self._progress[rule.rule_id]
-            if self._finished and progress.rows_total:
-                lower = progress.rob_lower
-            else:
-                lower = -math.inf
-            intervals[rule.rule_id] = (lower, progress.rob_upper)
+        for rule_id, result in self._results.items():
+            bounds = result.robustness
+            lower = bounds.lower if self._finished else -math.inf
+            intervals[rule_id] = (lower, bounds.upper)
         return intervals
 
     def early_decisions(self) -> Dict[str, float]:
         """Rules whose interval excluded zero mid-stream, with the
         stream time of that decision."""
-        return {
-            rule.rule_id: self._progress[rule.rule_id].decided_time
-            for rule in self.rules
-            if self._progress[rule.rule_id].decided_time is not None
-        }
+        return dict(self._decided)
 
     @staticmethod
     def _absorb(
@@ -663,30 +561,17 @@ class OnlineMonitor:
                     for name, column in last.witness_columns.items()
                     if name in violation.witness_columns
                 }
-                accumulated[-1] = Violation(
-                    rule_id=last.rule_id,
-                    start_row=last.start_row,
+                accumulated[-1] = replace(
+                    last,
                     end_row=violation.end_row,
-                    start_time=last.start_time,
                     end_time=violation.end_time,
-                    period=last.period,
-                    witness=last.witness,
                     witness_columns=columns,
+                    # The joined run is as deep as its deeper segment.
+                    margin=None
+                    if last.margin is None
+                    else min(last.margin, violation.margin),
                 )
             else:
                 accumulated.append(violation)
                 fresh.append(violation)
         return fresh
-
-    @staticmethod
-    def _shift(violation: Violation, offset: int) -> Violation:
-        return Violation(
-            rule_id=violation.rule_id,
-            start_row=violation.start_row + offset,
-            end_row=violation.end_row + offset,
-            start_time=violation.start_time,
-            end_time=violation.end_time,
-            period=violation.period,
-            witness=violation.witness,
-            witness_columns=violation.witness_columns,
-        )

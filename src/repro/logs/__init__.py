@@ -1,4 +1,4 @@
-"""Traces, on-disk log format, replay, and synthetic vehicle logs."""
+"""Traces, on-disk log format, and synthetic vehicle logs."""
 
 from repro.logs.format import (
     HEADER_PREFIX,
@@ -7,7 +7,6 @@ from repro.logs.format import (
     trace_to_string,
     write_trace,
 )
-from repro.logs.replay import collect, rebuild, replay, windows
 from repro.logs.trace import (
     StreamTrace,
     Trace,
@@ -34,15 +33,11 @@ __all__ = [
     "TraceView",
     "VELOCITY_NOISE_STD",
     "as_vehicle_scenario",
-    "collect",
     "generate_drive_logs",
     "generate_vehicle_log",
     "read_trace",
-    "rebuild",
-    "replay",
     "representative_scenarios",
     "trace_from_string",
     "trace_to_string",
-    "windows",
     "write_trace",
 ]

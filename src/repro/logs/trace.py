@@ -183,14 +183,6 @@ class Trace:
                 out.record(signal, times[i], self._values[signal][i])
         return out
 
-    def merged_with(self, other: "Trace", name: str = "") -> "Trace":
-        """A new trace combining this trace's updates with ``other``'s."""
-        out = Trace(name or self.name)
-        for source in (self, other):
-            for t, signal, value in source.events():
-                out.record(signal, t, value)
-        return out
-
     def to_view(
         self,
         period: float,

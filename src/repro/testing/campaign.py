@@ -22,7 +22,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.can.fsracc import FSRACC_INPUTS, fsracc_database
-from repro.core.monitor import Monitor, MonitorReport, Rule
+from repro.core.monitor import (
+    Monitor,
+    MonitorReport,
+    Rule,
+    require_non_negative,
+)
 from repro.errors import InjectionError
 from repro.hil.simulator import HilSimulator, SimulationResult
 from repro.hil.typecheck import HIL_PROFILE, InjectionTypeChecker
@@ -196,11 +201,7 @@ class RobustnessCampaign:
                 % (margin_threshold,)
             )
         if near_miss_threshold is not None:
-            if near_miss_threshold < 0:
-                raise ValueError(
-                    "near_miss_threshold must be non-negative, got %r"
-                    % (near_miss_threshold,)
-                )
+            require_non_negative("near_miss_threshold", near_miss_threshold)
             robustness = True
         #: Also compute per-cell robustness margins (the heatmap variant
         #: of Table I).  The letters are bit-identical either way — the

@@ -5,10 +5,12 @@ import pytest
 from helpers import rule_trace, uniform_trace
 from repro.core.intent import DurationFilter
 from repro.core.monitor import Monitor, MonitorReport, Rule
+from repro.core.online import OnlineMonitor
 from repro.core.statemachine import StateMachine
 from repro.core.types import Verdict
 from repro.core.warmup import WarmupSpec
 from repro.errors import SpecError
+from repro.testing.campaign import RobustnessCampaign
 
 
 def simple_rule(formula="x > 0", gate=None, **kwargs):
@@ -81,6 +83,25 @@ class TestMonitorBasics:
         report = monitor.check(uniform_trace({"x": [5, -1, 5]}))
         assert report.letter("r1") == "V"
         assert report.letter("r2") == "S"
+
+
+class TestNearMissThreshold:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda rules: Monitor(rules).check(
+                uniform_trace({"x": [1, 2]}), near_miss_threshold=-1.0
+            ),
+            lambda rules: OnlineMonitor(rules, near_miss_threshold=-1.0),
+            lambda rules: RobustnessCampaign(
+                rules=rules, near_miss_threshold=-1.0
+            ),
+        ],
+        ids=["offline", "online", "campaign"],
+    )
+    def test_negative_threshold_is_a_spec_error(self, build):
+        with pytest.raises(SpecError, match="near_miss_threshold"):
+            build([simple_rule()])
 
 
 class TestGating:

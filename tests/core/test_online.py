@@ -25,18 +25,27 @@ from repro.obs import MetricsRegistry, use_registry
 PERIOD = 0.02
 
 
-def compare(rules, trace, machines=(), min_chunk_rows=7, retention=1.0):
-    offline = Monitor(rules, machines=machines, period=PERIOD).check(trace)
+def compare(rules, trace, machines=(), min_chunk_rows=7, retention=1.0, **check):
+    """Offline and online reports for one trace; ``check`` (``robustness``,
+    ``near_miss_threshold``) goes to both monitors."""
+    offline = Monitor(rules, machines=machines, period=PERIOD).check(
+        trace, **check
+    )
     online = OnlineMonitor(
         rules,
         machines=machines,
         period=PERIOD,
         min_chunk_rows=min_chunk_rows,
         retention=retention,
+        **check,
     )
     online.feed_trace(trace)
     report = online.finish()
     return offline, report
+
+
+def spans(violations):
+    return [(v.start_row, v.end_row) for v in violations]
 
 
 def assert_equivalent(offline, online):
@@ -45,11 +54,17 @@ def assert_equivalent(offline, online):
         off = offline.results[rule_id]
         on = online.results[rule_id]
         assert off.verdict is on.verdict, rule_id
-        assert [(v.start_row, v.end_row) for v in off.violations] == [
-            (v.start_row, v.end_row) for v in on.violations
-        ], rule_id
+        assert spans(off.violations) == spans(on.violations), rule_id
+        assert spans(off.dismissed) == spans(on.dismissed), rule_id
         assert off.rows_unknown == on.rows_unknown, rule_id
         assert off.rows_total == on.rows_total, rule_id
+        assert off.rows_checked == on.rows_checked, rule_id
+        assert off.rows_masked == on.rows_masked, rule_id
+        # Violation equality ignores the depth, so compare it directly.
+        assert [v.margin for v in off.violations] == [
+            v.margin for v in on.violations
+        ], rule_id
+        assert off.near_miss == on.near_miss, rule_id
         for off_v, on_v in zip(off.violations, on.violations):
             assert_witness_equal(off_v, on_v, rule_id)
 
@@ -202,8 +217,8 @@ class TestDifferentialFuzz:
     chunk sizes, and retention windows — online must equal offline for
     every draw.  Seeds are fixed so CI failures reproduce exactly."""
 
-    @pytest.mark.parametrize("seed", range(12))
-    def test_randomized_trace_and_chunking(self, seed):
+    @staticmethod
+    def _randomized_case(seed):
         rng = np.random.default_rng(9000 + seed)
         n_rows = int(rng.integers(40, 220))
         trace = uniform_trace(
@@ -221,9 +236,24 @@ class TestDifferentialFuzz:
         ]
         chunk = int(rng.integers(1, 61))
         retention = float(rng.uniform(0.05, 2.5))
-        assert_equivalent(
-            *compare(rules, trace, min_chunk_rows=chunk, retention=retention)
+        return rules, trace, dict(min_chunk_rows=chunk, retention=retention)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_randomized_trace_and_chunking(self, seed):
+        rules, trace, stream = self._randomized_case(seed)
+        assert_equivalent(*compare(rules, trace, **stream))
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_randomized_trace_with_margins(self, seed):
+        """The same draws checked with robustness on: violation depths,
+        rule intervals and near misses must survive the chunking too."""
+        rules, trace, stream = self._randomized_case(seed)
+        offline, online = compare(
+            rules, trace, robustness=True, near_miss_threshold=0.5, **stream
         )
+        assert_equivalent(offline, online)
+        for rule_id, off in offline.results.items():
+            assert online.results[rule_id].robustness == off.robustness
 
     @pytest.mark.parametrize("seed", range(6))
     def test_randomized_multirate_trace(self, seed):
@@ -680,6 +710,14 @@ class TestRobustnessOnline:
         online = OnlineMonitor([Rule.from_text("r", "n", "x > 0")])
         with pytest.raises(TraceError):
             online.robustness_intervals()
+
+    def test_violation_depth_streamed(self):
+        """A streamed violation carries the offline depth, not ``None``."""
+        rule = Rule.from_text("r", "n", "x < 3")
+        trace = uniform_trace({"x": [5.0] * 60})
+        offline, online = compare([rule], trace, robustness=True)
+        assert [v.margin for v in offline.results["r"].violations] == [-2.0]
+        assert_equivalent(offline, online)
 
     def test_zero_row_stream_finishes_unknown_interval(self):
         online = OnlineMonitor(

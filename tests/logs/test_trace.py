@@ -96,12 +96,6 @@ class TestTransformation:
         piece = trace.sliced(2.0, 5.0)
         assert [t for t, _ in piece.updates("a")] == [2.0, 3.0, 4.0, 5.0]
 
-    def test_merged_with_combines_signals(self):
-        a = uniform_trace({"x": [1, 2]})
-        b = uniform_trace({"y": [3, 4]})
-        merged = a.merged_with(b)
-        assert merged.signals() == ("x", "y")
-
 
 class TestViewSampling:
     def test_hold_semantics(self):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.logs.format import write_trace
 from repro.obs import METRICS_SNAPSHOT
 from repro.schema import require_valid, validate
 
@@ -409,6 +410,34 @@ class TestTable1Prune:
         assert pruned.read_bytes() == plain.read_bytes()
 
 
+class TestNegativeThresholds:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "{trace}", "--near-miss-threshold", "-1"],
+            ["table1", "--limit", "1", "--near-miss-threshold", "-1"],
+            [
+                "table1", "--limit", "1", "--prune", "margins",
+                "--prune-threshold", "-1",
+            ],
+            ["margins", "--threshold", "-1"],
+        ],
+        ids=["check", "table1-near-miss", "table1-prune", "margins"],
+    )
+    def test_rejected_as_usage_error(
+        self, argv, tmp_path, nominal_trace, capsys
+    ):
+        trace = tmp_path / "trace.csv"
+        write_trace(nominal_trace, str(trace))
+        args = [arg.format(trace=trace) for arg in argv]
+        if args[0] == "table1":
+            args += FAST_TABLE1
+        with pytest.raises(SystemExit) as excinfo:
+            main(args)
+        assert excinfo.value.code == 2
+        assert "must be >= 0, got -1" in capsys.readouterr().err
+
+
 class TestMarginsCommand:
     def test_paper_rules_text_report(self, capsys):
         assert main(["margins"]) == 0
@@ -443,7 +472,9 @@ class TestMarginsCommand:
         assert {"rank", "test", "rule", "lower", "upper"} <= set(seeds[0])
 
     def test_threshold_must_be_non_negative(self, capsys):
-        assert main(["margins", "--threshold", "-1"]) == 2
+        with pytest.raises(SystemExit) as excinfo:
+            main(["margins", "--threshold", "-1"])
+        assert excinfo.value.code == 2
         capsys.readouterr()
 
     def test_margins_spec_file(self, tmp_path, capsys):
