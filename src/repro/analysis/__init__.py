@@ -87,7 +87,6 @@ from repro.analysis.margins import (
     analyze_margins,
     analyze_margins_specs,
     cell_env,
-    expr_margin,
     formula_margin,
     margin_env,
     rule_margin,
@@ -162,7 +161,6 @@ __all__ = [
     "database_env",
     "dbc_environment",
     "expr_interval",
-    "expr_margin",
     "formula_margin",
     "formula_status",
     "fsracc_flow",

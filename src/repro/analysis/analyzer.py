@@ -15,6 +15,7 @@ sorted most-severe-first.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.analysis.checks import (
@@ -32,18 +33,17 @@ from repro.core.statemachine import StateMachine
 def database_env(database) -> Dict[str, Interval]:
     """Physical value ranges per signal, derived from the CAN database.
 
-    Booleans are ``[0, 1]``; floats and enums use their DBC
-    ``minimum``/``maximum``, with missing sides left unbounded.
+    Each interval is :meth:`~repro.can.signal.SignalDef.physical_range`,
+    with missing sides left unbounded.
     """
     env: Dict[str, Interval] = {}
     for message in database.messages():
         for signal in message.signals:
-            if signal.kind.value == "bool":
-                env[signal.name] = Interval(0.0, 1.0)
-                continue
-            lo = signal.minimum if signal.minimum is not None else -float("inf")
-            hi = signal.maximum if signal.maximum is not None else float("inf")
-            env[signal.name] = Interval(float(lo), float(hi))
+            lo, hi = signal.physical_range()
+            env[signal.name] = Interval(
+                -math.inf if lo is None else lo,
+                math.inf if hi is None else hi,
+            )
     return env
 
 

@@ -126,8 +126,8 @@ def formula_status(formula: Formula, env: Mapping[str, Interval]) -> str:
     if isinstance(formula, Comparison):
         return compare(
             formula.op,
-            expr_interval(formula.left, env),
-            expr_interval(formula.right, env),
+            expr_interval(formula.left, env)[0],
+            expr_interval(formula.right, env)[0],
         )
     if isinstance(formula, Not):
         return negate_status(formula_status(formula.operand, env))
@@ -363,8 +363,8 @@ def check_static_comparisons(rule, subject: str, ctx: LintContext) -> Iterator[D
         for comparison in iter_nodes(node, Comparison):
             status = compare(
                 comparison.op,
-                expr_interval(comparison.left, ctx.env),
-                expr_interval(comparison.right, ctx.env),
+                expr_interval(comparison.left, ctx.env)[0],
+                expr_interval(comparison.right, ctx.env)[0],
             )
             if status == MAYBE:
                 continue
@@ -572,17 +572,7 @@ def check_machine(machine: StateMachine, ctx: LintContext) -> Iterator[Diagnosti
                 )
 
     # SL601: reachability from the initial state.
-    reachable = {machine.initial}
-    frontier = [machine.initial]
-    by_source: Dict[str, List] = {}
-    for transition in machine.transitions:
-        by_source.setdefault(transition.source, []).append(transition)
-    while frontier:
-        state = frontier.pop()
-        for transition in by_source.get(state, ()):
-            if transition.target not in reachable:
-                reachable.add(transition.target)
-                frontier.append(transition.target)
+    reachable = machine.reachable_states()
     for state in machine.states:
         if state not in reachable:
             yield make_diagnostic(
@@ -594,6 +584,9 @@ def check_machine(machine: StateMachine, ctx: LintContext) -> Iterator[Diagnosti
             )
 
     # SL602/SL603: guard overlap and statically constant guards.
+    by_source: Dict[str, List] = {}
+    for transition in machine.transitions:
+        by_source.setdefault(transition.source, []).append(transition)
     for source, transitions in by_source.items():
         seen_guards: Dict[str, str] = {}
         for index, transition in enumerate(transitions):

@@ -160,45 +160,6 @@ class DependencyGraph:
         of a state machine it references."""
         return self._rule_signals[rule_id]
 
-    def rule_observability(self, rule_id: str) -> FrozenSet[str]:
-        """The *minimal* observable-signal set of one rule, from the
-        symbolic automata pass (:func:`repro.analysis.automata.
-        reduce_observables`).
-
-        A subset of :meth:`rule_signals`: signals whose values the
-        rule's compiled automaton never distinguishes are dropped.
-        Falls back to the full syntactic footprint when the rule is
-        outside the automata fragment — the conservative answer keeps
-        every dead-cell / dead-test verdict sound.
-        """
-        # Imported here so the cheap syntactic graph never pays for the
-        # automata machinery unless this refinement is requested.
-        from repro.analysis.automata import compile_rule
-        from repro.analysis.predicates import dbc_environment
-
-        for rule in self.rules:
-            if rule.rule_id == rule_id:
-                break
-        else:
-            raise KeyError(rule_id)
-        env, bool_signals = dbc_environment(self.database)
-        compiled = compile_rule(
-            rule,
-            machines=tuple(self.machines.values()),
-            env=env,
-            bool_signals=bool_signals,
-        )
-        if compiled.observability is None:
-            return self._rule_signals[rule_id]
-        # Only signals the automaton models can be dropped: anything in
-        # the syntactic footprint but outside the predicate alphabet
-        # (warm-up triggers, intent-filter inputs) stays required.
-        footprint = self._rule_signals[rule_id]
-        modelled = frozenset(compiled.observability.referenced)
-        required = set(compiled.observability.required)
-        required.update(footprint - modelled)
-        return frozenset(required)
-
     def referenced_signals(self) -> FrozenSet[str]:
         """The union of all rule references and machine guard signals."""
         names: List[str] = []

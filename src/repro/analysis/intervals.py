@@ -1,24 +1,39 @@
-"""Interval arithmetic over spec expressions, seeded from DBC ranges.
+"""The one abstract evaluator of spec expressions: intervals plus NaN.
 
-The CAN database knows every signal's physical ``minimum``/``maximum``;
-pushing those ranges through an expression gives a sound over-
-approximation of the values it can take, which is enough to decide
-whether a comparison is *always* true, *never* true, or genuinely
-contingent for in-range data.  The analysis is deliberately conservative:
-when in doubt (division through zero, unbounded trace functions) it
-answers with the full line, and the caller reports nothing.
+Every static analysis reads rule expressions through
+:func:`expr_interval`.  Its abstract value is a pair: a closed
+:class:`Interval` bounding every non-NaN value the expression can take,
+and a *may-NaN* flag.  The flag is what keeps ``signal * 0`` sound when
+the signal can be NaN (``NaN * 0`` is NaN while the interval product
+collapses to ``[0, 0]``); it is raised exactly where IEEE arithmetic
+makes NaN from non-NaN operands and propagated through every operator,
+matching the dynamic robustness semantics of
+:mod:`repro.core.evaluator`.  Endpoint arithmetic widens: an
+indeterminate ``inf - inf`` endpoint goes to the conservative infinity,
+so no invalid interval is ever built.
 
-The model deliberately ignores injected out-of-range values: a
-comparison flagged "always true" can still be falsified by NaN or an
-out-of-range injection, but as *specified intent* it is dead weight —
-which is exactly what the check is after.
+The environment is a map of signal ranges (see
+:func:`repro.analysis.analyzer.database_env`, which seeds them from the
+DBC physical ranges) plus the set of signals that may also be NaN; a
+signal absent from the ranges is unbounded and may be NaN.  The callers
+read what they need from the pair:
+
+* speclint (:mod:`repro.analysis.checks`) decides comparisons from the
+  intervals alone — an in-range, non-NaN model, so a comparison flagged
+  "always true" can still be falsified by NaN or an out-of-range
+  injection, but as *specified intent* it is dead weight;
+* the margin prover (:mod:`repro.analysis.margins`) uses both parts;
+* the alphabet coherence filter (:mod:`repro.analysis.predicates`)
+  passes per-letter ``bounds`` on keyed sub-expressions, which the walk
+  meets at each keyed node, raising :class:`EmptyMeet` when the letter
+  asks for an impossible value.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional
+from typing import AbstractSet, Mapping, Optional, Tuple
 
 from repro.core.ast import (
     Binary,
@@ -82,14 +97,21 @@ def _safe_mul(a: float, b: float) -> float:
     return a * b
 
 
+def _widened(lo: float, hi: float) -> Interval:
+    """``[lo, hi]`` with an indeterminate (NaN) endpoint widened outward."""
+    return Interval(
+        -_INF if math.isnan(lo) else lo, _INF if math.isnan(hi) else hi
+    )
+
+
 def add(a: Interval, b: Interval) -> Interval:
-    """Interval sum."""
-    return Interval(a.lo + b.lo, a.hi + b.hi)
+    """Interval sum; an ``inf + -inf`` endpoint widens outward."""
+    return _widened(a.lo + b.lo, a.hi + b.hi)
 
 
 def sub(a: Interval, b: Interval) -> Interval:
-    """Interval difference."""
-    return Interval(a.lo - b.hi, a.hi - b.lo)
+    """Interval difference; an ``inf - inf`` endpoint widens outward."""
+    return _widened(a.lo - b.hi, a.hi - b.lo)
 
 
 def neg(a: Interval) -> Interval:
@@ -160,51 +182,123 @@ def span(a: Interval) -> Interval:
     return Interval(-width, width)
 
 
-def expr_interval(
-    expr: Expr, env: Mapping[str, Interval]
-) -> Interval:
-    """Over-approximate the values ``expr`` can take.
+class EmptyMeet(Exception):
+    """A keyed sub-expression's bound misses every value it can take."""
 
-    ``env`` maps signal names to their physical ranges (see
-    :func:`repro.analysis.analyzer.database_env`); unknown signals are
-    unbounded.
+
+_BINARY = {
+    "+": add,
+    "-": sub,
+    "*": mul,
+    "/": div,
+    "min": min_,
+    "max": max_,
+}
+
+
+def _binary_makes_nan(op: str, a: Interval, b: Interval) -> bool:
+    """Whether ``x op y`` can be NaN for some non-NaN ``x`` in ``a``,
+    ``y`` in ``b`` (``inf - inf``, ``0 * inf``, ``x / 0``, ``inf / inf``);
+    ``min``/``max`` only propagate NaN."""
+    if op == "+":
+        return (a.hi == _INF and b.lo == -_INF) or (
+            a.lo == -_INF and b.hi == _INF
+        )
+    if op == "-":
+        return (a.hi == _INF and b.hi == _INF) or (
+            a.lo == -_INF and b.lo == -_INF
+        )
+    if op == "*":
+        return (not a.bounded and b.contains(0.0)) or (
+            not b.bounded and a.contains(0.0)
+        )
+    if op == "/":
+        return b.contains(0.0) or (not a.bounded and not b.bounded)
+    return False
+
+
+def _signal_value(
+    name: str, ranges: Mapping[str, Interval], nan_signals: AbstractSet[str]
+) -> Tuple[Interval, bool]:
+    interval = ranges.get(name)
+    if interval is None:
+        return TOP, True
+    return interval, name in nan_signals
+
+
+def expr_interval(
+    expr: Expr,
+    ranges: Mapping[str, Interval],
+    nan_signals: AbstractSet[str] = frozenset(),
+    bounds: Optional[Mapping[Expr, Interval]] = None,
+) -> Tuple[Interval, bool]:
+    """Abstract value of ``expr``: value interval plus a may-NaN flag.
+
+    ``ranges`` maps signal names to their value ranges and
+    ``nan_signals`` names the ranged signals that may also be NaN; a
+    signal absent from ``ranges`` is unbounded and may be NaN.  Every
+    sub-expression that is a key of ``bounds`` has its interval met
+    with that bound; an empty meet raises :class:`EmptyMeet`.
     """
+    interval, may_nan = _expr_value(expr, ranges, nan_signals, bounds)
+    if bounds:
+        bound = bounds.get(expr)
+        if bound is not None:
+            met = intersect(interval, bound)
+            if met is None:
+                raise EmptyMeet("%s cannot lie in %s" % (expr, bound))
+            interval = met
+    return interval, may_nan
+
+
+def _expr_value(
+    expr: Expr,
+    ranges: Mapping[str, Interval],
+    nan_signals: AbstractSet[str],
+    bounds: Optional[Mapping[Expr, Interval]],
+) -> Tuple[Interval, bool]:
     if isinstance(expr, Constant):
-        if math.isnan(expr.value):
-            return TOP
-        return point(expr.value)
+        value = float(expr.value)
+        if math.isnan(value):
+            return TOP, True
+        return point(value), False
     if isinstance(expr, SignalRef):
-        return env.get(expr.name, TOP)
+        return _signal_value(expr.name, ranges, nan_signals)
     if isinstance(expr, Unary):
-        inner = expr_interval(expr.operand, env)
+        inner, nan = expr_interval(expr.operand, ranges, nan_signals, bounds)
         if expr.op == "-":
-            return neg(inner)
+            return neg(inner), nan
         if expr.op == "abs":
-            return abs_(inner)
-        return TOP
+            return abs_(inner), nan
+        return TOP, True
     if isinstance(expr, Binary):
-        left = expr_interval(expr.left, env)
-        right = expr_interval(expr.right, env)
-        op = {
-            "+": add,
-            "-": sub,
-            "*": mul,
-            "/": div,
-            "min": min_,
-            "max": max_,
-        }.get(expr.op)
-        return op(left, right) if op else TOP
+        left, left_nan = expr_interval(expr.left, ranges, nan_signals, bounds)
+        right, right_nan = expr_interval(
+            expr.right, ranges, nan_signals, bounds
+        )
+        combine = _BINARY.get(expr.op)
+        if combine is None:
+            return TOP, True
+        nan = left_nan or right_nan or _binary_makes_nan(expr.op, left, right)
+        return combine(left, right), nan
     if isinstance(expr, TraceFunc):
-        base = env.get(expr.signal, TOP)
+        # Trace functions read other samples than the current row's, so
+        # they see the signal's full range, never a keyed bound on it.
+        base, base_nan = _signal_value(expr.signal, ranges, nan_signals)
         if expr.kind == "prev":
-            return base
+            return base, base_nan
         if expr.kind in ("delta", "delta_naive"):
-            return span(base)
+            # Difference of two held samples, or exactly 0 before two
+            # updates have arrived; 0 is always inside span().  An
+            # unbounded base can difference inf - inf into NaN.
+            return span(base), base_nan or not base.bounded
+        if expr.kind == "rate":
+            # delta over a positive finite freshness gap: any magnitude.
+            return TOP, base_nan or not base.bounded
         if expr.kind == "age":
-            return Interval(0.0, _INF)
-        # rate depends on inter-sample timing; stay conservative.
-        return TOP
-    return TOP
+            # Row counts: non-negative integers, never NaN.
+            return Interval(0.0, _INF), False
+    return TOP, True
 
 
 def compare(op: str, left: Interval, right: Interval) -> str:

@@ -5,15 +5,13 @@ upper]`` intervals from :mod:`repro.core.robustness`, computed over one
 concrete trace.  This module computes the *static* counterpart: a single
 sound ``[lower, upper]`` interval per rule that contains every per-row
 value the dynamic evaluator can ever produce, for any trace whose
-signals stay inside a declared environment.  It generalizes the boolean
-interval analysis of :mod:`repro.analysis.intervals` to the quantitative
-lattice:
+signals stay inside a declared environment.  It lifts the interval
+walk of :mod:`repro.analysis.intervals` from expressions to formulas,
+on the quantitative lattice:
 
-* **expressions** evaluate to an :class:`~repro.analysis.intervals.
-  Interval` plus a *may-NaN* flag (the abstract value is the pair —
-  tracking NaN separately is what keeps ``signal * 0`` sound when the
-  signal can be NaN, since ``NaN * 0`` is NaN while the interval product
-  collapses to ``[0, 0]``);
+* **expressions** evaluate through the shared abstract evaluator
+  :func:`~repro.analysis.intervals.expr_interval` to an interval plus a
+  *may-NaN* flag;
 * **comparisons** map operand intervals to margin intervals exactly as
   :func:`repro.core.evaluator._comparison_margin` maps operand values to
   margins, with NaN folded to the operator's infinity;
@@ -27,7 +25,8 @@ lattice:
   qualify on a finite trace);
 * **machine guards** (``in_state``) lift to the full line, refined to
   certainly-false when the named state is unreachable from the
-  machine's initial state.
+  machine's initial state (:meth:`~repro.core.statemachine.StateMachine.
+  reachable_states`, the relation speclint's SL601 reports).
 
 Soundness contract (checked by ``tests/analysis/
 test_margins_differential.py`` over every paper rule and 500+ fuzzed
@@ -70,23 +69,18 @@ from repro.analysis.intervals import (
     TOP,
     Interval,
     abs_,
-    div,
+    expr_interval,
     max_,
     min_,
-    mul,
     neg,
-    point,
-    span,
+    sub,
 )
 from repro.core.ast import (
     Always,
     And,
-    Binary,
     BoolConst,
     Comparison,
-    Constant,
     Eventually,
-    Expr,
     Formula,
     Fresh,
     Historically,
@@ -98,8 +92,6 @@ from repro.core.ast import (
     Or,
     SignalPredicate,
     SignalRef,
-    TraceFunc,
-    Unary,
 )
 from repro.core.monitor import DEFAULT_PERIOD, Rule
 from repro.core.statemachine import StateMachine
@@ -135,13 +127,6 @@ class MarginEnv:
 
     intervals: Mapping[str, Interval]
     nan_signals: FrozenSet[str] = frozenset()
-
-    def value(self, name: str) -> Tuple[Interval, bool]:
-        """The abstract value of one signal: (interval, may-NaN)."""
-        interval = self.intervals.get(name)
-        if interval is None:
-            return TOP, True
-        return interval, name in self.nan_signals
 
 
 def margin_env(database: object) -> MarginEnv:
@@ -205,109 +190,6 @@ def cell_env(
 
 
 # ----------------------------------------------------------------------
-# Abstract expression evaluation: (Interval, may-NaN)
-# ----------------------------------------------------------------------
-
-
-def _lo_safe(value: float) -> float:
-    """A lower endpoint; indeterminate endpoint arithmetic widens down."""
-    return -_INF if math.isnan(value) else value
-
-
-def _hi_safe(value: float) -> float:
-    """An upper endpoint; indeterminate endpoint arithmetic widens up."""
-    return _INF if math.isnan(value) else value
-
-
-def _add_wide(a: Interval, b: Interval) -> Interval:
-    """Interval sum, with ``inf + -inf`` endpoints widened outward."""
-    return Interval(_lo_safe(a.lo + b.lo), _hi_safe(a.hi + b.hi))
-
-
-def _sub_wide(a: Interval, b: Interval) -> Interval:
-    """Interval difference, with ``inf - inf`` endpoints widened."""
-    return Interval(_lo_safe(a.lo - b.hi), _hi_safe(a.hi - b.lo))
-
-
-def _unbounded(a: Interval) -> bool:
-    return math.isinf(a.lo) or math.isinf(a.hi)
-
-
-def expr_margin(expr: Expr, env: MarginEnv) -> Tuple[Interval, bool]:
-    """Abstract value of ``expr``: value interval plus a may-NaN flag.
-
-    The interval bounds every non-NaN value the expression can take; the
-    flag records whether a row can evaluate to NaN at all.  The flag is
-    generated exactly where IEEE arithmetic makes NaN from non-NaN
-    operands (``inf - inf``, ``0 * inf``, ``x / 0``, ``inf / inf``) and
-    propagated through every operator (``min``/``max`` follow numpy's
-    propagating semantics).
-    """
-    if isinstance(expr, Constant):
-        value = float(expr.value)
-        if math.isnan(value):
-            return TOP, True
-        return point(value), False
-    if isinstance(expr, SignalRef):
-        return env.value(expr.name)
-    if isinstance(expr, Unary):
-        inner, nan = expr_margin(expr.operand, env)
-        if expr.op == "-":
-            return neg(inner), nan
-        if expr.op == "abs":
-            return abs_(inner), nan
-        return TOP, True
-    if isinstance(expr, Binary):
-        left, left_nan = expr_margin(expr.left, env)
-        right, right_nan = expr_margin(expr.right, env)
-        nan = left_nan or right_nan
-        if expr.op == "+":
-            nan = nan or (
-                (left.hi == _INF and right.lo == -_INF)
-                or (left.lo == -_INF and right.hi == _INF)
-            )
-            return _add_wide(left, right), nan
-        if expr.op == "-":
-            nan = nan or (
-                (left.hi == _INF and right.hi == _INF)
-                or (left.lo == -_INF and right.lo == -_INF)
-            )
-            return _sub_wide(left, right), nan
-        if expr.op == "*":
-            nan = nan or (
-                (_unbounded(left) and right.contains(0.0))
-                or (_unbounded(right) and left.contains(0.0))
-            )
-            return mul(left, right), nan
-        if expr.op == "/":
-            nan = nan or right.contains(0.0) or (
-                _unbounded(left) and _unbounded(right)
-            )
-            return div(left, right), nan
-        if expr.op == "min":
-            return min_(left, right), nan
-        if expr.op == "max":
-            return max_(left, right), nan
-        return TOP, True
-    if isinstance(expr, TraceFunc):
-        base, base_nan = env.value(expr.signal)
-        if expr.kind == "prev":
-            return base, base_nan
-        if expr.kind in ("delta", "delta_naive"):
-            # Difference of two held samples, or exactly 0 before two
-            # updates have arrived; 0 is always inside span().  An
-            # unbounded base can difference inf - inf into NaN.
-            return span(base), base_nan or not base.bounded
-        if expr.kind == "rate":
-            # delta over a positive finite freshness gap: any magnitude.
-            return TOP, base_nan or not base.bounded
-        if expr.kind == "age":
-            # Row counts: non-negative integers, never NaN.
-            return Interval(0.0, _INF), False
-    return TOP, True
-
-
-# ----------------------------------------------------------------------
 # Abstract formula evaluation: one margin interval
 # ----------------------------------------------------------------------
 
@@ -321,17 +203,19 @@ def _comparison_margin_interval(node: Comparison, env: MarginEnv) -> Interval:
     the dynamic evaluator folds NaN margins to (``+inf`` for ``!=``,
     ``-inf`` otherwise).
     """
-    left, left_nan = expr_margin(node.left, env)
-    right, right_nan = expr_margin(node.right, env)
+    left, left_nan = expr_interval(node.left, env.intervals, env.nan_signals)
+    right, right_nan = expr_interval(
+        node.right, env.intervals, env.nan_signals
+    )
     may_nan = left_nan or right_nan
     if node.op in ("<", "<="):
-        margin = _sub_wide(right, left)
+        margin = sub(right, left)
     elif node.op in (">", ">="):
-        margin = _sub_wide(left, right)
+        margin = sub(left, right)
     elif node.op == "==":
-        margin = neg(abs_(_sub_wide(left, right)))
+        margin = neg(abs_(sub(left, right)))
     elif node.op == "!=":
-        margin = abs_(_sub_wide(left, right))
+        margin = abs_(sub(left, right))
     else:
         return TOP
     if may_nan:
@@ -340,23 +224,6 @@ def _comparison_margin_interval(node: Comparison, env: MarginEnv) -> Interval:
         else:
             margin = Interval(-_INF, margin.hi)
     return margin
-
-
-def _reachable_states(machine: StateMachine) -> FrozenSet[str]:
-    """States reachable from the initial state over any transition chain
-    (the SL601 relation — guards are ignored, so this over-approximates)."""
-    reachable = {machine.initial}
-    frontier = [machine.initial]
-    by_source: Dict[str, List[str]] = {}
-    for transition in machine.transitions:
-        by_source.setdefault(transition.source, []).append(transition.target)
-    while frontier:
-        state = frontier.pop()
-        for target in by_source.get(state, ()):
-            if target not in reachable:
-                reachable.add(target)
-                frontier.append(target)
-    return frozenset(reachable)
 
 
 def _in_state_margin(
@@ -368,7 +235,7 @@ def _in_state_margin(
     machine = machines.get(node.machine)
     if machine is None or node.state not in machine.states:
         return TOP
-    if node.state not in _reachable_states(machine):
+    if node.state not in machine.reachable_states():
         return CERTAIN_FALSE
     return TOP
 
@@ -432,7 +299,9 @@ def _formula_margin(
     if isinstance(node, BoolConst):
         return CERTAIN_TRUE if node.value else CERTAIN_FALSE
     if isinstance(node, SignalPredicate):
-        interval, may_nan = env.value(node.name)
+        interval, may_nan = expr_interval(
+            SignalRef(node.name), env.intervals, env.nan_signals
+        )
         # Dynamic: nonzero is TRUE (+inf), zero FALSE (-inf); NaN != 0
         # is True, so a NaN row is TRUE and cannot break certainty.
         if not interval.contains(0.0):

@@ -8,14 +8,17 @@ its machine's transition guards) and enumerates the **coherent**
 assignments: the subsets of atoms that some in-range, non-NaN row could
 satisfy simultaneously.
 
-Coherence is decided with the same interval arithmetic the margin
-prover uses, seeded from the DBC signal ranges, but with *strict*
-bounds tracked separately so that ``x < 1`` and ``x > 1`` are
-recognized as disjoint (the closed :class:`~repro.analysis.intervals.
-Interval` cannot express that).  Comparisons are normalized to
-``expression op constant`` form, grouped by structural left-hand side,
-and each group's bound set is intersected; compound expressions are
-then re-checked against the refined per-signal ranges.
+Coherence is decided with strict bounds tracked per comparison group,
+so that ``x < 1`` and ``x > 1`` are recognized as disjoint (the closed
+:class:`~repro.analysis.intervals.Interval` cannot express that).
+Comparisons are normalized to ``expression op constant`` form and
+grouped by structural left-hand side; each group's bound set is
+intersected, and bare-signal groups are also met with the signal's DBC
+range.  The closed hull of every group then becomes a keyed bound for
+the shared abstract evaluator
+(:func:`~repro.analysis.intervals.expr_interval`), which re-walks each
+group's expression and meets every keyed sub-expression with its hull
+on the way up — catching e.g. ``abs(E) < 0.05`` against ``E > 0.75``.
 
 Soundness contract: the letter set **over-approximates** the feasible
 assignments.  Every in-range, non-NaN row induces a letter that
@@ -50,17 +53,9 @@ if TYPE_CHECKING:  # pragma: no cover — import cycle is runtime-only
 
 from repro.analysis.intervals import (
     TOP,
+    EmptyMeet,
     Interval,
-    abs_,
-    add,
-    div,
-    intersect,
-    max_,
-    min_,
-    mul,
-    neg,
-    point,
-    sub,
+    expr_interval,
 )
 from repro.core.ast import (
     And,
@@ -77,8 +72,6 @@ from repro.core.ast import (
     Or,
     SignalPredicate,
     SignalRef,
-    TraceFunc,
-    Unary,
 )
 from repro.core.statemachine import StateMachine
 
@@ -260,55 +253,6 @@ def _normalized(
     return (Binary("-", comparison.left, comparison.right), op, 0.0)
 
 
-def _refined_expr_interval(
-    expr: Expr,
-    env: Mapping[str, Interval],
-    hulls: Mapping[Expr, Interval],
-) -> Optional[Interval]:
-    """Interval of ``expr`` under ``env``, narrowed by the group hulls.
-
-    Every sub-expression that is itself a constraint-group key gets its
-    computed interval intersected with that group's hull — ``None``
-    (disjoint) means the letter requires an impossible value.
-    """
-    if isinstance(expr, Constant):
-        interval: Optional[Interval] = point(float(expr.value))
-    elif isinstance(expr, SignalRef):
-        interval = env.get(expr.name, TOP)
-    elif isinstance(expr, Unary):
-        operand = _refined_expr_interval(expr.operand, env, hulls)
-        if operand is None:
-            return None
-        interval = neg(operand) if expr.op == "-" else abs_(operand)
-    elif isinstance(expr, Binary):
-        left = _refined_expr_interval(expr.left, env, hulls)
-        right = _refined_expr_interval(expr.right, env, hulls)
-        if left is None or right is None:
-            return None
-        combine = {
-            "+": add,
-            "-": sub,
-            "*": mul,
-            "/": div,
-            "min": min_,
-            "max": max_,
-        }[expr.op]
-        interval = combine(left, right)
-    elif isinstance(expr, TraceFunc):
-        if expr.kind == "prev":
-            interval = env.get(expr.signal, TOP)
-        elif expr.kind == "age":
-            interval = Interval(0.0, math.inf)
-        else:  # delta / delta_naive / rate: unbounded between two reads
-            interval = TOP
-    else:
-        interval = TOP
-    hull = hulls.get(expr)
-    if hull is not None:
-        interval = intersect(interval, hull)
-    return interval
-
-
 def _letter_coherent(
     letter: int,
     atoms: Sequence[Formula],
@@ -334,26 +278,21 @@ def _letter_coherent(
         if constraint.empty:
             return False
 
-    # Refine the per-signal environment from bare-signal groups, then
-    # check every group hull against interval arithmetic over the
-    # refined ranges (catching e.g. ``abs(E) < 0.05`` vs ``E > 0.75``).
-    refined: Dict[str, Interval] = dict(env)
-    for key, constraint in groups.items():
-        if isinstance(key, SignalRef):
-            constraint.restrict(refined.get(key.name, TOP))
-            hull = constraint.hull()
-            if hull is None:
-                return False
-            refined[key.name] = hull
+    # Bare-signal groups also meet the signal's range; every group hull
+    # then bounds its expression in one walk over the DBC ranges.
     hulls: Dict[Expr, Interval] = {}
     for key, constraint in groups.items():
+        if isinstance(key, SignalRef):
+            constraint.restrict(env.get(key.name, TOP))
         hull = constraint.hull()
         if hull is None:
             return False
         hulls[key] = hull
-    for key in groups:
-        if _refined_expr_interval(key, refined, hulls) is None:
-            return False
+    try:
+        for key in groups:
+            expr_interval(key, env, bounds=hulls)
+    except EmptyMeet:
+        return False
     return True
 
 

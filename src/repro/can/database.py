@@ -156,10 +156,6 @@ class CanDatabase:
             for signal in sorted(message.signals, key=lambda s: s.start_bit):
                 yield signal
 
-    def senders(self) -> Tuple[str, ...]:
-        """All distinct producing nodes, sorted."""
-        return tuple(sorted({m.sender for m in self._by_id.values()}))
-
     def signals_from(self, sender: str) -> Tuple[str, ...]:
         """Names of every signal produced by ``sender``, in id order."""
         return tuple(

@@ -117,8 +117,10 @@ class SignalDef:
 
         Booleans are always ``(0, 1)``; enums fall back to their label
         table when no explicit bounds exist.  This is the range the
-        static analyzer seeds interval arithmetic from and the range the
-        HIL profile's value check enforces.
+        static analyses seed their interval walk from
+        (:func:`repro.analysis.analyzer.database_env`).  The HIL
+        profile's value check (:meth:`is_valid_value`) is stricter for
+        enums: it accepts only labelled values, not the whole hull.
         """
         if self.kind is SignalType.BOOL:
             return (0.0, 1.0)

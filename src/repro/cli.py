@@ -27,7 +27,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.monitor import Monitor
 from repro.core.oracle import TestOracle
@@ -774,6 +774,34 @@ def _cmd_fleet_replay(args: argparse.Namespace) -> int:
     return 0
 
 
+def _spec_targets(args: argparse.Namespace) -> List[Tuple[str, object]]:
+    """``(name, spec set)`` pairs an analysis command works on: each
+    ``.rules`` file given, or else the paper rules (strict or relaxed)."""
+    if args.files:
+        return [(path, _load_specset(path)) for path in args.files]
+    variant = "relaxed" if args.relaxed else "strict"
+    return [("paper rules (%s)" % variant, paper_specset(args.relaxed))]
+
+
+def _print_reports(
+    args: argparse.Namespace, reports: Sequence, to_dict: Callable
+) -> None:
+    """Print the reports as text or JSON (one target unwrapped) and
+    copy the output to ``--out`` when given."""
+    if args.format == "json":
+        dumps = [to_dict(report) for report in reports]
+        text = json.dumps(
+            dumps[0] if len(dumps) == 1 else dumps, indent=2, sort_keys=True
+        )
+    else:
+        text = "\n\n".join(report.format_text() for report in reports)
+    print(text)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
+            handle.write(text + "\n")
+        _progress("report written to %s" % args.out)
+
+
 def _cmd_lint(args: argparse.Namespace) -> int:
     from repro.analysis import (
         build_report,
@@ -788,13 +816,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
 
         database = fsracc_database()
 
-    if args.files:
-        targets = [
-            (path, _load_specset(path, relaxed=False)) for path in args.files
-        ]
-    else:
-        variant = "relaxed" if args.relaxed else "strict"
-        targets = [("paper rules (%s)" % variant, paper_specset(args.relaxed))]
+    targets = _spec_targets(args)
 
     results = [
         (name, lint_specs(specs, database=database, period=args.period))
@@ -833,13 +855,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
             tests=plan.tests, profile=args.profile, period=plan.period
         )
 
-    if args.files:
-        targets = [
-            (path, _load_specset(path, relaxed=False)) for path in args.files
-        ]
-    else:
-        variant = "relaxed" if args.relaxed else "strict"
-        targets = [("paper rules (%s)" % variant, paper_specset(args.relaxed))]
+    targets = _spec_targets(args)
 
     reports = [
         audit_specs(
@@ -869,13 +885,7 @@ def _cmd_margins(args: argparse.Namespace) -> int:
     )
 
     plan = paper_plan()
-    if args.files:
-        targets = [
-            (path, _load_specset(path, relaxed=False)) for path in args.files
-        ]
-    else:
-        variant = "relaxed" if args.relaxed else "strict"
-        targets = [("paper rules (%s)" % variant, paper_specset(args.relaxed))]
+    targets = _spec_targets(args)
 
     reports = [
         analyze_margins_specs(
@@ -888,18 +898,7 @@ def _cmd_margins(args: argparse.Namespace) -> int:
         for name, specs in targets
     ]
 
-    if args.format == "json":
-        dumps = [build_margins_report(report) for report in reports]
-        text = json.dumps(
-            dumps[0] if len(dumps) == 1 else dumps, indent=2, sort_keys=True
-        )
-    else:
-        text = "\n\n".join(report.format_text() for report in reports)
-    print(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        _progress("report written to %s" % args.out)
+    _print_reports(args, reports, build_margins_report)
 
     if args.seeds_out:
         # Ranked work list for falsification: one entry per live cell,
@@ -936,13 +935,7 @@ def _cmd_automata(args: argparse.Namespace) -> int:
         print("automata: --max-states must be positive", file=sys.stderr)
         return 2
 
-    if args.files:
-        targets = [
-            (path, _load_specset(path, relaxed=False)) for path in args.files
-        ]
-    else:
-        variant = "relaxed" if args.relaxed else "strict"
-        targets = [("paper rules (%s)" % variant, paper_specset(args.relaxed))]
+    targets = _spec_targets(args)
 
     reports = [
         analyze_automata_specs(
@@ -954,18 +947,7 @@ def _cmd_automata(args: argparse.Namespace) -> int:
         for name, specs in targets
     ]
 
-    if args.format == "json":
-        dumps = [build_automata_report(report) for report in reports]
-        text = json.dumps(
-            dumps[0] if len(dumps) == 1 else dumps, indent=2, sort_keys=True
-        )
-    else:
-        text = "\n\n".join(report.format_text() for report in reports)
-    print(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
-        _progress("report written to %s" % args.out)
+    _print_reports(args, reports, build_automata_report)
 
     if args.dot_dir:
         os.makedirs(args.dot_dir, exist_ok=True)

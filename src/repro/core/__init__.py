@@ -51,7 +51,6 @@ from repro.core.monitor import (
     MonitorReport,
     Rule,
     RuleResult,
-    as_formula,
 )
 from repro.core.online import OnlineMonitor
 from repro.core.oracle import OracleResult, OracleVerdict, TestOracle
@@ -147,7 +146,6 @@ __all__ = [
     "activation_warmup",
     "annotate_margins",
     "apply_filters",
-    "as_formula",
     "bounds_to_rows",
     "compare_trends",
     "coverage_report",

@@ -23,7 +23,7 @@ paper's "relax the rule when false positives are found" workflow.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,11 +60,6 @@ from repro.obs import get_registry
 
 #: Default monitor sampling period — the vehicle's fast message period.
 DEFAULT_PERIOD = 0.02
-
-
-def as_formula(formula: Union[str, Formula]) -> Formula:
-    """Accept a formula object or source text."""
-    return parse_formula(formula) if isinstance(formula, str) else formula
 
 
 @dataclass(frozen=True)

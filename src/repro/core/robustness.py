@@ -133,11 +133,6 @@ class RuleRobustness:
         """
         return self.upper
 
-    @property
-    def excludes_zero(self) -> bool:
-        """Whether the interval already decides the boolean verdict."""
-        return self.upper < 0.0 or self.lower > 0.0
-
     def to_dict(self) -> dict:
         """JSON-safe digest (``±inf`` encoded, NaN rejected)."""
         return {

@@ -15,7 +15,7 @@ that formulas reference with ``in_state(machine, state)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -108,6 +108,24 @@ class StateMachine:
         for transition in self.transitions:
             names.extend(transition.guard.signals())
         return tuple(dict.fromkeys(names))
+
+    def reachable_states(self) -> FrozenSet[str]:
+        """States reachable from the initial state over any chain of
+        transitions.  Guards are ignored, so this over-approximates the
+        states a run can occupy."""
+        successors: Dict[str, List[str]] = {}
+        for transition in self.transitions:
+            successors.setdefault(transition.source, []).append(
+                transition.target
+            )
+        reachable = {self.initial}
+        frontier = [self.initial]
+        while frontier:
+            for target in successors.get(frontier.pop(), ()):
+                if target not in reachable:
+                    reachable.add(target)
+                    frontier.append(target)
+        return frozenset(reachable)
 
     def run(self, ctx: EvalContext, initial: Optional[str] = None) -> np.ndarray:
         """Evaluate the machine over the context's trace view.

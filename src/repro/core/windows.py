@@ -98,17 +98,6 @@ def _scratch_buffer(tag: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
     return buf
 
 
-def scratch_pool_size() -> int:
-    """Number of buffers currently pooled on the calling thread."""
-    pool = getattr(_scratch, "pool", None)
-    return 0 if pool is None else len(pool)
-
-
-def clear_scratch_pool() -> None:
-    """Drop the calling thread's pooled buffers (tests, memory probes)."""
-    _scratch.pool = OrderedDict()
-
-
 # ----------------------------------------------------------------------
 # Core sliding extreme
 # ----------------------------------------------------------------------

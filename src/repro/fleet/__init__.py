@@ -14,7 +14,6 @@ from repro.fleet.replay import (
     assign_streams,
     interleave,
     load_log_directory,
-    replay_directory,
     replay_traces,
     replay_traces_async,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "fleet_rollup",
     "interleave",
     "load_log_directory",
-    "replay_directory",
     "replay_traces",
     "replay_traces_async",
 ]

@@ -124,12 +124,3 @@ def load_log_directory(path: str, pattern: str = "*.csv") -> List[Trace]:
         traces.append(trace)
     return traces
 
-
-def replay_directory(
-    path: str,
-    rules: Sequence[Rule],
-    pattern: str = "*.csv",
-    **kwargs: object,
-) -> FleetReport:
-    """Replay every log under ``path`` across a fleet of streams."""
-    return replay_traces(load_log_directory(path, pattern), rules, **kwargs)

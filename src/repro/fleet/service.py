@@ -160,11 +160,6 @@ class FleetService:
     # Ingestion
     # ------------------------------------------------------------------
 
-    @property
-    def stream_ids(self) -> List[str]:
-        """Ids of every stream seen so far, sorted."""
-        return sorted(self._shards)
-
     def shard(self, stream_id: str) -> StreamShard:
         """The shard for ``stream_id`` (created on first use)."""
         shard = self._shards.get(stream_id)

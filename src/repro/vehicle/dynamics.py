@@ -32,11 +32,6 @@ class CarState:
     brake_decel: float
     grade: float
 
-    @property
-    def throttle_fraction(self) -> float:
-        """Convenience: positive engine torque normalized to [0, 1]."""
-        return max(0.0, self.engine_torque) / 3000.0
-
 
 class LongitudinalCar:
     """Point-mass car with engine, brakes, drag and grade forces.

@@ -541,6 +541,14 @@ PROVER_CASES = [
         "excluded_middle", "valid",
         "Velocity > 5 or Velocity <= 5", None, PROVED,
     ),
+    # Trace functions read other samples: delta is bounded by the span
+    # of the DBC range, and a bound on the current row never narrows
+    # prev (Velocity can rise from 0 to 60 in one row).
+    ("delta_within_span", "valid", "delta(Velocity) < 200", None, PROVED),
+    (
+        "prev_reads_an_earlier_row", "contradicts",
+        "Velocity > 50", "prev(Velocity) < 10", UNKNOWN,
+    ),
 ]
 
 

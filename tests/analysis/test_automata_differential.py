@@ -57,12 +57,27 @@ THRESHOLDS = {
 }
 
 
+#: ``delta(X)`` thresholds: the outer pair lies beyond the span of
+#: every signal's DBC range, so the filter's ``delta`` bound prunes.
+DELTA_THRESHOLDS = (-300, -100, -10, 0, 10, 100, 300)
+
+#: ``abs(X - c)`` thresholds, exercising the filter's nested meet.
+ABS_THRESHOLDS = (1, 10, 50)
+
+
 def random_atom(rng: random.Random) -> str:
-    if rng.random() < 0.15:
+    roll = rng.random()
+    if roll < 0.15:
         return "BrakeRequested"
     signal = rng.choice(sorted(THRESHOLDS))
     op = rng.choice((">", ">=", "<", "<="))
     bound = rng.choice(THRESHOLDS[signal])
+    if roll < 0.25:
+        return "delta(%s) %s %d" % (signal, op, rng.choice(DELTA_THRESHOLDS))
+    if roll < 0.35:
+        return "abs(%s - %d) %s %d" % (
+            signal, bound, op, rng.choice(ABS_THRESHOLDS)
+        )
     return "%s %s %d" % (signal, op, bound)
 
 

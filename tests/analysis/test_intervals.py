@@ -7,6 +7,7 @@ import pytest
 from repro.analysis import ALWAYS, MAYBE, NEVER, Interval, compare, expr_interval
 from repro.analysis.intervals import (
     TOP,
+    EmptyMeet,
     abs_,
     add,
     div,
@@ -85,14 +86,13 @@ class TestInfiniteEndpoints:
         assert Interval(math.inf, math.inf).is_point
         assert not Interval(-math.inf, 0).bounded
 
-    def test_opposed_infinities_in_add_are_rejected_not_silent(self):
-        # inf + -inf is NaN; the constructor's no-NaN invariant turns
-        # the unsound endpoint into a loud error.  Callers that need
-        # totality widen first (see repro.analysis.margins._add_wide).
-        with pytest.raises(ValueError):
-            add(point(math.inf), point(-math.inf))
-        with pytest.raises(ValueError):
-            sub(point(math.inf), point(math.inf))
+    def test_opposed_infinities_widen_not_raise(self):
+        # inf + -inf is NaN; the indeterminate endpoint widens to the
+        # conservative infinity, so no invalid interval is ever built.
+        assert add(TOP, point(math.inf)) == TOP
+        assert add(point(math.inf), point(-math.inf)) == TOP
+        assert sub(point(math.inf), point(math.inf)) == TOP
+        assert sub(Interval(0, math.inf), Interval(1, math.inf)) == TOP
 
     def test_same_signed_infinities_compose(self):
         assert add(Interval(0, math.inf), Interval(1, 2)) == Interval(
@@ -173,12 +173,7 @@ class TestConcreteContainment:
         for a in self.INTERVALS:
             for b in self.INTERVALS:
                 for abstract, concrete in operations.items():
-                    try:
-                        result = abstract(a, b)
-                    except ValueError:
-                        # Opposed infinities (see TestInfiniteEndpoints):
-                        # loud rejection is the documented behavior.
-                        continue
+                    result = abstract(a, b)
                     for x in self.samples(a, rng):
                         for y in self.samples(b, rng):
                             if concrete is operations[div] and y == 0.0:
@@ -219,24 +214,64 @@ class TestConcreteContainment:
 class TestExprInterval:
     ENV = {"Velocity": Interval(0, 90), "Bool": Interval(0, 1)}
 
-    def interval_of(self, source):
-        return expr_interval(parse_expr(source), self.ENV)
+    def value_of(self, source, nan_signals=frozenset(), bounds=None):
+        return expr_interval(
+            parse_expr(source), self.ENV, nan_signals, bounds=bounds
+        )
 
     def test_signal_and_constant(self):
-        assert self.interval_of("Velocity") == Interval(0, 90)
-        assert self.interval_of("3.5") == point(3.5)
-        assert self.interval_of("Unknown") == TOP
+        assert self.value_of("Velocity") == (Interval(0, 90), False)
+        assert self.value_of("3.5") == (point(3.5), False)
+        # Unranged signals are unknown: unbounded and possibly NaN.
+        assert self.value_of("Unknown") == (TOP, True)
+        assert self.value_of("Velocity", {"Velocity"}) == (
+            Interval(0, 90),
+            True,
+        )
 
     def test_arithmetic_composes(self):
-        assert self.interval_of("Velocity + 10") == Interval(10, 100)
-        assert self.interval_of("-Velocity") == Interval(-90, 0)
-        assert self.interval_of("abs(Velocity - 90)") == Interval(0, 90)
+        assert self.value_of("Velocity + 10") == (Interval(10, 100), False)
+        assert self.value_of("-Velocity") == (Interval(-90, 0), False)
+        assert self.value_of("abs(Velocity - 90)") == (Interval(0, 90), False)
 
     def test_trace_functions(self):
-        assert self.interval_of("prev(Velocity)") == Interval(0, 90)
-        assert self.interval_of("delta(Velocity)") == Interval(-90, 90)
-        assert self.interval_of("age(Velocity)") == Interval(0, math.inf)
-        assert self.interval_of("rate(Velocity)") == TOP
+        assert self.value_of("prev(Velocity)") == (Interval(0, 90), False)
+        assert self.value_of("delta(Velocity)") == (Interval(-90, 90), False)
+        assert self.value_of("age(Velocity)") == (
+            Interval(0, math.inf),
+            False,
+        )
+        assert self.value_of("rate(Velocity)") == (TOP, False)
+        assert self.value_of("delta(Unknown)") == (TOP, True)
+
+    def test_divisor_spanning_zero_may_be_nan(self):
+        assert self.value_of("10 / (Velocity - 45)") == (TOP, True)
+        assert self.value_of("10 / (Velocity + 1)") == (
+            Interval(10 / 91, 10),
+            False,
+        )
+
+    def test_opposed_infinite_constants_widen(self):
+        # The lexer reads 1e999 as inf; inf - inf is NaN at run time.
+        assert self.value_of("1e999 - 1e999") == (TOP, True)
+        assert self.value_of("Velocity - (1e999 - 1e999)") == (TOP, True)
+
+    def test_keyed_bounds_meet_on_the_way_up(self):
+        velocity = parse_expr("Velocity")
+        assert self.value_of(
+            "abs(Velocity)", bounds={velocity: Interval(10, 20)}
+        ) == (Interval(10, 20), False)
+        assert self.value_of(
+            "Velocity - 5", bounds={velocity: Interval(10, 20)}
+        ) == (Interval(5, 15), False)
+
+    def test_empty_meet_raises(self):
+        bounds = {
+            parse_expr("Velocity"): Interval(60, 90),
+            parse_expr("abs(Velocity)"): Interval(-math.inf, 50),
+        }
+        with pytest.raises(EmptyMeet):
+            self.value_of("abs(Velocity)", bounds=bounds)
 
 
 class TestCompare:

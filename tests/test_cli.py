@@ -488,6 +488,32 @@ class TestMarginsCommand:
         assert "provably safe" in out
 
 
+class TestOpposedInfiniteConstants:
+    """The lexer reads ``1e999`` as inf, so ``1e999 - 1e999`` is NaN at
+    run time: every static analysis answers the rule instead of
+    building an invalid interval."""
+
+    @pytest.mark.parametrize(
+        "command", ["lint", "audit", "margins", "automata"]
+    )
+    def test_analysis_answers_inf_minus_inf(self, command, tmp_path, capsys):
+        from repro.analysis import has_errors, lint_file
+        from repro.can.fsracc import fsracc_database
+
+        path = tmp_path / "overflow.rules"
+        path.write_text(
+            "[rule overflow]\nformula = Velocity < 1e999 - 1e999\n",
+            encoding="utf-8",
+        )
+        assert main([command, str(path)]) == 0
+        captured = capsys.readouterr()
+        assert "overflow" in captured.out
+        assert "Traceback" not in captured.err
+        assert not has_errors(
+            lint_file(str(path), database=fsracc_database())
+        )
+
+
 class TestAutomataCommand:
     def test_paper_rules_text_report(self, capsys):
         assert main(["automata"]) == 0
