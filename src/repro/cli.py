@@ -651,12 +651,12 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     from repro.obs import use_registry
 
-    trace = read_trace(args.trace)
-    monitor = _load_specset(args.rules, relaxed=args.relaxed).monitor(
-        period=args.period
-    )
     registry = _metrics_registry(args)
     with use_registry(registry):
+        trace = read_trace(args.trace)
+        monitor = _load_specset(args.rules, relaxed=args.relaxed).monitor(
+            period=args.period
+        )
         report = monitor.check(
             trace,
             robustness=args.robustness,

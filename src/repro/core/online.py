@@ -94,7 +94,7 @@ from repro.core.statemachine import StateMachine
 from repro.core.types import Verdict
 from repro.core.violations import Violation
 from repro.errors import TraceError
-from repro.logs.trace import StreamTrace, Trace
+from repro.logs.trace import StreamTrace, Trace, non_finite_time
 from repro.obs import get_registry
 
 
@@ -251,9 +251,12 @@ class OnlineMonitor:
         """
         if self._finished:
             raise TraceError("monitor already finished")
+        if not math.isfinite(timestamp):
+            raise non_finite_time(signal, timestamp)
         if self._start_time is None:
             self._start_time = timestamp
-        self._latest = max(self._latest, timestamp)
+        if timestamp > self._latest:
+            self._latest = timestamp
         if signal not in self._signals:
             return []
         if timestamp < self._buffer.frontier:

@@ -13,20 +13,48 @@ what engineers can inspect by eye:
 
 Exceptional float values round-trip: NaN is written as ``nan`` and the
 infinities as ``inf`` / ``-inf``, all of which Python's ``float`` parses.
+Timestamps must be finite.
+
+The body is read in blocks of whole lines, about 128 KiB of text each,
+so the reader's memory stays flat however long the drive was (DESIGN
+§20).  A *regular* block, whose every line holds exactly two commas, is
+parsed column-wise: one split into fields, Python's own ``float`` over
+the time and value columns, one stable sort by signal, one vectorized
+per-signal order check and one bulk append per signal.  A block holding
+a ``#`` or another line shape is *irregular* and is read one line at a
+time: each line is stripped, blank and comment lines are skipped.  A
+regular block holding a line the format rejects is re-read one line at a
+time, so every :class:`~repro.errors.TraceError` names the first bad
+line in file order, in the words the per-line reader always used.  The
+``repro.obs`` counters ``logs.read.blocks`` and
+``logs.read.irregular_blocks`` count the two kinds.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import os
-from typing import TextIO, Union
+from typing import Dict, Iterable, TextIO, Union
+
+import numpy as np
 
 from repro.errors import TraceError
 from repro.logs.trace import Trace
+from repro.obs import get_registry
 
 #: Magic first-line prefix identifying a trace file.
 HEADER_PREFIX = "# repro-trace v1"
 _COLUMNS = "time,signal,value"
+
+#: Characters of body text read per block (128 KiB).  Smaller blocks pay
+#: the per-block numpy calls more often; the whole file at once would
+#: make the reader's memory grow with the log.
+_BLOCK_CHARS = 128 * 1024
+
+#: Every byte but the two delimiters: deleting these from a block leaves
+#: ``b",,\n"`` once per line exactly when the block is regular.
+_NOT_DELIMITERS = bytes(b for b in range(256) if b not in b",\n")
 
 PathOrFile = Union[str, "os.PathLike[str]", TextIO]
 
@@ -68,7 +96,8 @@ def _write(trace: Trace, handle: TextIO) -> None:
         handle.write("%.6f,%s,%r\n" % (timestamp, signal, value))
 
 
-def _read(handle: TextIO) -> Trace:
+def _read_header(handle: TextIO) -> Trace:
+    """Check the two header lines and return the empty, named trace."""
     header = handle.readline().rstrip("\n")
     if not header.startswith(HEADER_PREFIX):
         raise TraceError("not a repro trace file (bad header: %r)" % header)
@@ -78,8 +107,14 @@ def _read(handle: TextIO) -> Trace:
     columns = handle.readline().rstrip("\n")
     if columns != _COLUMNS:
         raise TraceError("unexpected column header: %r" % columns)
-    trace = Trace(name)
-    for line_number, line in enumerate(handle, start=3):
+    return Trace(name)
+
+
+def _read_lines(trace: Trace, lines: Iterable[str], first_line: int) -> None:
+    """Record body ``lines`` one at a time, numbered from ``first_line``:
+    strip each line, skip blank and ``#`` lines, and raise on the first
+    malformed line or per-signal step back in time."""
+    for line_number, line in enumerate(lines, start=first_line):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -93,5 +128,94 @@ def _read(handle: TextIO) -> Trace:
             value = float(parts[2])
         except ValueError as exc:
             raise TraceError("line %d: %s" % (line_number, exc)) from None
+        if not math.isfinite(timestamp):
+            raise TraceError(
+                "line %d: non-finite timestamp %r" % (line_number, timestamp)
+            )
         trace.record(parts[1], timestamp, value)
-    return trace
+
+
+def _read(handle: TextIO) -> Trace:
+    trace = _read_header(handle)
+    registry = get_registry()
+    blocks = registry.counter("logs.read.blocks")
+    irregular = registry.counter("logs.read.irregular_blocks")
+    codes: Dict[str, int] = {}
+    line_number = 3
+    carry = ""
+    while True:
+        chunk = handle.read(_BLOCK_CHARS)
+        if not chunk:
+            if not carry:
+                return trace
+            chunk = "\n"  # end the last line, which has no newline
+        text = carry + chunk
+        cut = text.rfind("\n") + 1
+        carry = text[cut:]
+        if cut:
+            block = text[:cut]
+            blocks.inc()
+            delimiters = _delimiters(block)
+            lines = delimiters.count(b"\n")
+            regular = "#" not in block and delimiters == b",,\n" * lines
+            if not regular:
+                irregular.inc()
+            if not (regular and _append_columns(trace, block, codes)):
+                _read_lines(trace, block.split("\n")[:-1], line_number)
+            line_number += lines
+
+
+def _delimiters(text: str) -> bytes:
+    """The commas and newlines of ``text``, in order."""
+    return text.encode("utf-8", "surrogatepass").translate(None, _NOT_DELIMITERS)
+
+
+def _append_columns(trace: Trace, text: str, codes: Dict[str, int]) -> bool:
+    """Append regular ``text`` — whole lines, each with exactly two
+    commas — to ``trace`` column-wise.
+
+    ``codes`` numbers the signal names in order of first appearance and
+    persists across blocks.  Returns ``False``, having appended no
+    update, when some line would be rejected: a field ``float`` refuses, a
+    non-finite timestamp, or a per-signal step back in time past
+    :meth:`Trace.record`'s tolerance.
+    """
+    fields = text.replace("\n", ",").split(",")
+    names = fields[1::3]
+    n = len(names)
+    try:
+        times = np.fromiter(map(float, fields[0:-1:3]), np.float64, n)
+        values = np.fromiter(map(float, fields[2::3]), np.float64, n)
+    except ValueError:
+        return False
+    if not np.isfinite(times).all():
+        return False
+    try:
+        block_codes = np.fromiter(map(codes.__getitem__, names), np.intp, n)
+    except KeyError:
+        for name in names:
+            codes.setdefault(name, len(codes))
+        block_codes = np.fromiter(map(codes.__getitem__, names), np.intp, n)
+    order = np.argsort(block_codes, kind="stable")
+    counts = np.bincount(block_codes, minlength=len(codes))
+    present = np.flatnonzero(counts)
+    ends = np.cumsum(counts)[present]
+    starts = ends - counts[present]
+    signals = list(codes)
+    columns = [trace._update_lists(signals[code]) for code in present.tolist()]
+    sorted_times = times[order]
+    previous = np.empty_like(sorted_times)
+    previous[1:] = sorted_times[:-1]
+    previous[starts] = [t[-1] if t else -math.inf for t, _ in columns]
+    if (sorted_times < previous - 1e-12).any():
+        return False
+    # Fresh floats in signal order: each signal's updates then lie
+    # together in memory, which is how views read them back.
+    time_list = sorted_times.tolist()
+    value_list = values[order].tolist()
+    for (column_times, column_values), start, end in zip(
+        columns, starts.tolist(), ends.tolist()
+    ):
+        column_times.extend(time_list[start:end])
+        column_values.extend(value_list[start:end])
+    return True

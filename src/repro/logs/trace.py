@@ -37,6 +37,12 @@ def _out_of_order(signal: str, timestamp: float, last: float) -> TraceError:
     )
 
 
+def non_finite_time(signal: str, timestamp: float) -> TraceError:
+    """The error for an update stamped NaN or ±inf: such a time defeats
+    every order check (``nan < t`` is false), so it is refused on entry."""
+    return TraceError("%s: update at non-finite time t=%r" % (signal, timestamp))
+
+
 class Trace:
     """Per-signal timestamped update streams.
 
@@ -57,9 +63,11 @@ class Trace:
     def record(self, signal: str, timestamp: float, value: float) -> None:
         """Append one observed update for ``signal``.
 
-        Timestamps must be non-decreasing per signal (the order frames were
-        seen on the bus).
+        Timestamps must be finite and non-decreasing per signal (the order
+        frames were seen on the bus).
         """
+        if not math.isfinite(timestamp):
+            raise non_finite_time(signal, timestamp)
         times = self._times.setdefault(signal, [])
         if times and timestamp < times[-1] - 1e-12:
             raise _out_of_order(signal, timestamp, times[-1])
@@ -72,6 +80,8 @@ class Trace:
         """Record several signal updates sharing one timestamp (one bus
         frame), with :meth:`record`'s per-signal order check."""
         timestamp = float(timestamp)
+        if not math.isfinite(timestamp):
+            raise non_finite_time(", ".join(values), timestamp)
         all_times, all_values = self._times, self._values
         for signal, value in values.items():
             times = all_times.get(signal)
@@ -82,6 +92,21 @@ class Trace:
                 raise _out_of_order(signal, timestamp, times[-1])
             times.append(timestamp)
             all_values[signal].append(float(value))
+
+    def _update_lists(self, signal: str) -> Tuple[List[float], List[float]]:
+        """``signal``'s own ``(timestamps, values)`` lists, created empty
+        on first use.
+
+        Private to the CSV reader (:mod:`repro.logs.format`), its bulk
+        path: the reader runs :meth:`record`'s finiteness and order checks
+        itself, a block of updates at a time, and then extends these lists
+        in place.  Nothing else may append through them.
+        """
+        times = self._times.get(signal)
+        if times is None:
+            times = self._times[signal] = []
+            self._values[signal] = []
+        return times, self._values[signal]
 
     # ------------------------------------------------------------------
     # Inspection
@@ -237,8 +262,11 @@ class StreamTrace:
     def record(self, signal: str, timestamp: float, value: float) -> None:
         """Append one observed update for ``signal`` (O(1)).
 
-        Timestamps must be non-decreasing per signal, as on a real bus.
+        Timestamps must be finite and non-decreasing per signal, as on a
+        real bus.
         """
+        if not math.isfinite(timestamp):
+            raise non_finite_time(signal, timestamp)
         times = self._times.setdefault(signal, deque())
         if times and timestamp < times[-1] - 1e-12:
             raise _out_of_order(signal, timestamp, times[-1])

@@ -6,6 +6,8 @@ emitted verdicts, violation spans, and undecided-row counts are
 the retention window.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -517,6 +519,28 @@ class TestLateEvents:
         before = online.late_events
         online.feed(199 * PERIOD, "x", 1.0)  # same stamp as the last one
         assert online.late_events == before
+
+
+class TestNonFiniteTimes:
+    """Regression: ``feed(nan, ...)`` stored NaN as the monitor's start
+    time, then failed with an untyped ``ValueError`` converting it to a
+    row; an unreferenced signal poisoned the clock silently."""
+
+    @pytest.mark.parametrize("signal", ["x", "unreferenced"])
+    def test_nan_feed_raises_typed_error_before_touching_the_clock(self, signal):
+        online = OnlineMonitor([Rule.from_text("r", "n", "x > 0")])
+        message = "%s: update at non-finite time t=nan" % signal
+        with pytest.raises(TraceError, match=message):
+            online.feed(float("nan"), signal, 1.0)
+        with pytest.raises(TraceError, match="non-finite time t=inf"):
+            online.feed(float("inf"), signal, 1.0)
+        assert online._start_time is None
+        assert online._latest == -math.inf
+        for i in range(100):
+            online.feed(i * PERIOD, "x", 1.0)
+        report = online.finish()
+        assert report.results["r"].verdict is Verdict.TRUE
+        assert report.duration == pytest.approx(99 * PERIOD)
 
 
 class TestEmitWaiting:

@@ -1,11 +1,13 @@
 """Shared helpers for building small, hand-authored traces in tests,
-plus two oracles: the O(n·w) window kernel and the per-frame CAN bus."""
+plus three oracles: the O(n·w) window kernel, the per-frame CAN bus and
+the per-line drive-log reader."""
 
 from __future__ import annotations
 
 import heapq
+import math
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple
 from unittest import mock
 
 import numpy as np
@@ -15,7 +17,9 @@ from repro.can.database import CanDatabase, MessageDef
 from repro.can.frame import CanFrame
 from repro.can.signal import SignalValue
 from repro.core import windows
+from repro.errors import TraceError
 from repro.hil import simulator
+from repro.logs.format import PathOrFile, _read_header
 from repro.logs.trace import Trace
 
 #: The default monitor period used throughout the tests.
@@ -239,3 +243,41 @@ def per_frame_bus() -> Iterator[None]:
         simulator, "JitterModel", ScalarJitter
     ), mock.patch.object(simulator, "TraceRecorder", PerSignalRecorder):
         yield
+
+
+# ----------------------------------------------------------------------
+# The per-line drive-log reader oracle
+# ----------------------------------------------------------------------
+
+
+def loop_read_trace(source: PathOrFile) -> Trace:
+    """Read a CSV trace one line and one :meth:`Trace.record` at a time:
+    the oracle for :func:`repro.logs.format.read_trace`."""
+    if hasattr(source, "read"):
+        return _loop_read(source)  # type: ignore[arg-type]
+    with open(source, "r", encoding="utf-8") as handle:
+        return _loop_read(handle)
+
+
+def _loop_read(handle: TextIO) -> Trace:
+    trace = _read_header(handle)
+    for line_number, line in enumerate(handle, start=3):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise TraceError(
+                "line %d: expected 3 fields, got %d" % (line_number, len(parts))
+            )
+        try:
+            timestamp = float(parts[0])
+            value = float(parts[2])
+        except ValueError as exc:
+            raise TraceError("line %d: %s" % (line_number, exc)) from None
+        if not math.isfinite(timestamp):
+            raise TraceError(
+                "line %d: non-finite timestamp %r" % (line_number, timestamp)
+            )
+        trace.record(parts[1], timestamp, value)
+    return trace

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import uniform_trace
 from repro.errors import TraceError
+from repro.obs import MetricsRegistry, use_registry
 from repro.logs.format import (
     read_trace,
     trace_from_string,
@@ -95,3 +96,96 @@ class TestErrors:
         )
         trace = trace_from_string(text)
         assert trace.updates("a") == [(1.0, 2.0)]
+
+
+HEADER = "# repro-trace v1\ntime,signal,value\n"
+
+
+def read_error(text):
+    with pytest.raises(TraceError) as excinfo:
+        trace_from_string(text)
+    return str(excinfo.value)
+
+
+class TestErrorContract:
+    """The full text of every reader error, and which error wins when a
+    file has several: the first in file order."""
+
+    def test_bad_header(self):
+        assert read_error("not a trace\ntime,signal,value\n") == (
+            "not a repro trace file (bad header: 'not a trace')"
+        )
+
+    def test_bad_columns(self):
+        assert read_error("# repro-trace v1\nwrong,columns\n") == (
+            "unexpected column header: 'wrong,columns'"
+        )
+
+    def test_field_count(self):
+        assert read_error(HEADER + "0.0,a,1.0\n1.0,a\n") == (
+            "line 4: expected 3 fields, got 2"
+        )
+        assert read_error(HEADER + "0.0,a,1.0,2.0\n") == (
+            "line 3: expected 3 fields, got 4"
+        )
+
+    def test_bad_float(self):
+        assert read_error(HEADER + "# c\n\n0.0,a,fast\n") == (
+            "line 5: could not convert string to float: 'fast'"
+        )
+        assert read_error(HEADER + "soon,a,1.0\n") == (
+            "line 3: could not convert string to float: 'soon'"
+        )
+
+    def test_backwards_step_names_signal_and_both_times(self):
+        assert read_error(HEADER + "1.0,a,1.0\n0.5,b,1.0\n0.25,a,2.0\n") == (
+            "a: update at t=0.250000 precedes last update at t=1.000000"
+        )
+
+    def test_non_finite_timestamp(self):
+        assert read_error(HEADER + "0.0,a,1.0\ninf,a,2.0\n") == (
+            "line 4: non-finite timestamp inf"
+        )
+        assert read_error(HEADER + "nan,a,1.0\n") == (
+            "line 3: non-finite timestamp nan"
+        )
+
+    def test_backwards_step_before_bad_float(self):
+        lines = ["%d.0,a,1.0" % i for i in range(5)] + ["0.0,a,1.0"]
+        lines += ["%d.0,b,1.0" % i for i in range(3)] + ["9.0,b,fast"]
+        assert read_error(HEADER + "\n".join(lines) + "\n") == (
+            "a: update at t=0.000000 precedes last update at t=4.000000"
+        )
+
+    def test_bad_float_before_backwards_step(self):
+        lines = ["%d.0,a,1.0" % i for i in range(5)] + ["9.0,b,fast"]
+        lines += ["%d.0,b,1.0" % i for i in range(3)] + ["0.0,a,1.0"]
+        assert read_error(HEADER + "\n".join(lines) + "\n") == (
+            "line 8: could not convert string to float: 'fast'"
+        )
+
+
+class TestBlockCounters:
+    def _counters(self, text):
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            trace_from_string(text)
+        return {
+            name: counter.value
+            for name, counter in registry.counters.items()
+            if name.startswith("logs.read.")
+        }
+
+    def test_clean_file_reads_as_one_regular_block(self):
+        assert self._counters(HEADER + "0.0,a,1.0\n0.1,a,2.0\n") == {
+            "logs.read.blocks": 1,
+            "logs.read.irregular_blocks": 0,
+        }
+
+    def test_one_comment_line_counts_one_irregular_block(self):
+        text = HEADER + "0.0,a,1.0\n# operator note\n0.1,a,2.0\n"
+        assert self._counters(text) == {
+            "logs.read.blocks": 1,
+            "logs.read.irregular_blocks": 1,
+        }
+        assert trace_from_string(text).updates("a") == [(0.0, 1.0), (0.1, 2.0)]

@@ -45,6 +45,27 @@ class TestRecording:
         assert trace.updates("a") == [(0.5 + 5e-13, 1.0), (0.5, 1.0)]
         assert trace.updates("c") == [(0.5 + 5e-13, 3.0)]
 
+    @pytest.mark.parametrize("stamp", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_timestamps_rejected(self, stamp):
+        trace = Trace()
+        with pytest.raises(TraceError, match="a: update at non-finite time"):
+            trace.record("a", stamp, 1.0)
+        with pytest.raises(TraceError, match="a, b: update at non-finite time"):
+            trace.record_many(stamp, {"a": 1.0, "b": 2.0})
+        assert trace.is_empty()
+
+    def test_nan_timestamp_cannot_hide_a_backwards_step(self):
+        # Regression: 0.0, 1.0, nan, 0.5 was accepted (nan compares false
+        # both ways), and the view then held value 3.0 at t=0.
+        trace = Trace()
+        trace.record("a", 0.0, 1.0)
+        trace.record("a", 1.0, 2.0)
+        with pytest.raises(TraceError, match=r"a: update at non-finite time t=nan"):
+            trace.record("a", float("nan"), 3.0)
+        with pytest.raises(TraceError, match="precedes last update at t=1.000000"):
+            trace.record("a", 0.5, 4.0)
+        assert trace.updates("a") == [(0.0, 1.0), (1.0, 2.0)]
+
     def test_nan_and_inf_are_recordable(self):
         trace = Trace()
         trace.record("a", 0.0, float("nan"))
@@ -268,6 +289,18 @@ class TestStreamTrace:
         stream.record("a", 1.0, 1.0)
         with pytest.raises(TraceError):
             stream.record("a", 0.5, 2.0)
+
+    def test_nan_timestamp_cannot_block_trim(self):
+        # Regression: a NaN at the head of a signal's deque never compared
+        # older than any frontier, so trim() dropped nothing, forever.
+        from repro.logs.trace import StreamTrace
+
+        stream = StreamTrace()
+        with pytest.raises(TraceError, match="a: update at non-finite time t=nan"):
+            stream.record("a", float("nan"), 0.0)
+        for i in range(1000):
+            stream.record("a", i * 0.02, float(i))
+        assert stream.trim(10.0) == 500
 
     def test_trim_pops_strictly_older_updates(self):
         stream = self._stream(10)

@@ -317,6 +317,8 @@ class TestMetricsOut:
         snapshot = json.loads(metrics_file.read_text())
         assert validate(METRICS_SNAPSHOT, snapshot) == []
         assert snapshot["counters"]["monitor.checks"] == 1
+        assert snapshot["counters"]["logs.read.blocks"] >= 1
+        assert snapshot["counters"]["logs.read.irregular_blocks"] == 0
         assert any(
             name.startswith("eval.formula.") for name in snapshot["histograms"]
         )
