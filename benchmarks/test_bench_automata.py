@@ -51,8 +51,7 @@ def test_certificates_against_streamed_drive(publish):
     simulator.run_for(30.0)
     trace = simulator.result().trace
     monitor = OnlineMonitor(rules)
-    for timestamp, signal, value in trace.events():
-        monitor.feed(timestamp, signal, value)
+    monitor.feed_trace(trace)
     monitor.finish()
     stream_s = time.perf_counter() - started
 

@@ -24,11 +24,15 @@ def main() -> None:
         % online.decision_latency
     )
 
-    # Attach the monitor to the live bus, exactly like a bolt-on box.
+    # Attach the monitor to the live bus, exactly like a bolt-on box:
+    # each frame's signals arrive as one block of events.
     def on_frame(frame, message_name, values):
-        for signal, value in values.items():
-            for violation in online.feed(frame.timestamp, signal, float(value)):
-                print("  LIVE %s" % violation)
+        for violation in online.feed_block(
+            [frame.timestamp] * len(values),
+            list(values),
+            [float(value) for value in values.values()],
+        ):
+            print("  LIVE %s" % violation)
 
     simulator.bus.add_listener(on_frame)
 

@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
+import os
 import sys
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -70,6 +72,22 @@ def _non_negative(value: str) -> float:
     number = float(value)
     if not number >= 0:
         raise argparse.ArgumentTypeError("must be >= 0, got %s" % value)
+    return number
+
+
+def _positive_int(value: str) -> int:
+    number = int(value)
+    if number < 1:
+        raise argparse.ArgumentTypeError("must be >= 1, got %s" % value)
+    return number
+
+
+def _period(value: str) -> float:
+    number = float(value)
+    if not (number > 0 and math.isfinite(number)):
+        raise argparse.ArgumentTypeError(
+            "must be a positive number of seconds, got %s" % value
+        )
     return number
 
 
@@ -194,7 +212,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "drive", help="generate the synthetic real-vehicle drive and check it"
     )
     drive_cmd.add_argument("--seed", type=int, default=0)
-    drive_cmd.add_argument("--out-dir", default=None, help="write trace files here")
+    drive_cmd.add_argument(
+        "--out-dir", default=None, help="write trace files here (created if missing)"
+    )
     drive_cmd.set_defaults(handler=_cmd_drive)
 
     online_cmd = sub.add_parser(
@@ -202,7 +222,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     online_cmd.add_argument("trace", help="trace file written by this tool")
     online_cmd.add_argument("--relaxed", action="store_true")
-    online_cmd.add_argument("--period", type=float, default=0.02)
+    online_cmd.add_argument("--period", type=_period, default=0.02)
     online_cmd.add_argument(
         "--rules",
         default=None,
@@ -229,7 +249,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     replay_cmd.add_argument("log_dir", help="directory of trace files to replay")
     replay_cmd.add_argument(
-        "--streams", type=int, default=8, help="stream count (logs are cycled)"
+        "--streams",
+        type=_positive_int,
+        default=8,
+        help="stream count (logs are cycled)",
     )
     replay_cmd.add_argument("--pattern", default="*.csv", help="log filename glob")
     replay_cmd.add_argument("--relaxed", action="store_true")
@@ -238,13 +261,16 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="monitor against a custom .rules file instead of the paper rules",
     )
-    replay_cmd.add_argument("--period", type=float, default=0.02)
+    replay_cmd.add_argument("--period", type=_period, default=0.02)
     replay_cmd.add_argument("--min-chunk-rows", type=int, default=50)
     replay_cmd.add_argument(
         "--retention", type=float, default=1.0, help="history kept per stream (s)"
     )
     replay_cmd.add_argument(
-        "--inbox", type=int, default=1024, help="bounded inbox size per stream"
+        "--inbox",
+        type=_positive_int,
+        default=1024,
+        help="bounded inbox size per stream, in events",
     )
     replay_cmd.add_argument(
         "--policy",
@@ -680,6 +706,8 @@ def _cmd_drive(args: argparse.Namespace) -> int:
     monitor = Monitor(paper_rules())
     relaxed = Monitor(paper_rules(relaxed=True))
     failed = False
+    if args.out_dir:
+        os.makedirs(args.out_dir, exist_ok=True)
     for trace in generate_drive_logs(seed=args.seed):
         strict_report = monitor.check(trace)
         relaxed_report = relaxed.check(trace)

@@ -3,8 +3,9 @@
 The paper performed all monitoring offline but notes "there is no
 fundamental reason the monitoring could not be done at runtime".  This
 module is that runtime path: an :class:`OnlineMonitor` consumes bus
-events as they arrive, holds only a bounded window of history, and emits
-verdicts as soon as they are decidable.
+events as they arrive, in blocks (:meth:`OnlineMonitor.feed_block`; a
+single event is a one-event block), holds only a bounded window of
+history, and emits verdicts as soon as they are decidable.
 
 How it works
 ------------
@@ -38,10 +39,10 @@ rows have accumulated (or on :meth:`finish`), evaluates a chunk:
 Bounded memory
 --------------
 
-Buffered events live in a :class:`~repro.logs.trace.StreamTrace` — a
-deque-backed ring buffer with O(1) append and an advancing retention
-frontier — so feeding is O(1) amortized per event and per-signal buffer
-occupancy is **provably bounded**: after every chunk the monitor asserts
+Buffered events live in a :class:`~repro.logs.trace.StreamTrace` —
+per-signal float64 rings with O(1)-amortized appends and an advancing
+retention frontier — so feeding is O(1) amortized per event and
+per-signal buffer occupancy is **provably bounded**: after every chunk the monitor asserts
 that no signal buffers more than ``history_rows + horizon_rows +
 min_chunk_rows`` rows, however long the stream runs (see
 :attr:`OnlineMonitor.max_buffer_rows`).
@@ -68,6 +69,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import replace
+from itertools import repeat
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -93,9 +95,21 @@ from repro.core.robustness import RuleRobustness
 from repro.core.statemachine import StateMachine
 from repro.core.types import Verdict
 from repro.core.violations import Violation
-from repro.errors import TraceError
-from repro.logs.trace import StreamTrace, Trace, non_finite_time
+from repro.errors import SpecError, TraceError
+from repro.logs.trace import StreamTrace, Trace, _out_of_order, non_finite_time
 from repro.obs import get_registry
+
+
+#: Most events :meth:`OnlineMonitor.feed_block` scans at once, so a long
+#: block costs O(block) however many chunks it triggers.
+_SCAN_EVENTS = 4096
+
+
+def _group_heads(codes: np.ndarray) -> np.ndarray:
+    """Where each run of equal ``codes`` starts."""
+    heads = np.ones(len(codes), dtype=bool)
+    heads[1:] = codes[1:] != codes[:-1]
+    return heads
 
 
 class OnlineMonitor:
@@ -129,6 +143,11 @@ class OnlineMonitor:
         robustness: bool = False,
         near_miss_threshold: Optional[float] = None,
     ) -> None:
+        if not (period > 0 and math.isfinite(period)):
+            raise SpecError(
+                "period must be a positive, finite number of seconds, got %r"
+                % (period,)
+            )
         # Reuse the offline monitor's validation and signal bookkeeping.
         self._offline = Monitor(rules, machines=machines, period=period)
         self.rules = self._offline.rules
@@ -154,7 +173,11 @@ class OnlineMonitor:
         self._history_rows = int(math.ceil(history / period)) + 2
 
         self._buffer = StreamTrace("online")
-        self._signals = set(self._offline.required_signals())
+        self._required = self._offline.required_signals()
+        #: Referenced signals by code, and their codes by name (any
+        #: other signal's code is -1).
+        self._names = sorted(self._required)
+        self._codes = {name: code for code, name in enumerate(self._names)}
         self._start_time: Optional[float] = None
         self._latest: float = -math.inf
         self._next_emit_row = 0
@@ -207,9 +230,9 @@ class OnlineMonitor:
     def max_buffer_rows(self) -> int:
         """Per-signal buffered-row bound the monitor never exceeds.
 
-        At every ``feed`` return, each signal's buffered updates span at
-        most ``history_rows + horizon_rows + min_chunk_rows`` monitor
-        rows: the history margin behind the emission frontier, the
+        At every ``feed_block`` return, each signal's buffered updates
+        span at most ``history_rows + horizon_rows + min_chunk_rows``
+        monitor rows: the history margin behind the emission frontier, the
         undecidable horizon ahead of it, and the chunk batch between.
         The bound is asserted after every chunk's trim.
         """
@@ -241,6 +264,19 @@ class OnlineMonitor:
     def feed(self, timestamp: float, signal: str, value: float) -> List[Violation]:
         """Consume one bus event; returns violations finalized by it.
 
+        A one-event :meth:`feed_block`.
+        """
+        return self.feed_block((timestamp,), (signal,), (value,))
+
+    def feed_block(
+        self,
+        times: Sequence[float],
+        signals: Sequence[str],
+        values: Sequence[float],
+    ) -> List[Violation]:
+        """Consume a block of bus events, in arrival order; returns the
+        violations finalized by them.
+
         Every event advances the monitor's clock (time passes on the bus
         whether or not the rules reference the signal — exactly as an
         offline check over the full trace sees it); only referenced
@@ -248,33 +284,144 @@ class OnlineMonitor:
         retention frontier is dropped and counted (``online.late_events``)
         instead of being buffered — its row has already been emitted or
         trimmed, so it can no longer influence any verdict.
+
+        The block is checked and buffered a segment at a time, and split
+        at exactly the events after which feeding the events one by one
+        would evaluate a chunk: a buffered event that makes
+        ``min_chunk_rows`` new rows decidable.  So chunk boundaries,
+        counters and verdicts do not depend on how a stream is cut into
+        blocks.  On a bad event (non-finite time, or a buffered signal
+        stepping back in time) the events before it are ingested and the
+        :class:`TraceError` is raised then, as event-by-event feeding
+        would; its ``violations`` attribute holds what the block
+        finalized before the bad event.
         """
         if self._finished:
             raise TraceError("monitor already finished")
-        if not math.isfinite(timestamp):
-            raise non_finite_time(signal, timestamp)
-        if self._start_time is None:
-            self._start_time = timestamp
-        if timestamp > self._latest:
-            self._latest = timestamp
-        if signal not in self._signals:
-            return []
-        if timestamp < self._buffer.frontier:
-            self.late_events += 1
-            get_registry().counter("online.late_events").inc()
-            return []
-        self._buffer.record(signal, timestamp, value)
-        decidable = self._decidable_row()
-        if decidable - self._next_emit_row >= self.min_chunk_rows:
-            return self._emit(decidable)
-        return []
+        stamps = np.asarray(times, dtype=np.float64)
+        count = len(stamps)
+        if len(signals) != count or len(values) != count:
+            raise TraceError(
+                "event block columns differ in length: %d times, %d signals, "
+                "%d values" % (count, len(signals), len(values))
+            )
+        readings = np.asarray(values, dtype=np.float64)
+        codes = np.fromiter(
+            map(self._codes.get, signals, repeat(-1)), dtype=np.intp, count=count
+        )
+        finite = np.isfinite(stamps)
+        limit = count if finite.all() else int(finite.argmin())
+        if limit and self._start_time is None:
+            self._start_time = float(stamps[0])
+        fresh: List[Violation] = []
+        position = 0
+        try:
+            while position < limit:
+                end = min(limit, position + _SCAN_EVENTS)
+                position, emit = self._ingest(
+                    stamps[position:end],
+                    codes[position:end],
+                    readings[position:end],
+                    position,
+                )
+                if emit:
+                    fresh.extend(self._emit(self._decidable_row()))
+            if limit < count:
+                raise non_finite_time(signals[limit], float(stamps[limit]))
+        except TraceError as exc:
+            exc.violations = fresh
+            raise
+        return fresh
+
+    def _ingest(
+        self,
+        stamps: np.ndarray,
+        codes: np.ndarray,
+        readings: np.ndarray,
+        offset: int,
+    ) -> Tuple[int, bool]:
+        """Ingest the leading events of one finite segment, up to and
+        including the first that calls for a chunk.
+
+        Returns the block position after the last ingested event and
+        whether a chunk is due.  Raises the out-of-order
+        :class:`TraceError` after ingesting the events before it.
+        """
+        latest = np.maximum(self._latest, np.maximum.accumulate(stamps))
+        referenced = codes >= 0
+        late = referenced & (stamps < self._buffer.frontier)
+        buffered = referenced ^ late
+        # The first buffered event whose clock makes min_chunk_rows new
+        # rows decidable.
+        first_due = self._first_due(latest)
+        hits = buffered[first_due:].nonzero()[0]
+        emit = len(hits) > 0
+        stop = first_due + int(hits[0]) + 1 if emit else len(stamps)
+
+        # Buffered events grouped by signal, stably (so in arrival order).
+        index = buffered[:stop].nonzero()[0]
+        index = index[codes[index].argsort(kind="stable")]
+        grouped = codes[index]
+        times = stamps[index]
+        # Each against the previous update of its signal: the buffer's
+        # newest for the first of a group, else its predecessor.
+        heads = _group_heads(grouped)
+        previous = np.empty(len(index))
+        previous[1:] = times[:-1]
+        previous[heads] = [
+            self._buffer._last(self._names[code]) for code in grouped[heads]
+        ]
+        backwards = (times < previous - 1e-12).nonzero()[0]
+        error: Optional[TraceError] = None
+        if len(backwards):
+            at = backwards[index[backwards].argmin()]
+            error = _out_of_order(
+                self._names[grouped[at]], float(times[at]), float(previous[at])
+            )
+            # The events before the bad one are ingested, and the bad
+            # one still advances the clock, as one-by-one feeding does.
+            stop = int(index[at]) + 1
+            keep = index < index[at]
+            index, grouped, times = index[keep], grouped[keep], times[keep]
+            heads = _group_heads(grouped)
+            emit = False
+
+        if stop:
+            self._latest = float(latest[stop - 1])
+        dropped = int(late[:stop].sum())
+        if dropped:
+            self.late_events += dropped
+            get_registry().counter("online.late_events").inc(dropped)
+        values = readings[index]
+        starts = heads.nonzero()[0]
+        for lo, hi in zip(starts, [*starts[1:], len(index)]):
+            self._buffer._extend(
+                self._names[grouped[lo]], times[lo:hi], values[lo:hi]
+            )
+        if error is not None:
+            raise error
+        return offset + stop, emit
+
+    def _first_due(self, latest: np.ndarray) -> int:
+        """Index of the first clock reading in ``latest`` (non-decreasing)
+        at which ``min_chunk_rows`` new rows are decidable, else its
+        length: a bisection on :meth:`_row_of`, the per-event rule."""
+        due = self._next_emit_row + self._horizon_rows + self.min_chunk_rows
+        lo, hi = 0, len(latest)
+        if self._row_of(float(latest[-1])) < due:
+            return hi
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self._row_of(float(latest[mid])) >= due:
+                hi = mid
+            else:
+                lo = mid + 1
+        return lo
 
     def feed_trace(self, trace: Trace) -> List[Violation]:
-        """Replay a whole trace through the stream (for testing/replays)."""
-        fresh: List[Violation] = []
-        for timestamp, signal, value in trace.events():
-            fresh.extend(self.feed(timestamp, signal, value))
-        return fresh
+        """Replay a whole trace through the stream (for testing/replays):
+        its :meth:`~repro.logs.trace.Trace.event_columns` as one block."""
+        return self.feed_block(*trace.event_columns())
 
     def finish(self, trace_name: str = "online") -> MonitorReport:
         """Flush the tail (emitting UNKNOWNs where windows are cut short)
@@ -376,7 +523,7 @@ class OnlineMonitor:
         try:
             view = self._buffer.to_view(
                 self.period,
-                signals=self._offline.required_signals(),
+                signals=self._required,
                 start=view_start,
                 end=view_end,
             )
@@ -387,7 +534,7 @@ class OnlineMonitor:
             self.emit_waits += 1
             self._waiting_signals = tuple(
                 name
-                for name in self._offline.required_signals()
+                for name in self._required
                 if not (
                     name in self._buffer and self._buffer.update_count(name)
                 )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
 
 class ReproError(Exception):
     """Base class for every error raised by the ``repro`` library."""
@@ -10,6 +12,10 @@ class ReproError(Exception):
 class TraceError(ReproError):
     """Raised for malformed traces (non-monotonic timestamps, unknown
     signals, empty traces where data is required)."""
+
+    #: Violations finalized before the error: set when
+    #: ``OnlineMonitor.feed_block`` stops at a bad event mid-block.
+    violations: Sequence[object] = ()
 
 
 class SpecError(ReproError):

@@ -12,14 +12,13 @@ that fans a directory of drive logs across N streams
 
 from repro.fleet.replay import (
     assign_streams,
-    interleave,
     load_log_directory,
     replay_traces,
     replay_traces_async,
 )
 from repro.fleet.rollup import FLEET_ROLLUP, FLEET_SCHEMA_VERSION, fleet_rollup
 from repro.fleet.service import POLICIES, FleetReport, FleetService
-from repro.fleet.shard import StreamEvent, StreamShard
+from repro.fleet.shard import StreamShard
 
 __all__ = [
     "FLEET_ROLLUP",
@@ -27,11 +26,9 @@ __all__ = [
     "POLICIES",
     "FleetReport",
     "FleetService",
-    "StreamEvent",
     "StreamShard",
     "assign_streams",
     "fleet_rollup",
-    "interleave",
     "load_log_directory",
     "replay_traces",
     "replay_traces_async",

@@ -3,31 +3,34 @@
 This is the batch entry point behind ``repro fleet replay``: take a
 directory of trace files, assign each to a stream (cycling the traces
 when more streams than logs are requested, as when load-testing the
-service), and submit every event through a
-:class:`~repro.fleet.service.FleetService` in global timestamp order.
-The time-ordered interleave is what a real fleet gateway would deliver:
-events from different vehicles arrive shuffled together, and each
+service), and submit every stream's events through a
+:class:`~repro.fleet.service.FleetService` as blocks.
+
+Each stream's trace is turned into time-ordered event columns once
+(:meth:`~repro.logs.trace.Trace.event_columns`) and cut into *slices*:
+runs of at most ``batch_events`` consecutive events, so each covers a
+stretch of that stream's time.  The slices of all streams are merged by
+their first timestamp, which is what a real fleet gateway delivers:
+blocks from different vehicles arrive shuffled together, and each
 stream's worker must keep its own monitor consistent regardless of what
-the other streams are doing.
+the other streams are doing.  The replay yields to the event loop after
+every slice, so workers drain their inboxes as the replay goes and the
+``drop`` policy sheds only events that genuinely do not fit.
 """
 
 from __future__ import annotations
 
 import asyncio
 import glob
-import heapq
 import os
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.monitor import DEFAULT_PERIOD, Rule
 from repro.core.statemachine import StateMachine
 from repro.errors import TraceError
-from repro.fleet.service import FleetReport, FleetService
+from repro.fleet.service import Block, FleetReport, FleetService
 from repro.logs.format import read_trace
 from repro.logs.trace import Trace
-
-#: One fleet event: (timestamp, stream id, signal, value).
-FleetEvent = Tuple[float, str, str, float]
 
 
 def assign_streams(traces: Sequence[Trace], streams: int) -> List[Tuple[str, Trace]]:
@@ -47,15 +50,28 @@ def assign_streams(traces: Sequence[Trace], streams: int) -> List[Tuple[str, Tra
     ]
 
 
-def _stream_feed(stream_id: str, trace: Trace) -> Iterator[FleetEvent]:
-    for timestamp, signal, value in trace.events():
-        yield (timestamp, stream_id, signal, value)
+def _stream_columns(
+    assignments: Sequence[Tuple[str, Trace]]
+) -> List[Tuple[str, Block]]:
+    """Each stream's event columns, built once per distinct trace."""
+    built: Dict[int, Block] = {}
+    for _, trace in assignments:
+        if id(trace) not in built:
+            built[id(trace)] = trace.event_columns()
+    return [(stream_id, built[id(trace)]) for stream_id, trace in assignments]
 
 
-def interleave(assignments: Sequence[Tuple[str, Trace]]) -> Iterator[FleetEvent]:
-    """Merge per-stream event iterators into one time-ordered feed."""
-    feeds = [_stream_feed(stream_id, trace) for stream_id, trace in assignments]
-    return heapq.merge(*feeds, key=lambda event: event[0])
+def _slices(
+    streams: Sequence[Tuple[str, Block]], size: int
+) -> List[Tuple[float, int, int]]:
+    """``(first timestamp, stream slot, first event)`` of every run of at
+    most ``size`` consecutive events of every stream, ordered by first
+    timestamp (ties by slot)."""
+    return sorted(
+        (float(times[start]), slot, start)
+        for slot, (_, (times, _, _)) in enumerate(streams)
+        for start in range(0, len(times), size)
+    )
 
 
 async def replay_traces_async(
@@ -94,10 +110,16 @@ async def replay_traces_async(
 
         status = StatusServer(service, port=status_port).start()
     try:
-        for timestamp, stream_id, signal, value in interleave(
-            assign_streams(traces, streams)
-        ):
-            await service.submit(stream_id, timestamp, signal, value)
+        columns = _stream_columns(assign_streams(traces, streams))
+        size = service.batch_events
+        for _, slot, start in _slices(columns, size):
+            stream_id, (times, signals, values) = columns[slot]
+            stop = start + size
+            await service.submit_block(
+                stream_id, times[start:stop], signals[start:stop], values[start:stop]
+            )
+            # Let the workers drain before the next slice.
+            await asyncio.sleep(0)
         return await service.close()
     finally:
         if status is not None:

@@ -2,13 +2,15 @@
 
 A :class:`FleetService` runs one stateful
 :class:`~repro.fleet.shard.StreamShard` per vehicle stream.  Ingestion is
-asynchronous: :meth:`FleetService.submit` enqueues an event into the
-stream's **bounded inbox** (an :class:`asyncio.Queue`) and a per-stream
-worker task drains the inbox in batches, feeding the shard's online
-monitor.  Monitor evaluation is CPU-bound and runs inline on the event
-loop — batching is what keeps the interleave efficient: each worker
-turn evaluates up to ``batch_events`` events (at most a few monitor
-chunks) before yielding to the other streams.
+asynchronous and block-wise: :meth:`FleetService.submit_block` enqueues
+a block of events into the stream's **bounded inbox** (capacity counted
+in events, not blocks) and a per-stream worker task drains the inbox in
+batches of at most ``batch_events`` events, each fed to the shard's
+online monitor as one block.  Monitor evaluation is CPU-bound and runs
+inline on the event loop — batching is what keeps the interleave
+efficient: each worker turn evaluates one batch (at most a few monitor
+chunks) before yielding to the other streams.  :meth:`FleetService.submit`
+is a one-event block.
 
 Backpressure
 ------------
@@ -16,25 +18,34 @@ Backpressure
 Inboxes are bounded (``inbox_events``); what happens when one fills is
 the service's explicit, counted policy:
 
-* ``"block"`` (default) — ``submit`` awaits free space.  The await *is*
-  the backpressure: a producer outrunning its stream's monitor is slowed
-  to the monitor's pace.  Each submit that found the inbox full first
-  increments ``fleet.backpressure_blocked``.
-* ``"drop"`` — a full inbox drops the incoming event and increments
-  ``fleet.backpressure_dropped``.  The shard's monitor then simply never
-  sees the event; for the monitor this is indistinguishable from frame
-  loss on the bus.
+* ``"block"`` (default) — a submit enqueues what fits and awaits free
+  space for the rest.  The await *is* the backpressure: a producer
+  outrunning its stream's monitor is slowed to the monitor's pace.
+  Each submit that had to wait increments ``fleet.backpressure_blocked``.
+* ``"drop"`` — a submit enqueues what fits and drops the rest, counted
+  in ``fleet.backpressure_dropped`` and in the stream's final report
+  note.  The shard's monitor then simply never sees those events; for
+  the monitor this is indistinguishable from frame loss on the bus.
 
 Either way the service's memory stays bounded: per stream, at most
 ``inbox_events`` queued events plus the shard monitor's own
 ``max_buffer_rows``-bounded buffer.
+
+A worker that fails (a stream's monitor rejects an event, say a signal
+stepping back in time) stops its stream; the service keeps the error
+and raises it from the next :meth:`~FleetService.submit_block`,
+:meth:`~FleetService.submit` or :meth:`~FleetService.close`, so a
+producer never waits on an inbox nobody drains.
 """
 
 from __future__ import annotations
 
 import asyncio
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Deque, Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.core.monitor import DEFAULT_PERIOD, MonitorReport, Rule
 from repro.core.statemachine import StateMachine
@@ -42,11 +53,58 @@ from repro.fleet.rollup import fleet_rollup
 from repro.fleet.shard import StreamShard
 from repro.obs import MetricsRegistry
 
-#: Inbox sentinel telling a worker its stream is complete.
-_EOF = object()
-
 #: Allowed backpressure policies.
 POLICIES = ("block", "drop")
+
+#: One event block: (times, signal names, values), equal-length columns.
+Block = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _cut(block: Block, start: int, stop: Optional[int] = None) -> Block:
+    times, signals, values = block
+    return times[start:stop], signals[start:stop], values[start:stop]
+
+
+class _Inbox:
+    """One stream's bounded queue of event blocks, sized in events."""
+
+    def __init__(self, capacity: int) -> None:
+        self.capacity = capacity
+        self.blocks: Deque[Block] = deque()
+        self.events = 0
+        self.closed = False
+        self.ready = asyncio.Event()  # set when blocks wait or closed
+        self.space = asyncio.Event()  # set when events were taken
+
+    def free(self) -> int:
+        return self.capacity - self.events
+
+    def put(self, block: Block) -> None:
+        self.blocks.append(block)
+        self.events += len(block[0])
+        self.ready.set()
+
+    def take(self, limit: int) -> Optional[Block]:
+        """Up to ``limit`` queued events as one block (``None`` when
+        nothing is queued), splitting the last block taken if needed."""
+        pieces: List[Block] = []
+        taken = 0
+        while self.blocks and taken < limit:
+            block = self.blocks.popleft()
+            room = limit - taken
+            if len(block[0]) > room:
+                self.blocks.appendleft(_cut(block, room))
+                block = _cut(block, 0, room)
+            pieces.append(block)
+            taken += len(block[0])
+        if not pieces:
+            return None
+        self.events -= taken
+        self.space.set()
+        if len(pieces) == 1:
+            return pieces[0]
+        times, signals, values = zip(*pieces)
+        return np.concatenate(times), np.concatenate(signals), np.concatenate(values)
 
 
 @dataclass
@@ -109,7 +167,8 @@ class FleetService:
     """Sharded online monitoring over many concurrent streams.
 
     Create the service inside a running event loop (workers are spawned
-    lazily per stream), ``await submit(...)`` for every bus event, then
+    lazily per stream), ``await submit_block(...)`` for every block of a
+    stream's bus events (or ``await submit(...)`` for one event), then
     ``await close()`` to drain the inboxes, flush every monitor, and get
     the :class:`FleetReport`.
     """
@@ -151,10 +210,12 @@ class FleetService:
         #: Service-level instruments (submissions, backpressure, batches).
         self.registry = MetricsRegistry()
         self._shards: Dict[str, StreamShard] = {}
-        self._inboxes: Dict[str, asyncio.Queue] = {}
+        self._inboxes: Dict[str, _Inbox] = {}
         self._workers: Dict[str, asyncio.Task] = {}
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._closed = False
+        #: The first error a worker died of (re-raised to the producer).
+        self._failure: Optional[Exception] = None
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -177,67 +238,96 @@ class FleetService:
             self.registry.counter("fleet.streams_opened").inc()
         return shard
 
-    def _ensure_worker(self, stream_id: str) -> asyncio.Queue:
+    def _ensure_worker(self, stream_id: str) -> _Inbox:
         inbox = self._inboxes.get(stream_id)
         if inbox is None:
             self._loop = asyncio.get_running_loop()
             shard = self.shard(stream_id)
-            inbox = self._inboxes[stream_id] = asyncio.Queue(
-                maxsize=self.inbox_events
-            )
+            inbox = self._inboxes[stream_id] = _Inbox(self.inbox_events)
             self._workers[stream_id] = self._loop.create_task(
                 self._worker(inbox, shard)
             )
         return inbox
 
+    def _raise_failure(self) -> None:
+        if self._failure is not None:
+            raise self._failure
+
     async def submit(
         self, stream_id: str, timestamp: float, signal: str, value: float
     ) -> None:
-        """Enqueue one bus event for ``stream_id``.
+        """Enqueue one bus event for ``stream_id`` (a one-event block)."""
+        await self.submit_block(stream_id, (timestamp,), (signal,), (value,))
 
-        Applies the backpressure policy when the stream's inbox is full:
-        ``block`` awaits space, ``drop`` discards the event (counted).
+    async def submit_block(
+        self,
+        stream_id: str,
+        times: Sequence[float],
+        signals: Sequence[str],
+        values: Sequence[float],
+    ) -> None:
+        """Enqueue a block of ``stream_id``'s bus events, in arrival order.
+
+        Applies the backpressure policy to the events that do not fit in
+        the stream's inbox: ``block`` awaits space for them, ``drop``
+        discards them (counted).  Raises a failed worker's error (see
+        the module docstring).
         """
+        self._raise_failure()
         if self._closed:
             raise RuntimeError("fleet service already closed")
         inbox = self._ensure_worker(stream_id)
-        event = (timestamp, signal, value)
-        self.registry.counter("fleet.events_submitted").inc()
-        if self.policy == "drop":
-            try:
-                inbox.put_nowait(event)
-            except asyncio.QueueFull:
-                self.registry.counter("fleet.backpressure_dropped").inc()
-            return
-        if inbox.full():
-            self.registry.counter("fleet.backpressure_blocked").inc()
-        await inbox.put(event)
-
-    async def _worker(self, inbox: asyncio.Queue, shard: StreamShard) -> None:
-        """Drain one stream's inbox in batches until its EOF sentinel."""
+        block: Block = (
+            np.asarray(times, dtype=np.float64),
+            np.asarray(signals, dtype=object),
+            np.asarray(values, dtype=np.float64),
+        )
+        count = len(block[0])
+        self.registry.counter("fleet.events_submitted").inc(count)
+        waited = False
         while True:
-            event = await inbox.get()
-            stop = event is _EOF
-            batch = []
-            if not stop:
-                batch.append(event)
-                while len(batch) < self.batch_events:
-                    try:
-                        queued = inbox.get_nowait()
-                    except asyncio.QueueEmpty:
-                        break
-                    if queued is _EOF:
-                        stop = True
-                        break
-                    batch.append(queued)
-            if batch:
-                shard.feed_batch(batch)
-                self.registry.counter("fleet.batches").inc()
-            if stop:
+            fits = min(inbox.free(), count)
+            if fits:
+                inbox.put(_cut(block, 0, fits))
+                block, count = _cut(block, fits), count - fits
+            if not count:
                 return
-            # Yield so the other streams' workers interleave fairly even
-            # when this inbox never runs dry.
-            await asyncio.sleep(0)
+            if self.policy == "drop":
+                self.registry.counter("fleet.backpressure_dropped").inc(count)
+                self._shards[stream_id].dropped += count
+                return
+            if not waited:
+                waited = True
+                self.registry.counter("fleet.backpressure_blocked").inc()
+            inbox.space.clear()
+            await inbox.space.wait()
+            self._raise_failure()
+
+    async def _worker(self, inbox: _Inbox, shard: StreamShard) -> None:
+        """Drain one stream's inbox in batches until it is closed and
+        empty; on a failure, keep the error and wake every producer."""
+        try:
+            while True:
+                batch = inbox.take(self.batch_events)
+                if batch is None:
+                    if inbox.closed:
+                        return
+                    inbox.ready.clear()
+                    await inbox.ready.wait()
+                    continue
+                shard.feed_batch(*batch)
+                self.registry.counter("fleet.batches").inc()
+                # Yield so the other streams' workers interleave fairly
+                # even when this inbox never runs dry.
+                await asyncio.sleep(0)
+        except Exception as exc:
+            # Whatever killed the worker is kept and re-raised to the
+            # producer (never swallowed): a dead worker must not leave a
+            # submit or close waiting on an inbox nobody drains.
+            if self._failure is None:
+                self._failure = exc
+            for other in self._inboxes.values():
+                other.space.set()
 
     # ------------------------------------------------------------------
     # Rollup / shutdown
@@ -271,13 +361,16 @@ class FleetService:
 
     async def close(self) -> FleetReport:
         """Drain every inbox, flush every monitor, return the report."""
+        self._raise_failure()
         if self._closed:
             raise RuntimeError("fleet service already closed")
         self._closed = True
         for inbox in self._inboxes.values():
-            await inbox.put(_EOF)
+            inbox.closed = True
+            inbox.ready.set()
         if self._workers:
             await asyncio.gather(*self._workers.values())
+        self._raise_failure()
         reports = {
             stream_id: shard.finish()
             for stream_id, shard in sorted(self._shards.items())

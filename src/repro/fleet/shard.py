@@ -12,17 +12,13 @@ worker-process snapshots.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 from repro.core.monitor import DEFAULT_PERIOD, MonitorReport, Rule
 from repro.core.online import OnlineMonitor
 from repro.core.statemachine import StateMachine
 from repro.core.violations import Violation
 from repro.obs import MetricsRegistry, use_registry
-
-#: One inbox event: (timestamp, signal name, value).
-StreamEvent = Tuple[float, str, float]
-
 
 class StreamShard:
     """A single stream's online monitor plus its metrics registry."""
@@ -55,31 +51,42 @@ class StreamShard:
             robustness=robustness,
         )
         self.events = 0
+        #: Events the service dropped before they reached this shard.
+        self.dropped = 0
         self.live_violations: List[Violation] = []
         self.report: Optional[MonitorReport] = None
 
     def feed(self, timestamp: float, signal: str, value: float) -> List[Violation]:
         """Feed one event under this shard's registry."""
-        return self.feed_batch([(timestamp, signal, value)])
+        return self.feed_batch((timestamp,), (signal,), (value,))
 
-    def feed_batch(self, events: Sequence[StreamEvent]) -> List[Violation]:
-        """Feed a drained inbox batch under one registry install.
-
-        Installing the registry once per batch (not per event) keeps the
-        per-event overhead at a deque append plus the chunk-size check.
-        """
-        fresh: List[Violation] = []
+    def feed_batch(
+        self,
+        times: Sequence[float],
+        signals: Sequence[str],
+        values: Sequence[float],
+    ) -> List[Violation]:
+        """Feed a drained inbox batch, one event block, under one
+        registry install (:meth:`OnlineMonitor.feed_block`)."""
         with use_registry(self.registry):
-            for timestamp, signal, value in events:
-                fresh.extend(self.monitor.feed(timestamp, signal, value))
-        self.events += len(events)
+            fresh = self.monitor.feed_block(times, signals, values)
+        self.events += len(times)
         self.live_violations.extend(fresh)
         return fresh
 
     def finish(self) -> MonitorReport:
-        """Flush the monitor tail and keep the final report."""
+        """Flush the monitor tail and keep the final report.
+
+        Events the service dropped at a full inbox (``dropped``) are
+        named in a report note: the verdicts cover only what arrived.
+        """
         with use_registry(self.registry):
             self.report = self.monitor.finish(trace_name=self.stream_id)
+        if self.dropped:
+            self.report.notes.append(
+                "fleet: %d event(s) dropped at a full inbox (backpressure "
+                "policy 'drop'); the monitor never saw them" % self.dropped
+            )
         return self.report
 
     # ------------------------------------------------------------------

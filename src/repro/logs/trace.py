@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import bisect
 import math
-from collections import deque
 from functools import cached_property
-from typing import Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -193,6 +192,30 @@ class Trace:
         merged.sort(key=lambda event: (event[0], event[1]))
         return iter(merged)
 
+    def event_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:meth:`events` as three columns: float64 times, an object
+        array of signal names and float64 values, in the same order.
+
+        One stable ``lexsort`` over the concatenated per-signal arrays
+        instead of a sort of Python tuples; the block ingest paths
+        (:meth:`repro.core.online.OnlineMonitor.feed_trace`, fleet
+        replay) slice these columns.
+        """
+        names = self.signals()
+        if not names:
+            return np.empty(0), np.empty(0, dtype=object), np.empty(0)
+        times = np.concatenate([self._times[name] for name in names])
+        values = np.concatenate([self._values[name] for name in names])
+        codes = np.repeat(
+            np.arange(len(names)), [len(self._times[name]) for name in names]
+        )
+        order = np.lexsort((codes, times))
+        return (
+            times[order],
+            np.array(names, dtype=object)[codes[order]],
+            values[order],
+        )
+
     # ------------------------------------------------------------------
     # Transformation
     # ------------------------------------------------------------------
@@ -219,21 +242,80 @@ class Trace:
         return TraceView(self, period, signals=signals, start=start, end=end)
 
 
+#: Initial capacity of a :class:`_Ring`.
+_RING_MIN = 64
+
+
+class _Ring:
+    """One signal's buffered updates: float64 times and values in a
+    growable array whose live part is ``[start:end]``.
+
+    Appending copies into free space at the end (growing or compacting
+    when it runs out, O(1) amortized per update); trimming only moves
+    ``start``.  Nothing is ever boxed into a Python float.
+    """
+
+    __slots__ = ("times", "values", "start", "end")
+
+    def __init__(self) -> None:
+        self.times = np.empty(_RING_MIN)
+        self.values = np.empty(_RING_MIN)
+        self.start = self.end = 0
+
+    def __len__(self) -> int:
+        return self.end - self.start
+
+    def last(self) -> float:
+        """Newest buffered timestamp, or -inf when nothing is buffered."""
+        if self.end == self.start:
+            return -math.inf
+        return float(self.times[self.end - 1])
+
+    def extend(self, times: np.ndarray, values: np.ndarray) -> None:
+        count = len(times)
+        if self.end + count > len(self.times):
+            self._make_room(count)
+        self.times[self.end : self.end + count] = times
+        self.values[self.end : self.end + count] = values
+        self.end += count
+
+    def _make_room(self, count: int) -> None:
+        live = self.end - self.start
+        size = len(self.times)
+        if live + count > size // 2:
+            size = max(2 * (live + count), _RING_MIN)
+            times, values = np.empty(size), np.empty(size)
+        else:
+            # Compact in place (numpy copes with the overlap).
+            times, values = self.times, self.values
+        times[:live] = self.times[self.start : self.end]
+        values[:live] = self.values[self.start : self.end]
+        self.times, self.values = times, values
+        self.start, self.end = 0, live
+
+    def trim(self, before: float) -> int:
+        """Drop the leading updates stamped before ``before``."""
+        expired = self.times[self.start : self.end] < before
+        dropped = len(expired) if expired.all() else int(expired.argmin())
+        self.start += dropped
+        return dropped
+
+
 class StreamTrace:
     """Bounded-memory update store for streaming monitors.
 
     Same recording/view protocol as :class:`Trace`, but designed for an
     unbounded stream with a moving *retention frontier*:
 
-    * per-signal storage is a :class:`collections.deque`, so
-      :meth:`record` appends in O(1);
-    * :meth:`trim` advances the frontier and pops expired updates from
-      the left — every update is popped at most once over the stream's
+    * per-signal storage is a float64 ring (:class:`_Ring`), so
+      :meth:`record` appends one update and :meth:`_extend` a block of
+      them in O(1) amortized time per update;
+    * :meth:`trim` advances the frontier and drops expired updates from
+      the front — every update is dropped at most once over the stream's
       lifetime, so buffer maintenance costs O(1) amortized per recorded
-      event (re-recording the kept suffix into a fresh :class:`Trace`,
-      the approach this replaces, was O(retained) *per trim*);
-    * :meth:`to_view` materializes numpy arrays only for what is still
-      buffered, never for the stream's full history.
+      event;
+    * :meth:`to_view` copies out only what is still buffered, never the
+      stream's full history.
 
     The store never deletes a signal's *name* — a signal whose updates
     have all expired still answers ``in`` but holds zero updates, which
@@ -242,8 +324,7 @@ class StreamTrace:
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._times: Dict[str, Deque[float]] = {}
-        self._values: Dict[str, Deque[float]] = {}
+        self._rings: Dict[str, _Ring] = {}
         self._frontier = -math.inf
 
     # ------------------------------------------------------------------
@@ -259,19 +340,41 @@ class StreamTrace:
         """
         return self._frontier
 
+    def _ring(self, signal: str) -> _Ring:
+        ring = self._rings.get(signal)
+        if ring is None:
+            ring = self._rings[signal] = _Ring()
+        return ring
+
     def record(self, signal: str, timestamp: float, value: float) -> None:
-        """Append one observed update for ``signal`` (O(1)).
+        """Append one observed update for ``signal`` (O(1) amortized).
 
         Timestamps must be finite and non-decreasing per signal, as on a
         real bus.
         """
         if not math.isfinite(timestamp):
             raise non_finite_time(signal, timestamp)
-        times = self._times.setdefault(signal, deque())
-        if times and timestamp < times[-1] - 1e-12:
-            raise _out_of_order(signal, timestamp, times[-1])
-        times.append(float(timestamp))
-        self._values.setdefault(signal, deque()).append(float(value))
+        ring = self._ring(signal)
+        last = ring.last()
+        if timestamp < last - 1e-12:
+            raise _out_of_order(signal, timestamp, last)
+        ring.extend((timestamp,), (value,))
+
+    def _extend(self, signal: str, times: np.ndarray, values: np.ndarray) -> None:
+        """Append a block of ``signal``'s updates without checking them.
+
+        Private to :meth:`repro.core.online.OnlineMonitor.feed_block`,
+        its bulk path: the monitor runs :meth:`record`'s finiteness and
+        order checks itself, a block of events at a time (against
+        :meth:`_last`), and then appends each signal's updates here.
+        """
+        self._ring(signal).extend(times, values)
+
+    def _last(self, signal: str) -> float:
+        """Newest buffered timestamp of ``signal`` (-inf when none):
+        what :meth:`record` checks the next update against."""
+        ring = self._rings.get(signal)
+        return -math.inf if ring is None else ring.last()
 
     def trim(self, before: float) -> int:
         """Drop every update with ``t < before``; returns the drop count.
@@ -280,13 +383,7 @@ class StreamTrace:
         move backwards).  Updates exactly at ``before`` are kept, matching
         ``Trace.sliced(before, inf)`` semantics.
         """
-        dropped = 0
-        for signal, times in self._times.items():
-            values = self._values[signal]
-            while times and times[0] < before:
-                times.popleft()
-                values.popleft()
-                dropped += 1
+        dropped = sum(ring.trim(before) for ring in self._rings.values())
         if before > self._frontier:
             self._frontier = before
         return dropped
@@ -297,30 +394,31 @@ class StreamTrace:
 
     def signals(self) -> Tuple[str, ...]:
         """All signal names ever recorded, sorted."""
-        return tuple(sorted(self._times))
+        return tuple(sorted(self._rings))
 
     def __contains__(self, signal: str) -> bool:
-        return signal in self._times
+        return signal in self._rings
 
     def update_count(self, signal: Optional[str] = None) -> int:
         """Buffered update count for one signal, or for the whole store."""
         if signal is not None:
-            return len(self._times.get(signal, ()))
-        return sum(len(times) for times in self._times.values())
+            ring = self._rings.get(signal)
+            return 0 if ring is None else len(ring)
+        return sum(len(ring) for ring in self._rings.values())
 
     def updates(self, signal: str) -> List[Tuple[float, float]]:
         """The buffered ``(timestamp, value)`` updates of one signal."""
-        if signal not in self._times:
-            raise TraceError("no updates recorded for signal %s" % signal)
-        return list(zip(self._times[signal], self._values[signal]))
+        times, values = self.update_arrays(signal)
+        return list(zip(map(float, times), map(float, values)))
 
     def update_arrays(self, signal: str) -> Tuple[np.ndarray, np.ndarray]:
-        """Buffered ``(timestamps, values)`` as float64 arrays."""
-        if signal not in self._times:
+        """Buffered ``(timestamps, values)`` as float64 arrays (copies)."""
+        ring = self._rings.get(signal)
+        if ring is None:
             raise TraceError("no updates recorded for signal %s" % signal)
         return (
-            np.asarray(self._times[signal], dtype=np.float64),
-            np.asarray(self._values[signal], dtype=np.float64),
+            ring.times[ring.start : ring.end].copy(),
+            ring.values[ring.start : ring.end].copy(),
         )
 
     def time_bounds(self, signal: str) -> Tuple[float, float]:
@@ -329,19 +427,19 @@ class StreamTrace:
         O(1) — this is what lets a monitor assert its buffer-row bound
         on every chunk without walking the buffer.
         """
-        times = self._times.get(signal)
-        if not times:
+        ring = self._rings.get(signal)
+        if not ring:
             raise TraceError("no updates buffered for signal %s" % signal)
-        return times[0], times[-1]
+        return float(ring.times[ring.start]), ring.last()
 
     def is_empty(self) -> bool:
         """Whether the store currently buffers no updates at all."""
-        return all(not times for times in self._times.values()) or not self._times
+        return not any(self._rings.values())
 
     @property
     def start_time(self) -> float:
         """Timestamp of the earliest *buffered* update."""
-        starts = [times[0] for times in self._times.values() if times]
+        starts = [self.time_bounds(signal)[0] for signal, ring in self._rings.items() if ring]
         if not starts:
             raise TraceError("trace is empty")
         return min(starts)
@@ -349,7 +447,7 @@ class StreamTrace:
     @property
     def end_time(self) -> float:
         """Timestamp of the latest buffered update."""
-        ends = [times[-1] for times in self._times.values() if times]
+        ends = [ring.last() for ring in self._rings.values() if ring]
         if not ends:
             raise TraceError("trace is empty")
         return max(ends)
@@ -368,7 +466,7 @@ class StreamTrace:
         the caller cannot evaluate over data it no longer holds.
         """
         for signal in signals or ():
-            if not self._times.get(signal):
+            if not self._rings.get(signal):
                 raise TraceError("trace has no signal %s" % signal)
         return TraceView(self, period, signals=signals, start=start, end=end)
 

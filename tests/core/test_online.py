@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import multirate_trace, uniform_trace
+from helpers import loop_feed, multirate_trace, uniform_trace
 from repro.core.evaluator import future_reach
 from repro.core.monitor import Monitor, Rule
 from repro.core.online import OnlineMonitor
@@ -21,7 +21,7 @@ from repro.core.parser import parse_formula
 from repro.core.statemachine import StateMachine
 from repro.core.types import Verdict
 from repro.core.warmup import WarmupSpec
-from repro.errors import TraceError
+from repro.errors import SpecError, TraceError
 from repro.obs import MetricsRegistry, use_registry
 
 PERIOD = 0.02
@@ -752,3 +752,189 @@ class TestRobustnessOnline:
         robustness = report.results["r"].robustness
         assert robustness.worst_row is None
         assert not robustness.decided
+
+
+class TestPeriodArgument:
+    """Regression: ``period=0`` raised ``ZeroDivisionError``, ``nan`` an
+    integer-conversion error, and a negative period was accepted."""
+
+    @pytest.mark.parametrize(
+        "period", [0.0, -0.02, float("nan"), float("inf"), -float("inf")]
+    )
+    def test_rejected_with_a_typed_error_naming_it(self, period):
+        with pytest.raises(SpecError, match="period must be a positive"):
+            OnlineMonitor([Rule.from_text("r", "n", "x > 0")], period=period)
+
+
+#: Rules for the block-ingest differential: a future-bounded window (so
+#: chunks lag the clock), a past-looking one, and a freshness-aware delta.
+BLOCK_RULES = (
+    ("alw", "always[0, 60ms] x > -2"),
+    ("once", "x > 1 -> once[0, 100ms] y > 0"),
+    ("delta", "not rising(y, 4)"),
+)
+
+#: Time steps of the differential's event stream, by a drawn code in
+#: [0, 600): rarely a non-finite stamp, a small step back (an order
+#: error once that signal is buffered) or a far jump back (a late event
+#: once the frontier moved); else ties and forward steps.
+GLITCHES = {0: "nan", 1: "inf", 2: -0.005, 3: -0.005, 4: -3.0, 5: -3.0, 6: -3.0}
+FORWARD = (0.0, 0.0, 0.01, 0.02, 0.03, 0.05)
+
+
+@st.composite
+def event_streams(draw):
+    count = draw(st.integers(min_value=0, max_value=400))
+    clock = 0.0
+    events = []
+    for _ in range(count):
+        code = draw(st.integers(min_value=0, max_value=599))
+        step = GLITCHES.get(code, FORWARD[code % len(FORWARD)])
+        signal = draw(st.sampled_from(["x", "x", "y", "y", "z"]))
+        value = draw(st.sampled_from([-3.0, -1.0, 0.0, 1.0, 2.0]))
+        if isinstance(step, str):
+            events.append((float(step), signal, value))
+            continue
+        if step > 0:
+            clock += step
+        # Backward steps are one-off stamps; the clock itself stays.
+        events.append((clock + min(step, 0.0), signal, value))
+    return events
+
+
+def _ingest(events, cuts, min_chunk_rows, blocks):
+    """Feed ``events`` per event through the oracle or as blocks cut at
+    ``cuts``; returns everything the two paths must agree on."""
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        rules = [Rule.from_text(rid, rid, text) for rid, text in BLOCK_RULES]
+        online = OnlineMonitor(
+            rules, min_chunk_rows=min_chunk_rows, retention=0.1, robustness=True
+        )
+        live, error = [], None
+        try:
+            if blocks:
+                for lo, hi in zip([0] + cuts, cuts + [len(events)]):
+                    piece = events[lo:hi]
+                    live.extend(
+                        online.feed_block(
+                            [t for t, _, _ in piece],
+                            [name for _, name, _ in piece],
+                            [v for _, _, v in piece],
+                        )
+                    )
+            else:
+                for event in events:
+                    live.extend(loop_feed(online, *event))
+        except TraceError as exc:
+            error = str(exc)
+            # A block hands over what it finalized before the bad event.
+            live.extend(exc.violations)
+        # What was ingested before the error (or the end).
+        state = (
+            online._start_time,
+            online._latest,
+            online.late_events,
+            {name: online._buffer.updates(name) for name in online._buffer.signals()},
+        )
+        report = online.finish()
+    counters = {
+        name: registry.counters[name].value
+        for name in (
+            "online.chunks",
+            "online.rows_emitted",
+            "online.rows_reevaluated",
+            "online.late_events",
+            "online.emit_waiting",
+        )
+        if name in registry.counters
+    }
+    return dict(
+        live=[(v.rule_id, v.start_row, v.end_row, v.margin) for v in live],
+        error=error,
+        state=state,
+        counters=counters,
+        peak=online.peak_buffer_rows,
+        notes=report.notes,
+        duration=report.duration,
+        results={
+            rule_id: (
+                result.verdict,
+                [(v.start_row, v.end_row, v.margin) for v in result.violations],
+                result.rows_total,
+                result.rows_checked,
+                result.rows_unknown,
+                result.robustness,
+            )
+            for rule_id, result in report.results.items()
+        },
+    )
+
+
+class TestFeedBlockDifferential:
+    """``feed_block`` against the per-event oracle: cut anywhere, a
+    stream must chunk, count, report and fail exactly as fed one event
+    at a time."""
+
+    @given(
+        events=event_streams(),
+        data=st.data(),
+        min_chunk_rows=st.sampled_from([1, 7, 50]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_blocks_match_per_event_feed(self, events, data, min_chunk_rows):
+        cuts = sorted(
+            data.draw(
+                st.sets(st.integers(min_value=1, max_value=max(len(events) - 1, 1))),
+                label="cuts",
+            )
+            & set(range(1, len(events)))
+        )
+        expected = _ingest(events, cuts, min_chunk_rows, blocks=False)
+        assert _ingest(events, cuts, min_chunk_rows, blocks=True) == expected
+
+    def test_named_stream_exercises_every_branch(self):
+        """One fixed stream hitting all the differential's cases: an
+        unreferenced signal, ties, late events, emits and, last, an
+        order error in the middle of a block."""
+        events = []
+        for i in range(300):
+            t = i * 0.01
+            events += [(t, "x", 1.0), (t, "y", 0.0), (t, "z", 5.0)]
+        events += [(0.5, "x", -3.0), (2.99, "y", 1.0), (2.9, "y", 1.0)]
+        events += [(3.0 + i * 0.01, "x", 1.0) for i in range(50)]
+        for cuts in ([], [7], [450, 451, 900]):
+            for min_chunk_rows in (1, 7, 50):
+                expected = _ingest(events, cuts, min_chunk_rows, blocks=False)
+                got = _ingest(events, cuts, min_chunk_rows, blocks=True)
+                assert got == expected
+                assert got["error"].startswith("y: update at t=2.900000")
+                assert got["state"][2] == 1  # the late x at t=0.5
+                assert got["counters"]["online.chunks"] > 0
+
+    def test_block_longer_than_one_scan(self):
+        """A block of more events than one scan segment (4,096) chunks
+        exactly as the per-event oracle does, across segment seams."""
+        events = []
+        for i in range(2500):
+            t = i * 0.01
+            events += [(t, "x", 1.0 if i % 300 < 290 else -3.0), (t, "z", 0.0)]
+            if i % 3 == 0:
+                events.append((t, "y", float(i % 7)))
+        assert len(events) > 4096
+        for min_chunk_rows in (1, 50):
+            expected = _ingest(events, [], min_chunk_rows, blocks=False)
+            assert _ingest(events, [], min_chunk_rows, blocks=True) == expected
+            assert expected["live"]
+
+    def test_non_finite_time_ingests_the_prefix(self):
+        online = OnlineMonitor([Rule.from_text("r", "n", "x > 0")])
+        with pytest.raises(TraceError, match="x: update at non-finite time t=nan"):
+            online.feed_block([0.0, 0.02, float("nan"), 0.04], ["x"] * 4, [1.0] * 4)
+        assert online._latest == 0.02
+        assert online._buffer.update_count("x") == 2
+
+    def test_column_lengths_must_agree(self):
+        online = OnlineMonitor([Rule.from_text("r", "n", "x > 0")])
+        with pytest.raises(TraceError, match="differ in length"):
+            online.feed_block([0.0, 0.02], ["x"], [1.0, 1.0])

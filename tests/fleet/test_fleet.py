@@ -1,25 +1,28 @@
 """The fleet service: shards, backpressure, rollups, status, replay."""
 
 import asyncio
+import copy
 import json
 import urllib.request
 
 import pytest
 
-from helpers import uniform_trace
+from helpers import interleave, loop_replay_async, uniform_trace
 from repro.core.monitor import Rule
 from repro.errors import TraceError
 from repro.fleet import (
     FLEET_ROLLUP,
     FLEET_SCHEMA_VERSION,
+    POLICIES,
     FleetService,
     StreamShard,
     assign_streams,
     fleet_rollup,
-    interleave,
     replay_traces,
 )
 from repro.fleet.status import StatusServer
+from repro.logs.vehicle_logs import generate_drive_logs
+from repro.rules.safety_rules import paper_rules
 from repro.schema import require_valid, validate
 
 PERIOD = 0.02
@@ -458,3 +461,116 @@ class TestReplay:
         for entry in rollup["streams"].values():
             name = entry["stream"].split(":", 1)[1]
             assert entry["letters"] == letters[name]
+
+
+def dip_trace(n=3000, dip=2000, name="dip"):
+    """``x`` stays positive except for ten rows starting at ``dip``."""
+    return uniform_trace(
+        {"x": [-1.0 if dip <= i < dip + 10 else 1.0 for i in range(n)]}, name=name
+    )
+
+
+class TestReplayBackpressure:
+    def test_drop_policy_sheds_nothing_a_draining_fleet_can_take(self):
+        """Regression: the replay never yielded to the workers, so under
+        ``drop`` every stream kept only its first ``inbox_events`` events
+        and a late violation read as a pass."""
+        traces = [dip_trace(name="a"), sawtooth_trace(n=1500, name="b")]
+        kwargs = dict(streams=3, min_chunk_rows=10)
+        block = replay_traces(traces, simple_rules(), **kwargs)
+        drop = replay_traces(traces, simple_rules(), policy="drop", **kwargs)
+        assert drop.rollup["fleet"]["backpressure"]["dropped"] == 0
+        assert drop.rollup["fleet"]["events"] == block.rollup["fleet"]["events"]
+        for stream_id, report in block.reports.items():
+            assert drop.reports[stream_id].letters() == report.letters()
+        assert drop.reports["s00:a"].letters()["pos"] == "V"
+
+    def test_dropped_events_are_counted_and_noted_per_stream(self):
+        traces = [dip_trace(name="a")]
+        report = replay_traces(
+            traces, simple_rules(), streams=2, min_chunk_rows=10,
+            inbox_events=16, policy="drop",
+        )
+        fleet = report.rollup["fleet"]
+        dropped = fleet["backpressure"]["dropped"]
+        assert dropped > 0
+        submitted = fleet["metrics"]["counters"]["fleet.events_submitted"]
+        assert submitted == fleet["events"] + dropped == 2 * 3000
+        noted = 0
+        for stream_id, stream_report in report.reports.items():
+            lost = 3000 - report.rollup["streams"][stream_id]["events"]
+            notes = [note for note in stream_report.notes if "dropped at a full inbox" in note]
+            assert notes == [
+                "fleet: %d event(s) dropped at a full inbox (backpressure "
+                "policy 'drop'); the monitor never saw them" % lost
+            ]
+            noted += lost
+        assert noted == dropped
+
+
+class TestWorkerFailure:
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_dead_worker_error_reaches_the_producer(self, policy):
+        """Regression: a worker killed by a bad event left the producer
+        awaiting a full inbox nobody drained (and ``close`` too)."""
+
+        async def scenario():
+            service = FleetService(
+                paper_rules(), inbox_events=4, batch_events=2, policy=policy
+            )
+            with pytest.raises(TraceError, match="precedes last update"):
+                await service.submit("s", 1.0, "Velocity", 20.0)
+                await service.submit("s", 0.5, "Velocity", 20.0)
+                for i in range(20):
+                    await service.submit("s", 1.0 + 0.02 * i, "Velocity", 20.0)
+                await service.close()
+            # The error is kept: later calls raise it too, never hang.
+            with pytest.raises(TraceError, match="precedes last update"):
+                await service.submit("s", 2.0, "Velocity", 20.0)
+            with pytest.raises(TraceError, match="precedes last update"):
+                await service.submit_block("t", [2.0], ["Velocity"], [20.0])
+
+        asyncio.run(asyncio.wait_for(scenario(), timeout=30))
+
+
+@pytest.fixture(scope="module")
+def drive_assignments():
+    return assign_streams(generate_drive_logs(seed=2014), 8)
+
+
+def comparable(rollup):
+    """A rollup without what depends on batching or on the clock: the
+    batch count, blocked submits and timing histograms."""
+    rollup = copy.deepcopy(rollup)
+    entries = [rollup["fleet"]] + list(rollup["streams"].values())
+    for entry in entries:
+        histograms = entry["metrics"]["histograms"]
+        for name in [name for name in histograms if name.endswith(".seconds")]:
+            del histograms[name]
+    counters = rollup["fleet"]["metrics"]["counters"]
+    del counters["fleet.batches"]
+    counters.pop("fleet.backpressure_blocked", None)
+    del rollup["fleet"]["backpressure"]["blocked"]
+    return rollup
+
+
+class TestReplayDifferential:
+    """The sliced block replay against the per-event oracle: the time
+    merge of every event (``interleave``), one ``submit`` and one
+    ``OnlineMonitor`` event at a time."""
+
+    @pytest.mark.parametrize("robustness", [False, True])
+    def test_drive_log_rollup_equals_the_per_event_replay(
+        self, drive_assignments, robustness
+    ):
+        traces = [trace for _, trace in drive_assignments[:6]]
+        report = replay_traces(traces, paper_rules(), streams=8, robustness=robustness)
+        expected = asyncio.run(
+            loop_replay_async(drive_assignments, paper_rules(), robustness=robustness)
+        )
+        assert comparable(report.rollup) == comparable(expected.rollup)
+        assert report.rollup["fleet"]["events"] == sum(
+            trace.update_count() for _, trace in drive_assignments
+        )
+        for stream_id, stream_report in expected.reports.items():
+            assert report.reports[stream_id].summary() == stream_report.summary()

@@ -1,6 +1,6 @@
 """Shared helpers for building small, hand-authored traces in tests,
-plus three oracles: the O(n·w) window kernel, the per-frame CAN bus and
-the per-line drive-log reader."""
+plus four oracles: the O(n·w) window kernel, the per-frame CAN bus, the
+per-line drive-log reader and per-event online and fleet ingest."""
 
 from __future__ import annotations
 
@@ -17,10 +17,15 @@ from repro.can.database import CanDatabase, MessageDef
 from repro.can.frame import CanFrame
 from repro.can.signal import SignalValue
 from repro.core import windows
+from repro.core.online import OnlineMonitor
+from repro.core.violations import Violation
 from repro.errors import TraceError
+from repro.fleet.service import FleetReport, FleetService
+from repro.fleet.shard import StreamShard
 from repro.hil import simulator
 from repro.logs.format import PathOrFile, _read_header
-from repro.logs.trace import Trace
+from repro.logs.trace import Trace, non_finite_time
+from repro.obs import get_registry, use_registry
 
 #: The default monitor period used throughout the tests.
 PERIOD = 0.02
@@ -281,3 +286,87 @@ def _loop_read(handle: TextIO) -> Trace:
             )
         trace.record(parts[1], timestamp, value)
     return trace
+
+
+# ----------------------------------------------------------------------
+# The per-event online and fleet ingest oracles
+# ----------------------------------------------------------------------
+
+
+def loop_feed(
+    monitor: OnlineMonitor, timestamp: float, signal: str, value: float
+) -> List[Violation]:
+    """Feed one event through one :meth:`StreamTrace.record`, emitting a
+    chunk after every event that makes ``min_chunk_rows`` new rows
+    decidable: the oracle for :meth:`OnlineMonitor.feed_block`."""
+    if monitor._finished:
+        raise TraceError("monitor already finished")
+    if not math.isfinite(timestamp):
+        raise non_finite_time(signal, timestamp)
+    if monitor._start_time is None:
+        monitor._start_time = timestamp
+    if timestamp > monitor._latest:
+        monitor._latest = timestamp
+    if signal not in monitor._codes:
+        return []
+    if timestamp < monitor._buffer.frontier:
+        monitor.late_events += 1
+        get_registry().counter("online.late_events").inc()
+        return []
+    monitor._buffer.record(signal, timestamp, value)
+    decidable = monitor._decidable_row()
+    if decidable - monitor._next_emit_row >= monitor.min_chunk_rows:
+        return monitor._emit(decidable)
+    return []
+
+
+def loop_feed_trace(monitor: OnlineMonitor, trace: Trace) -> List[Violation]:
+    """:func:`loop_feed` over a trace's :meth:`Trace.events`."""
+    fresh: List[Violation] = []
+    for timestamp, signal, value in trace.events():
+        fresh.extend(loop_feed(monitor, timestamp, signal, value))
+    return fresh
+
+
+def loop_feed_batch(
+    shard: StreamShard,
+    times: Sequence[float],
+    signals: Sequence[str],
+    values: Sequence[float],
+) -> List[Violation]:
+    """:meth:`StreamShard.feed_batch` through :func:`loop_feed`."""
+    fresh: List[Violation] = []
+    with use_registry(shard.registry):
+        for timestamp, signal, value in zip(times, signals, values):
+            fresh.extend(loop_feed(shard.monitor, timestamp, signal, value))
+    shard.events += len(times)
+    shard.live_violations.extend(fresh)
+    return fresh
+
+
+#: One fleet event: (timestamp, stream id, signal, value).
+FleetEvent = Tuple[float, str, str, float]
+
+
+def _stream_feed(stream_id: str, trace: Trace) -> Iterator[FleetEvent]:
+    for timestamp, signal, value in trace.events():
+        yield (timestamp, stream_id, signal, value)
+
+
+def interleave(assignments: Sequence[Tuple[str, Trace]]) -> Iterator[FleetEvent]:
+    """Merge the streams' events into one time-ordered feed."""
+    feeds = [_stream_feed(stream_id, trace) for stream_id, trace in assignments]
+    return heapq.merge(*feeds, key=lambda event: event[0])
+
+
+async def loop_replay_async(
+    assignments: Sequence[Tuple[str, Trace]], rules, **kwargs
+) -> FleetReport:
+    """Submit the :func:`interleave` feed one event at a time, each
+    shard feeding through :func:`loop_feed`: the oracle for
+    :func:`repro.fleet.replay.replay_traces_async`."""
+    service = FleetService(rules, **kwargs)
+    with mock.patch.object(StreamShard, "feed_batch", loop_feed_batch):
+        for timestamp, stream_id, signal, value in interleave(assignments):
+            await service.submit(stream_id, timestamp, signal, value)
+        return await service.close()

@@ -334,6 +334,13 @@ class TestDriveCommand:
         assert "vehicle:hills_cruise" in out
         assert (tmp_path / "vehicle_free_cruise.csv").exists()
 
+    def test_missing_out_dir_is_created(self, tmp_path, capsys):
+        """Regression: a missing ``--out-dir`` was a FileNotFoundError."""
+        out_dir = tmp_path / "new" / "logs"
+        assert main(["drive", "--seed", "5", "--out-dir", str(out_dir)]) == 0
+        capsys.readouterr()
+        assert (out_dir / "vehicle_free_cruise.csv").exists()
+
 class TestAuditCommand:
     def test_paper_rules_audit_clean_strict(self, capsys):
         # The acceptance bar: the paper artifacts pass a strict audit.
@@ -664,6 +671,31 @@ class TestFleetCommand:
     def test_bare_fleet_prints_help(self, capsys):
         assert main(["fleet"]) == 2
         assert "replay" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--inbox", "0", "must be >= 1, got 0"),
+            ("--streams", "0", "must be >= 1, got 0"),
+            ("--period", "0", "must be a positive number of seconds, got 0"),
+            ("--period", "nan", "must be a positive number of seconds, got nan"),
+        ],
+    )
+    def test_non_positive_sizes_are_usage_errors(
+        self, option, value, message, tmp_path, capsys
+    ):
+        """Regression: these exited 1 with a raw traceback."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fleet", "replay", str(tmp_path), option, value])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert option in err and message in err
+
+    def test_online_period_must_be_positive(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["online", str(tmp_path / "t.csv"), "--period", "-0.02"])
+        assert excinfo.value.code == 2
+        assert "must be a positive number of seconds" in capsys.readouterr().err
 
 
 class TestTable1Backend:
