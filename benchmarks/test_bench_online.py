@@ -2,12 +2,18 @@
 
 The paper monitored offline but argues nothing prevents runtime
 monitoring.  This bench demonstrates it: the online monitor ingests a
-live event stream in blocks of 256 events with bounded memory, emits
-verdicts within a bounded decision latency, and its results are
-identical to the offline check of the same traffic.  Reported: event
-throughput versus the vehicle's actual bus rate, worst-case decision
-latency, and buffer bound.
+live event stream the way a bus delivers it, one frame's events at a
+time, with bounded memory, emits verdicts within a bounded decision
+latency, and its results are identical to the offline check of the
+same traffic.  Reported: event throughput versus the vehicle's actual
+bus rate, worst-case decision latency, and buffer bound; and, for
+comparison, the throughput of the same stream fed in 256-event blocks,
+as a fleet worker feeds a drained batch.
 """
+
+import time
+
+import numpy as np
 
 from repro.core.monitor import Monitor
 from repro.core.online import OnlineMonitor
@@ -18,14 +24,15 @@ from repro.rules.safety_rules import paper_rules
 BUS_EVENTS_PER_SECOND = 600.0
 
 
-def render(throughput, latency, buffer_updates, equal) -> str:
+def render(throughput, block_throughput, latency, buffer_updates, equal) -> str:
     return "\n".join(
         [
             "EXTENSION: ONLINE (RUNTIME) MONITORING",
             "all 7 paper rules over a live bus-event stream",
             "",
-            "%-44s %.0f events/s" % ("ingest throughput", throughput),
+            "%-44s %.0f events/s" % ("ingest throughput, one block per bus frame", throughput),
             "%-44s %.0fx" % ("headroom over the vehicle bus rate", throughput / BUS_EVENTS_PER_SECOND),
+            "%-44s %.0f events/s" % ("ingest throughput, 256-event blocks", block_throughput),
             "%-44s %.2f s" % ("worst-case decision latency", latency),
             "%-44s %d updates" % ("bounded history buffer (peak)", buffer_updates),
             "%-44s %s" % ("verdicts identical to offline check", equal),
@@ -37,17 +44,27 @@ def render(throughput, latency, buffer_updates, equal) -> str:
 BLOCK_EVENTS = 256
 
 
+def feed_cuts(times, signals, values, cuts):
+    """Stream the columns through a fresh monitor, one block between
+    each pair of consecutive ``cuts``."""
+    online = OnlineMonitor(paper_rules(), min_chunk_rows=100)
+    for start, stop in zip(cuts[:-1], cuts[1:]):
+        online.feed_block(times[start:stop], signals[start:stop], values[start:stop])
+    return online
+
+
 def test_online_monitoring(benchmark, long_trace, publish):
     times, signals, values = long_trace.event_columns()
+    # A frame's signals share its timestamp: cut where the stamp changes.
+    frames = [0, *(np.flatnonzero(times[1:] != times[:-1]) + 1).tolist(), len(times)]
+    blocks = [*range(0, len(times), BLOCK_EVENTS), len(times)]
 
-    def stream():
-        online = OnlineMonitor(paper_rules(), min_chunk_rows=100)
-        for start in range(0, len(times), BLOCK_EVENTS):
-            stop = start + BLOCK_EVENTS
-            online.feed_block(times[start:stop], signals[start:stop], values[start:stop])
-        return online
-
-    online = benchmark(stream)
+    online = benchmark(feed_cuts, times, signals, values, frames)
+    block_seconds = []
+    for _ in range(3):
+        started = time.perf_counter()
+        feed_cuts(times, signals, values, blocks)
+        block_seconds.append(time.perf_counter() - started)
     report = online.finish()
     offline = Monitor(paper_rules()).check(long_trace)
 
@@ -57,11 +74,14 @@ def test_online_monitoring(benchmark, long_trace, publish):
         for rid in offline.letters()
     )
     throughput = len(times) / benchmark.stats["mean"]
+    block_throughput = len(times) / min(block_seconds)
     buffer_peak = online._buffer.update_count()
 
     publish(
         "online_monitoring.txt",
-        render(throughput, online.decision_latency, buffer_peak, equal),
+        render(
+            throughput, block_throughput, online.decision_latency, buffer_peak, equal
+        ),
     )
 
     assert equal

@@ -96,20 +96,13 @@ from repro.core.statemachine import StateMachine
 from repro.core.types import Verdict
 from repro.core.violations import Violation
 from repro.errors import SpecError, TraceError
-from repro.logs.trace import StreamTrace, Trace, _out_of_order, non_finite_time
+from repro.logs.trace import StreamTrace, Trace, non_finite_time
 from repro.obs import get_registry
 
 
 #: Most events :meth:`OnlineMonitor.feed_block` scans at once, so a long
 #: block costs O(block) however many chunks it triggers.
 _SCAN_EVENTS = 4096
-
-
-def _group_heads(codes: np.ndarray) -> np.ndarray:
-    """Where each run of equal ``codes`` starts."""
-    heads = np.ones(len(codes), dtype=bool)
-    heads[1:] = codes[1:] != codes[:-1]
-    return heads
 
 
 class OnlineMonitor:
@@ -310,7 +303,7 @@ class OnlineMonitor:
             map(self._codes.get, signals, repeat(-1)), dtype=np.intp, count=count
         )
         finite = np.isfinite(stamps)
-        limit = count if finite.all() else int(finite.argmin())
+        limit = count if np.count_nonzero(finite) == count else int(finite.argmin())
         if limit and self._start_time is None:
             self._start_time = float(stamps[0])
         fresh: List[Violation] = []
@@ -357,50 +350,30 @@ class OnlineMonitor:
         hits = buffered[first_due:].nonzero()[0]
         emit = len(hits) > 0
         stop = first_due + int(hits[0]) + 1 if emit else len(stamps)
-
-        # Buffered events grouped by signal, stably (so in arrival order).
-        index = buffered[:stop].nonzero()[0]
-        index = index[codes[index].argsort(kind="stable")]
-        grouped = codes[index]
-        times = stamps[index]
-        # Each against the previous update of its signal: the buffer's
-        # newest for the first of a group, else its predecessor.
-        heads = _group_heads(grouped)
-        previous = np.empty(len(index))
-        previous[1:] = times[:-1]
-        previous[heads] = [
-            self._buffer._last(self._names[code]) for code in grouped[heads]
-        ]
-        backwards = (times < previous - 1e-12).nonzero()[0]
-        error: Optional[TraceError] = None
-        if len(backwards):
-            at = backwards[index[backwards].argmin()]
-            error = _out_of_order(
-                self._names[grouped[at]], float(times[at]), float(previous[at])
+        keep = buffered[:stop]
+        try:
+            self._buffer.extend(
+                self._names,
+                codes[:stop][keep],
+                stamps[:stop][keep],
+                readings[:stop][keep],
             )
-            # The events before the bad one are ingested, and the bad
-            # one still advances the clock, as one-by-one feeding does.
-            stop = int(index[at]) + 1
-            keep = index < index[at]
-            index, grouped, times = index[keep], grouped[keep], times[keep]
-            heads = _group_heads(grouped)
-            emit = False
+        except TraceError as exc:
+            # The bad event still advances the clock, as one-by-one
+            # feeding does, and nothing after it is ingested.
+            self._advance(latest, late, int(keep.nonzero()[0][exc.accepted]) + 1)
+            raise
+        self._advance(latest, late, stop)
+        return offset + stop, emit
 
-        if stop:
-            self._latest = float(latest[stop - 1])
-        dropped = int(late[:stop].sum())
+    def _advance(self, latest: np.ndarray, late: np.ndarray, stop: int) -> None:
+        """Account for a segment's first ``stop`` events: move the clock
+        to their latest stamp and count the late ones."""
+        self._latest = float(latest[stop - 1])
+        dropped = np.count_nonzero(late[:stop])
         if dropped:
             self.late_events += dropped
             get_registry().counter("online.late_events").inc(dropped)
-        values = readings[index]
-        starts = heads.nonzero()[0]
-        for lo, hi in zip(starts, [*starts[1:], len(index)]):
-            self._buffer._extend(
-                self._names[grouped[lo]], times[lo:hi], values[lo:hi]
-            )
-        if error is not None:
-            raise error
-        return offset + stop, emit
 
     def _first_due(self, latest: np.ndarray) -> int:
         """Index of the first clock reading in ``latest`` (non-decreasing)

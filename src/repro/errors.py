@@ -17,6 +17,10 @@ class TraceError(ReproError):
     #: ``OnlineMonitor.feed_block`` stops at a bad event mid-block.
     violations: Sequence[object] = ()
 
+    #: Leading updates of a block stored before the error: set when
+    #: ``StreamTrace.extend`` stops at a bad update.
+    accepted: int = 0
+
 
 class SpecError(ReproError):
     """Raised for specification-language problems (lex/parse/type errors)."""

@@ -13,9 +13,14 @@ stretch of that stream's time.  The slices of all streams are merged by
 their first timestamp, which is what a real fleet gateway delivers:
 blocks from different vehicles arrive shuffled together, and each
 stream's worker must keep its own monitor consistent regardless of what
-the other streams are doing.  The replay yields to the event loop after
-every slice, so workers drain their inboxes as the replay goes and the
-``drop`` policy sheds only events that genuinely do not fit.
+the other streams are doing.
+
+A replay delivers as fast as the loop lets it, so what hands the loop to
+the workers is the backpressure policy's business.  Under ``block`` a
+full inbox makes the replay wait, and the wait is what lets the workers
+drain.  Under ``drop`` nothing ever waits, so the replay yields after
+every slice: the workers drain what it delivered, and only events that
+do not fit in an inbox are dropped.
 """
 
 from __future__ import annotations
@@ -118,8 +123,8 @@ async def replay_traces_async(
             await service.submit_block(
                 stream_id, times[start:stop], signals[start:stop], values[start:stop]
             )
-            # Let the workers drain before the next slice.
-            await asyncio.sleep(0)
+            if policy == "drop":
+                await asyncio.sleep(0)
         return await service.close()
     finally:
         if status is not None:

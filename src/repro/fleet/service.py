@@ -360,17 +360,25 @@ class FleetService:
         return self.rollup()
 
     async def close(self) -> FleetReport:
-        """Drain every inbox, flush every monitor, return the report."""
-        self._raise_failure()
+        """Drain every inbox, flush every monitor, return the report.
+
+        After a worker failure the other streams' workers are cancelled,
+        not drained, and the failure is raised once they have stopped.
+        """
         if self._closed:
+            self._raise_failure()
             raise RuntimeError("fleet service already closed")
         self._closed = True
-        for inbox in self._inboxes.values():
-            inbox.closed = True
-            inbox.ready.set()
-        if self._workers:
+        if self._failure is None:
+            for inbox in self._inboxes.values():
+                inbox.closed = True
+                inbox.ready.set()
             await asyncio.gather(*self._workers.values())
-        self._raise_failure()
+        if self._failure is not None:
+            for worker in self._workers.values():
+                worker.cancel()
+            await asyncio.gather(*self._workers.values(), return_exceptions=True)
+            raise self._failure
         reports = {
             stream_id: shard.finish()
             for stream_id, shard in sorted(self._shards.items())

@@ -40,7 +40,7 @@ from typing import Dict, Iterable, TextIO, Union
 import numpy as np
 
 from repro.errors import TraceError
-from repro.logs.trace import Trace
+from repro.logs.trace import Trace, signal_runs
 from repro.obs import get_registry
 
 #: Magic first-line prefix identifying a trace file.
@@ -92,7 +92,8 @@ def _write(trace: Trace, handle: TextIO) -> None:
     name = (" name=%s" % trace.name) if trace.name else ""
     handle.write("%s%s\n" % (HEADER_PREFIX, name))
     handle.write("%s\n" % _COLUMNS)
-    for timestamp, signal, value in trace.events():
+    times, signals, values = trace.event_columns()
+    for timestamp, signal, value in zip(times.tolist(), signals, values.tolist()):
         handle.write("%.6f,%s,%r\n" % (timestamp, signal, value))
 
 
@@ -178,7 +179,7 @@ def _append_columns(trace: Trace, text: str, codes: Dict[str, int]) -> bool:
     persists across blocks.  Returns ``False``, having appended no
     update, when some line would be rejected: a field ``float`` refuses, a
     non-finite timestamp, or a per-signal step back in time past
-    :meth:`Trace.record`'s tolerance.
+    :data:`~repro.logs.trace.ORDER_SLACK`.
     """
     fields = text.replace("\n", ",").split(",")
     names = fields[1::3]
@@ -196,26 +197,24 @@ def _append_columns(trace: Trace, text: str, codes: Dict[str, int]) -> bool:
         for name in names:
             codes.setdefault(name, len(codes))
         block_codes = np.fromiter(map(codes.__getitem__, names), np.intp, n)
-    order = np.argsort(block_codes, kind="stable")
-    counts = np.bincount(block_codes, minlength=len(codes))
-    present = np.flatnonzero(counts)
-    ends = np.cumsum(counts)[present]
-    starts = ends - counts[present]
     signals = list(codes)
-    columns = [trace._update_lists(signals[code]) for code in present.tolist()]
-    sorted_times = times[order]
-    previous = np.empty_like(sorted_times)
-    previous[1:] = sorted_times[:-1]
-    previous[starts] = [t[-1] if t else -math.inf for t, _ in columns]
-    if (sorted_times < previous - 1e-12).any():
+    columns = [trace._update_lists(signal) for signal in signals]
+
+    def newest(code: int) -> float:
+        stored = columns[code][0]
+        return stored[-1] if stored else -math.inf
+
+    order, heads, backwards = signal_runs(block_codes, times, newest)
+    if backwards.any():
         return False
     # Fresh floats in signal order: each signal's updates then lie
     # together in memory, which is how views read them back.
-    time_list = sorted_times.tolist()
+    time_list = times[order].tolist()
     value_list = values[order].tolist()
-    for (column_times, column_values), start, end in zip(
-        columns, starts.tolist(), ends.tolist()
-    ):
+    starts = heads.nonzero()[0].tolist()
+    ends = [*starts[1:], n]
+    for code, start, end in zip(block_codes[order][heads].tolist(), starts, ends):
+        column_times, column_values = columns[code]
         column_times.extend(time_list[start:end])
         column_values.extend(value_list[start:end])
     return True

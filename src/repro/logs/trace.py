@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 import math
 from functools import cached_property
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,6 +27,11 @@ from repro.errors import TraceError
 
 #: One trace event: (timestamp, signal name, value).
 TraceEvent = Tuple[float, str, float]
+
+#: Seconds by which an update may precede its signal's previous update
+#: and still count as in order: float noise in logged timestamps.  Every
+#: per-signal order check on recording allows exactly this much.
+ORDER_SLACK = 1e-12
 
 
 def _out_of_order(signal: str, timestamp: float, last: float) -> TraceError:
@@ -40,6 +45,35 @@ def non_finite_time(signal: str, timestamp: float) -> TraceError:
     """The error for an update stamped NaN or ±inf: such a time defeats
     every order check (``nan < t`` is false), so it is refused on entry."""
     return TraceError("%s: update at non-finite time t=%r" % (signal, timestamp))
+
+
+def signal_runs(
+    codes: np.ndarray, times: np.ndarray, newest: Callable[[int], float]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group a block of updates by signal and find those out of order.
+
+    ``codes`` numbers each update's signal and ``times`` stamps it, in
+    arrival order; ``newest(code)`` is the signal's latest stored
+    timestamp (``-inf`` when none).  Returns ``(order, heads,
+    backwards)``: ``order`` is the stable permutation that groups the
+    updates by code (each signal's own updates stay in arrival order),
+    ``heads`` marks the first update of each group in that order, and
+    ``backwards`` marks, in that order, the updates stamped more than
+    :data:`ORDER_SLACK` before their signal's previous update — the one
+    before it in the block, or ``newest`` for the first of a group.
+    The block recorders of both stores (the CSV reader's and
+    :meth:`StreamTrace.extend`) check order through this one function.
+    """
+    order = codes.argsort(kind="stable")
+    grouped = codes[order]
+    stamps = times[order]
+    heads = np.empty(len(order), dtype=bool)
+    heads[:1] = True
+    np.not_equal(grouped[1:], grouped[:-1], out=heads[1:])
+    previous = np.empty(len(order))
+    previous[1:] = stamps[:-1]
+    previous[heads] = [newest(code) for code in grouped[heads]]
+    return order, heads, stamps < previous - ORDER_SLACK
 
 
 class Trace:
@@ -68,7 +102,7 @@ class Trace:
         if not math.isfinite(timestamp):
             raise non_finite_time(signal, timestamp)
         times = self._times.setdefault(signal, [])
-        if times and timestamp < times[-1] - 1e-12:
+        if times and timestamp < times[-1] - ORDER_SLACK:
             raise _out_of_order(signal, timestamp, times[-1])
         times.append(float(timestamp))
         self._values.setdefault(signal, []).append(float(value))
@@ -87,7 +121,7 @@ class Trace:
             if times is None:
                 times = all_times[signal] = []
                 all_values[signal] = []
-            elif times and timestamp < times[-1] - 1e-12:
+            elif times and timestamp < times[-1] - ORDER_SLACK:
                 raise _out_of_order(signal, timestamp, times[-1])
             times.append(timestamp)
             all_values[signal].append(float(value))
@@ -97,9 +131,10 @@ class Trace:
         on first use.
 
         Private to the CSV reader (:mod:`repro.logs.format`), its bulk
-        path: the reader runs :meth:`record`'s finiteness and order checks
-        itself, a block of updates at a time, and then extends these lists
-        in place.  Nothing else may append through them.
+        path: the reader runs :meth:`record`'s finiteness check and
+        :func:`signal_runs`' order check a block of updates at a time,
+        and then extends these lists in place.  Nothing else may append
+        through them.
         """
         times = self._times.get(signal)
         if times is None:
@@ -182,24 +217,19 @@ class Trace:
         return self._values[signal][index]
 
     def events(self) -> Iterator[TraceEvent]:
-        """All updates across signals, ordered by time (name-stable)."""
-        merged: List[TraceEvent] = []
-        for signal in self.signals():
-            merged.extend(
-                (t, signal, v)
-                for t, v in zip(self._times[signal], self._values[signal])
-            )
-        merged.sort(key=lambda event: (event[0], event[1]))
-        return iter(merged)
+        """All updates across signals as ``(time, signal, value)``
+        tuples, in :meth:`event_columns` order."""
+        times, signals, values = self.event_columns()
+        return zip(map(float, times), signals, map(float, values))
 
     def event_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """:meth:`events` as three columns: float64 times, an object
-        array of signal names and float64 values, in the same order.
+        """All updates across signals as three columns — float64 times,
+        an object array of signal names and float64 values — ordered by
+        time, ties by signal name, each signal's own updates in order.
 
-        One stable ``lexsort`` over the concatenated per-signal arrays
-        instead of a sort of Python tuples; the block ingest paths
-        (:meth:`repro.core.online.OnlineMonitor.feed_trace`, fleet
-        replay) slice these columns.
+        One stable ``lexsort`` over the concatenated per-signal arrays;
+        the block ingest paths (:meth:`repro.core.online.OnlineMonitor.feed_trace`,
+        fleet replay) slice these columns and the CSV writer walks them.
         """
         names = self.signals()
         if not names:
@@ -308,8 +338,8 @@ class StreamTrace:
     unbounded stream with a moving *retention frontier*:
 
     * per-signal storage is a float64 ring (:class:`_Ring`), so
-      :meth:`record` appends one update and :meth:`_extend` a block of
-      them in O(1) amortized time per update;
+      :meth:`record` appends one update and :meth:`extend` a block of
+      them, of any signals, in O(1) amortized time per update;
     * :meth:`trim` advances the frontier and drops expired updates from
       the front — every update is dropped at most once over the stream's
       lifetime, so buffer maintenance costs O(1) amortized per recorded
@@ -356,23 +386,61 @@ class StreamTrace:
             raise non_finite_time(signal, timestamp)
         ring = self._ring(signal)
         last = ring.last()
-        if timestamp < last - 1e-12:
+        if timestamp < last - ORDER_SLACK:
             raise _out_of_order(signal, timestamp, last)
         ring.extend((timestamp,), (value,))
 
-    def _extend(self, signal: str, times: np.ndarray, values: np.ndarray) -> None:
-        """Append a block of ``signal``'s updates without checking them.
+    def extend(
+        self,
+        names: Sequence[str],
+        codes: np.ndarray,
+        times: np.ndarray,
+        values: np.ndarray,
+    ) -> None:
+        """Append a block of updates, of any signals, in arrival order:
+        update ``i`` is ``names[codes[i]]`` at ``times[i]`` with value
+        ``values[i]``.
 
-        Private to :meth:`repro.core.online.OnlineMonitor.feed_block`,
-        its bulk path: the monitor runs :meth:`record`'s finiteness and
-        order checks itself, a block of events at a time (against
-        :meth:`_last`), and then appends each signal's updates here.
+        :meth:`record`'s checks, a block at a time.  On a non-finite
+        timestamp or an update stepping back in time the updates before
+        it (in arrival order) are appended and :meth:`record`'s
+        :class:`TraceError` is raised, its ``accepted`` attribute giving
+        how many updates were appended.
         """
-        self._ring(signal).extend(times, values)
+        count = len(times)
+        if not count:
+            return
 
-    def _last(self, signal: str) -> float:
-        """Newest buffered timestamp of ``signal`` (-inf when none):
-        what :meth:`record` checks the next update against."""
+        def newest(code: int) -> float:
+            return self._newest(names[code])
+
+        finite = np.isfinite(times)
+        good = count if np.count_nonzero(finite) == count else int(finite.argmin())
+        error: Optional[TraceError] = None
+        if good < count:
+            error = non_finite_time(names[codes[good]], float(times[good]))
+        order, heads, backwards = signal_runs(codes[:good], times[:good], newest)
+        if np.count_nonzero(backwards):
+            # The first update, in arrival order, that steps back: its
+            # signal's updates before it are all in order.
+            good = int(order[backwards].min())
+            code = codes[good]
+            prior = times[:good][codes[:good] == code]
+            error = _out_of_order(
+                names[code],
+                float(times[good]),
+                float(prior[-1]) if len(prior) else newest(code),
+            )
+            order, heads, _ = signal_runs(codes[:good], times[:good], newest)
+        starts = heads.nonzero()[0]
+        for lo, hi in zip(starts, [*starts[1:], len(order)]):
+            run = order[lo:hi]
+            self._ring(names[codes[run[0]]]).extend(times[run], values[run])
+        if error is not None:
+            error.accepted = good
+            raise error
+
+    def _newest(self, signal: str) -> float:
         ring = self._rings.get(signal)
         return -math.inf if ring is None else ring.last()
 

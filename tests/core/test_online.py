@@ -903,7 +903,8 @@ class TestFeedBlockDifferential:
             events += [(t, "x", 1.0), (t, "y", 0.0), (t, "z", 5.0)]
         events += [(0.5, "x", -3.0), (2.99, "y", 1.0), (2.9, "y", 1.0)]
         events += [(3.0 + i * 0.01, "x", 1.0) for i in range(50)]
-        for cuts in ([], [7], [450, 451, 900]):
+        # [902] puts the backwards y at the head of a block.
+        for cuts in ([], [7], [450, 451, 900], [902]):
             for min_chunk_rows in (1, 7, 50):
                 expected = _ingest(events, cuts, min_chunk_rows, blocks=False)
                 got = _ingest(events, cuts, min_chunk_rows, blocks=True)

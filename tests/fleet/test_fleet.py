@@ -507,6 +507,16 @@ class TestReplayBackpressure:
             noted += lost
         assert noted == dropped
 
+    def test_block_policy_paces_the_replay_by_its_inboxes(self):
+        """Under ``block`` the replay only hands the loop to the workers
+        when an inbox is full: it waits, counted, and loses nothing."""
+        traces = [dip_trace(name="a")]
+        report = replay_traces(traces, simple_rules(), streams=2, min_chunk_rows=10)
+        fleet = report.rollup["fleet"]
+        assert fleet["backpressure"]["blocked"] > 0
+        assert fleet["backpressure"]["dropped"] == 0
+        assert fleet["events"] == 2 * 3000
+
 
 class TestWorkerFailure:
     @pytest.mark.parametrize("policy", POLICIES)
@@ -529,6 +539,28 @@ class TestWorkerFailure:
                 await service.submit("s", 2.0, "Velocity", 20.0)
             with pytest.raises(TraceError, match="precedes last update"):
                 await service.submit_block("t", [2.0], ["Velocity"], [20.0])
+
+        asyncio.run(asyncio.wait_for(scenario(), timeout=30))
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_close_after_a_failure_stops_every_worker(self, policy):
+        """A healthy stream's worker, parked on its empty inbox, must not
+        outlive the ``close`` that raises another stream's failure."""
+
+        async def scenario():
+            service = FleetService(
+                paper_rules(), inbox_events=4, batch_events=2, policy=policy
+            )
+            await service.submit("healthy", 1.0, "Velocity", 20.0)
+            await service.submit("bad", 1.0, "Velocity", 20.0)
+            await service.submit("bad", 0.5, "Velocity", 20.0)
+            await asyncio.sleep(0)  # both workers run and park or die
+            with pytest.raises(TraceError, match="precedes last update"):
+                await service.close()
+            assert len(service._workers) == 2
+            assert all(worker.done() for worker in service._workers.values())
+            with pytest.raises(TraceError, match="precedes last update"):
+                await service.close()
 
         asyncio.run(asyncio.wait_for(scenario(), timeout=30))
 

@@ -329,6 +329,53 @@ class TestStreamTrace:
         stream.trim(0.05)  # cannot move backwards
         assert stream.frontier == 0.1
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["a", "b", "c"]),
+                st.one_of(
+                    st.sampled_from([0.0, 0.5, 1.0, 1.0 - 1e-13, math.nan, math.inf]),
+                    st.floats(0.0, 2.0),
+                ),
+            ),
+            max_size=12,
+        ),
+        st.integers(0, 12),
+    )
+    def test_extend_matches_record_one_update_at_a_time(self, updates, split):
+        """``extend`` is ``record`` a block at a time: the same updates
+        stored, the same first error, after the same prefix."""
+        from repro.logs.trace import StreamTrace
+
+        names = ("a", "b", "c")
+        head, tail = updates[:split], updates[split:]
+        expected, stream = StreamTrace(), StreamTrace()
+        for store in (expected, stream):
+            for i, (signal, _) in enumerate(head):
+                store.record(signal, 0.1 * i, 0.0)
+        accepted, error = len(tail), None
+        for i, (signal, timestamp) in enumerate(tail):
+            try:
+                expected.record(signal, timestamp, float(i))
+            except TraceError as exc:
+                accepted, error = i, str(exc)
+                break
+        codes = np.array([names.index(signal) for signal, _ in tail], dtype=np.intp)
+        times = np.array([timestamp for _, timestamp in tail], dtype=float)
+        values = np.arange(len(tail), dtype=float)
+        if error is None:
+            stream.extend(names, codes, times, values)
+        else:
+            with pytest.raises(TraceError) as caught:
+                stream.extend(names, codes, times, values)
+            assert str(caught.value) == error
+            assert caught.value.accepted == accepted
+        for signal in names:
+            assert stream.update_count(signal) == expected.update_count(signal)
+            if expected.update_count(signal):
+                assert stream.updates(signal) == expected.updates(signal)
+
     def test_to_view_matches_trace_view(self):
         from repro.logs.trace import StreamTrace
 
