@@ -26,9 +26,9 @@ def main() -> None:
 
     # Attach the monitor to the live bus, exactly like a bolt-on box:
     # each frame's signals arrive as one block of events.
-    def on_frame(frame, message_name, values):
+    def on_frame(message, timestamp, values):
         for violation in online.feed_block(
-            [frame.timestamp] * len(values),
+            [timestamp] * len(values),
             list(values),
             [float(value) for value in values.values()],
         ):

@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import math
 import struct
-from typing import Dict, Iterable, Mapping, Optional, Sequence
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.can.errors import CodecError
 from repro.can.signal import ByteOrder, SignalDef, SignalType, SignalValue
 
 #: IEEE-754 binary32 in wire order: the packing of every FLOAT signal.
 _FLOAT32 = struct.Struct("<f")
+_pack32, _unpack32 = _FLOAT32.pack, _FLOAT32.unpack
 
 _FLOAT = SignalType.FLOAT
 _BOOL = SignalType.BOOL
@@ -120,7 +121,8 @@ class FrameCodec:
     its shift, mask and kind; the payload integer is little-endian, and
     a big-endian field is placed by byte-swapping its big-endian image,
     so messages that mix byte orders code exactly as the per-signal
-    functions do.
+    functions do.  :meth:`deliver` gives what a decode of an encoded
+    payload yields without building the payload.
     """
 
     def __init__(self, length: int, signals: Sequence[SignalDef]) -> None:
@@ -133,6 +135,7 @@ class FrameCodec:
         self._overlap = False
         taken = 0
         fields = []
+        places = []
         for signal in signals:
             big = signal.byte_order is ByteOrder.BIG_ENDIAN
             if big:
@@ -145,51 +148,60 @@ class FrameCodec:
             self._overlap = self._overlap or bool(taken & mask)
             taken |= mask
             fields.append(
-                (
-                    signal.name,
-                    signal.kind,
-                    big,
-                    shift,
-                    signal.max_raw,
-                    full ^ mask,
-                    signal.default_value(),
-                )
+                (signal.name, signal.kind, signal.max_raw, signal.default_value())
             )
+            places.append((big, shift, full ^ mask))
         self._fields = tuple(fields)
+        self._places = tuple(places)
 
-    def encode(
-        self,
-        values: Mapping[str, SignalValue],
-        delivered: Optional[Dict[str, SignalValue]] = None,
-    ) -> bytes:
-        """Pack ``values`` (defaults for missing signals) into a payload.
-
-        When ``delivered`` is given it receives, per signal, the value a
-        decode of the returned payload yields.
-        """
+    def encode(self, values: Mapping[str, SignalValue]) -> bytes:
+        """Pack ``values`` (defaults for missing signals) into a payload."""
+        raws: List[int] = []
+        self.deliver(values, raws)
         whole = 0
-        for name, kind, big, shift, max_raw, keep, default in self._fields:
-            value = values.get(name, default)
-            if kind is _FLOAT:
-                packed = _pack_float(name, value)
-                raw = int.from_bytes(packed, "little")
-                if delivered is not None:
-                    delivered[name] = _FLOAT32.unpack(packed)[0]
-            elif kind is _BOOL:
-                raw = 1 if value else 0
-                if delivered is not None:
-                    delivered[name] = raw == 1
-            else:
-                # A plain int, as a decode gives, also for int subclasses.
-                raw = int(_check_enum(name, value, max_raw))
-                if delivered is not None:
-                    delivered[name] = raw
+        for (big, shift, keep), raw in zip(self._places, raws):
             placed = self._swap(raw << shift) if big else raw << shift
             whole = (whole & keep) | placed
-        data = whole.to_bytes(self.length, "little")
-        if self._overlap and delivered is not None:
-            delivered.update(self.decode(data))
-        return data
+        return whole.to_bytes(self.length, "little")
+
+    def deliver(
+        self, values: Mapping[str, SignalValue], raws: Optional[List[int]] = None
+    ) -> Dict[str, SignalValue]:
+        """What ``decode(encode(values))`` yields, without the payload.
+
+        This is :meth:`encode`'s per-field conversion, with every
+        :class:`CodecError` check it makes: each value becomes its raw
+        field and the value a decode of that field yields.  ``raws``,
+        when given, receives the raw fields in field order (what
+        :meth:`encode` packs).  A layout whose fields share payload bits
+        is encoded and decoded instead, since there a later field
+        overwrites part of an earlier one.
+        """
+        if self._overlap and raws is None:
+            return self.decode(self.encode(values))
+        delivered: Dict[str, SignalValue] = {}
+        for name, kind, max_raw, default in self._fields:
+            value = values.get(name, default)
+            if kind is _FLOAT:
+                # _pack_float, inlined: this runs for every float field
+                # of every frame the bus delivers.
+                try:
+                    packed = _pack32(float(value))
+                except (OverflowError, ValueError, TypeError) as exc:
+                    raise _not_float32(name, value) from exc
+                delivered[name] = _unpack32(packed)[0]
+                if raws is not None:
+                    raws.append(int.from_bytes(packed, "little"))
+            elif kind is _BOOL:
+                delivered[name] = bool(value)
+                if raws is not None:
+                    raws.append(1 if value else 0)
+            else:
+                # A plain int, as a decode gives, also for int subclasses.
+                raw = delivered[name] = int(_check_enum(name, value, max_raw))
+                if raws is not None:
+                    raws.append(raw)
+        return delivered
 
     def decode(self, data: bytes) -> Dict[str, SignalValue]:
         """Unpack every signal from ``data`` (at least ``length`` bytes).
@@ -203,7 +215,9 @@ class FrameCodec:
             whole_big = int.from_bytes(data, "big")
             extra = 8 * (len(data) - self.length)
         values: Dict[str, SignalValue] = {}
-        for name, kind, big, shift, max_raw, _, _ in self._fields:
+        for (name, kind, max_raw, _), (big, shift, _) in zip(
+            self._fields, self._places
+        ):
             if big:
                 raw = (whole_big >> (shift + extra)) & max_raw
             else:
@@ -225,9 +239,11 @@ def _pack_float(name: str, value: SignalValue) -> bytes:
     try:
         return _FLOAT32.pack(float(value))
     except (OverflowError, ValueError, TypeError) as exc:
-        raise CodecError(
-            "%s: cannot encode %r as float32" % (name, value)
-        ) from exc
+        raise _not_float32(name, value) from exc
+
+
+def _not_float32(name: str, value: SignalValue) -> CodecError:
+    return CodecError("%s: cannot encode %r as float32" % (name, value))
 
 
 def _check_enum(name: str, value: SignalValue, max_raw: int) -> int:

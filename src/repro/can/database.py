@@ -10,7 +10,7 @@ the paper's monitor relies on.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
 from repro.can.codec import FrameCodec
 from repro.can.errors import DatabaseError
@@ -168,24 +168,22 @@ class CanDatabase:
     def __contains__(self, signal_name: str) -> bool:
         return signal_name in self._signal_home
 
+    def codec(self, message_name: str) -> FrameCodec:
+        """The compiled codec of ``message_name``."""
+        codec = self._codecs.get(message_name)
+        if codec is None:
+            raise DatabaseError("unknown message %s" % message_name)
+        return codec
+
     def encode(
-        self,
-        message_name: str,
-        values: Mapping[str, SignalValue],
-        delivered: Optional[Dict[str, SignalValue]] = None,
+        self, message_name: str, values: Mapping[str, SignalValue]
     ) -> bytes:
         """Encode physical ``values`` into a payload for ``message_name``.
 
         Signals missing from ``values`` are encoded with their benign
         defaults, so a publisher only needs to supply what it produces.
-        When ``delivered`` is given it receives the values a
-        :meth:`decode` of the payload would yield, so a receiver of an
-        unchanged payload need not decode it.
         """
-        codec = self._codecs.get(message_name)
-        if codec is None:
-            raise DatabaseError("unknown message %s" % message_name)
-        return codec.encode(values, delivered)
+        return self.codec(message_name).encode(values)
 
     def decode(self, frame: CanFrame) -> Tuple[str, Dict[str, SignalValue]]:
         """Decode a frame into ``(message_name, {signal: physical value})``."""

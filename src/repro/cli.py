@@ -168,7 +168,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check_cmd = sub.add_parser("check", help="check a stored trace file")
     check_cmd.add_argument("trace", help="trace file written by this tool")
     check_cmd.add_argument("--relaxed", action="store_true")
-    check_cmd.add_argument("--period", type=float, default=0.02)
+    check_cmd.add_argument("--period", type=_period, default=0.02)
     check_cmd.add_argument(
         "--coverage",
         action="store_true",
@@ -338,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output format (default text)",
     )
-    lint_cmd.add_argument("--period", type=float, default=0.02)
+    lint_cmd.add_argument("--period", type=_period, default=0.02)
     lint_cmd.add_argument(
         "--no-dbc",
         action="store_true",
@@ -390,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     audit_cmd.add_argument(
         "--period",
-        type=float,
+        type=_period,
         default=None,
         help="monitor sampling period in seconds (default: plan period)",
     )
@@ -445,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     margins_cmd.add_argument(
         "--period",
-        type=float,
+        type=_period,
         default=None,
         help="monitor sampling period in seconds (default: plan period)",
     )
@@ -492,7 +492,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     automata_cmd.add_argument(
         "--period",
-        type=float,
+        type=_period,
         default=None,
         help="monitor sampling period in seconds (default: 0.02)",
     )

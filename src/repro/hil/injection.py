@@ -28,14 +28,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.can.codec import (
-    decode_signal,
-    encode_signal,
     extract_raw,
-    flip_bits,
     insert_raw,
+    physical_to_raw,
+    raw_to_physical,
 )
 from repro.can.database import CanDatabase, MessageDef
 from repro.can.signal import SignalDef, SignalValue
@@ -61,6 +60,16 @@ class ActiveInjection:
     value: Optional[SignalValue] = None
     bit_offsets: Tuple[int, ...] = ()
     stuck_raw: Optional[int] = None
+    #: The raw field a VALUE injection writes, encoded on first use.
+    value_raw: Optional[int] = None
+
+    @property
+    def flip_mask(self) -> int:
+        """The raw-field bits a BITFLIP injection inverts."""
+        mask = 0
+        for offset in self.bit_offsets:
+            mask |= 1 << offset
+        return mask
 
 
 class InjectionHarness:
@@ -70,6 +79,10 @@ class InjectionHarness:
         attempts: number of injection requests made.
         rejections: requests refused by the active type-check profile
             (the quantity Experiment E6 compares across profiles).
+        targets: names of the messages that carry an active injection,
+            kept current on every inject and clear: the only messages
+            :meth:`tap` rewrites or drops, which the bus is told when
+            the tap is installed.
     """
 
     def __init__(
@@ -80,6 +93,7 @@ class InjectionHarness:
         self.database = database
         self.checker = checker
         self._active: Dict[str, ActiveInjection] = {}
+        self.targets: Set[str] = set()
         self.attempts = 0
         self.rejections = 0
         self.rejection_log: List[Tuple[str, SignalValue, str]] = []
@@ -101,8 +115,10 @@ class InjectionHarness:
             self.rejections += 1
             self.rejection_log.append((signal_name, value, result.reason))
             return result
-        self._active[signal_name] = ActiveInjection(
-            signal=signal_name, mode=InjectionMode.VALUE, value=value
+        self._enable(
+            ActiveInjection(
+                signal=signal_name, mode=InjectionMode.VALUE, value=value
+            )
         )
         return result
 
@@ -138,10 +154,12 @@ class InjectionHarness:
                     % (signal_name, offset, signal.bit_length)
                 )
         self.attempts += 1
-        self._active[signal_name] = ActiveInjection(
-            signal=signal_name,
-            mode=InjectionMode.BITFLIP,
-            bit_offsets=offsets,
+        self._enable(
+            ActiveInjection(
+                signal=signal_name,
+                mode=InjectionMode.BITFLIP,
+                bit_offsets=offsets,
+            )
         )
 
     def inject_stick(self, signal_name: str) -> None:
@@ -152,8 +170,8 @@ class InjectionHarness:
         """
         self._signal(signal_name)
         self.attempts += 1
-        self._active[signal_name] = ActiveInjection(
-            signal=signal_name, mode=InjectionMode.STICK
+        self._enable(
+            ActiveInjection(signal=signal_name, mode=InjectionMode.STICK)
         )
 
     def inject_silence(self, signal_name: str) -> None:
@@ -163,17 +181,19 @@ class InjectionHarness:
         failure would."""
         self._signal(signal_name)
         self.attempts += 1
-        self._active[signal_name] = ActiveInjection(
-            signal=signal_name, mode=InjectionMode.SILENCE
+        self._enable(
+            ActiveInjection(signal=signal_name, mode=InjectionMode.SILENCE)
         )
 
     def clear(self, signal_name: str) -> None:
         """Disable any override on ``signal_name`` (pass-through)."""
-        self._active.pop(signal_name, None)
+        if self._active.pop(signal_name, None) is not None:
+            self._retarget()
 
     def clear_all(self) -> None:
         """Disable every override."""
         self._active.clear()
+        self._retarget()
 
     def enabled_signals(self) -> Tuple[str, ...]:
         """Names of signals currently being overridden."""
@@ -210,21 +230,36 @@ class InjectionHarness:
             if injection.mode is InjectionMode.SILENCE:
                 return None
             if injection.mode is InjectionMode.VALUE:
-                data = encode_signal(data, signal, injection.value)
+                if injection.value_raw is None:
+                    injection.value_raw = physical_to_raw(signal, injection.value)
+                data = insert_raw(data, signal, injection.value_raw)
             elif injection.mode is InjectionMode.STICK:
                 if injection.stuck_raw is None:
                     injection.stuck_raw = extract_raw(data, signal)
                 data = insert_raw(data, signal, injection.stuck_raw)
             else:
-                flipped = flip_bits(data, signal, injection.bit_offsets)
+                # flip_bits then decode_signal, without re-extracting.
+                flipped = extract_raw(data, signal) ^ injection.flip_mask
                 result = self.checker.check(
-                    signal, decode_signal(flipped, signal)
+                    signal, raw_to_physical(signal, flipped)
                 )
                 if result.accepted:
-                    data = flipped
+                    data = insert_raw(data, signal, flipped)
         return data
 
     # ------------------------------------------------------------------
+
+    def _enable(self, injection: ActiveInjection) -> None:
+        self._active[injection.signal] = injection
+        self._retarget()
+
+    def _retarget(self) -> None:
+        """Make :attr:`targets` the carriers of the active injections
+        (in place: the bus holds this set)."""
+        self.targets.clear()
+        self.targets.update(
+            self.database.message_for_signal(name).name for name in self._active
+        )
 
     def _signal(self, signal_name: str) -> SignalDef:
         if signal_name not in self.database:

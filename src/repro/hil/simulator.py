@@ -12,9 +12,10 @@ Step ordering (one physics step):
 1. advance the scripted driver and lead vehicle;
 2. measure the radar target;
 3. refresh the signal registry (ground-truth producer values);
-4. step the bus — due messages are encoded from the registry, pass
-   through injection taps, and are delivered to listeners (the FSRACC
-   input cache and the trace recorder);
+4. step the bus — due messages take their values from the registry,
+   the carriers of active injections pass through the injection tap
+   (encoded, rewritten, decoded), and every frame is delivered to the
+   listeners (the FSRACC input cache and the trace recorder);
 5. on control-period boundaries, run the FSRACC cycle on its *received*
    (post-injection) inputs and latch its outputs into the registry;
 6. integrate the plant, with engine/brake ECUs honouring the FSRACC
@@ -29,14 +30,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.acc.controller import AccParams, FsraccController
 from repro.acc.interface import AccInputs, AccOutputs
 from repro.can.bus import CanBus, JitterModel
-from repro.can.frame import CanFrame
+from repro.can.database import MessageDef
 from repro.can.fsracc import FSRACC_ALL_INPUTS, fsracc_database
 from repro.can.signal import SignalValue
 from repro.errors import SimulationError
@@ -44,6 +45,7 @@ from repro.hil.injection import InjectionHarness
 from repro.hil.tracing import TraceRecorder
 from repro.hil.typecheck import HIL_PROFILE, InjectionTypeChecker
 from repro.logs.trace import Trace
+from repro.vehicle.driver import DriverState
 from repro.vehicle.dynamics import LongitudinalCar
 from repro.vehicle.scenario import Scenario
 
@@ -51,6 +53,8 @@ from repro.vehicle.scenario import Scenario
 PHYSICS_DT = 0.01
 #: FSRACC control period, seconds (matches the fast message period).
 CONTROL_PERIOD = 0.02
+#: Physics steps per control period.
+CONTROL_STEPS = round(CONTROL_PERIOD / PHYSICS_DT)
 
 
 @dataclass
@@ -78,40 +82,40 @@ class HilSimulator:
         jitter_max: float = 0.004,
         trace_name: str = "",
     ) -> None:
-        if jitter_max >= CONTROL_PERIOD:
+        if not 0.0 <= jitter_max < CONTROL_PERIOD:
             raise SimulationError(
-                "jitter must stay below the fastest message period"
+                "jitter_max must be at least 0 and below the fastest "
+                "message period (%g s), got %r" % (CONTROL_PERIOD, jitter_max)
             )
         self.scenario = scenario
         self.database = fsracc_database()
         self.bus = CanBus(self.database, JitterModel(jitter_max, seed))
         self.injection = InjectionHarness(self.database, checker)
-        self.bus.add_frame_tap(self.injection.tap)
+        self.bus.add_frame_tap(self.injection.tap, self.injection.targets)
         self.recorder = TraceRecorder(trace_name or scenario.name)
         self.bus.add_listener(self.recorder.on_frame)
         # The bus holds closures over the simulator's dicts, never its
         # bound methods, so a finished simulator is freed by reference
         # counting alone rather than waiting for the cycle collector.
-        acc_inputs: Dict[str, float] = {}
+        acc_inputs: Dict[str, SignalValue] = {}
         self._acc_input_cache = acc_inputs
-        # The FSRACC inputs each message carries, resolved once.
-        inputs_of: Dict[str, Tuple[str, ...]] = {
-            message.name: tuple(
-                signal.name
-                for signal in message.signals
-                if signal.name in FSRACC_ALL_INPUTS
-            )
+        # The messages carrying FSRACC inputs, resolved once.  A carrier
+        # may hold other signals too; AccInputs.from_signals reads only
+        # the inputs.
+        carriers = frozenset(
+            message.name
             for message in self.database.messages()
-        }
+            if any(signal.name in FSRACC_ALL_INPUTS for signal in message.signals)
+        )
 
         def feed_acc_inputs(
-            frame: CanFrame,
-            message_name: str,
+            message: MessageDef,
+            timestamp: float,
             values: Dict[str, SignalValue],
         ) -> None:
             """Feed post-injection input signals into the FSRACC's receive cache."""
-            for name in inputs_of[message_name]:
-                acc_inputs[name] = values[name]
+            if message.name in carriers:
+                acc_inputs.update(values)
 
         self.bus.add_listener(feed_acc_inputs)
 
@@ -130,6 +134,12 @@ class HilSimulator:
         self._registry["SelHeadway"] = 2
         self._acc_outputs = AccOutputs()
         self._driver_overrides: Dict[str, float] = {}
+        #: The driver state the overrides were last resolved against
+        #: (None: resolve at the next step) and the brake pressure the
+        #: plant sees.  The resolved pedal, set-speed, switch and headway
+        #: values live in the registry.
+        self._driver_seen: Optional[DriverState] = None
+        self._brake_pressure = 0.0
 
         registry = self._registry
         for message in self.database.messages():
@@ -161,66 +171,52 @@ class HilSimulator:
         ):
             raise SimulationError("unknown driver field %s" % field)
         self._driver_overrides[field] = value
+        self._driver_seen = None
 
     def clear_driver_override(self, field: str) -> None:
         """Remove one driver override."""
         self._driver_overrides.pop(field, None)
+        self._driver_seen = None
 
     def step(self) -> None:
         """Advance the whole testbench by one physics step."""
-        self._steps += 1
-        self.time = self._steps * PHYSICS_DT
+        self._steps = steps = self._steps + 1
+        self.time = now = steps * PHYSICS_DT
+        car = self.car
 
-        driver = self.driver.step(self.time)
-        accel_pedal = self._driver_overrides.get(
-            "accel_pedal", driver.accel_pedal
-        )
-        brake_pressure = self._driver_overrides.get(
-            "brake_pressure", driver.brake_pressure
-        )
-        set_speed = self._driver_overrides.get("set_speed", driver.set_speed)
-        headway = int(self._driver_overrides.get("headway", driver.headway))
-        acc_on = bool(self._driver_overrides.get("acc_on", driver.acc_on))
+        driver = self.driver.step(now)
+        if driver is not self._driver_seen:
+            self._resolve_driver(driver)
 
-        self.lead.step(PHYSICS_DT, self.time, self.car.position)
+        self.lead.step(PHYSICS_DT, now, car.position)
         self._track_collision()
-        measurement = self.sensor.measure(
-            self.lead, self.car.position, self.car.velocity
-        )
+        measurement = self.sensor.measure(self.lead, car.position, car.velocity)
 
-        self._registry.update(
-            {
-                "Velocity": self._measured_velocity(),
-                "AccelPedPos": accel_pedal,
-                "BrakePedPres": brake_pressure,
-                "ACCSetSpeed": set_speed,
-                "AccActive": acc_on,
-                "ThrotPos": self.car.engine.throttle_position,
-                "VehicleAhead": measurement.vehicle_ahead,
-                "TargetRange": measurement.target_range,
-                "TargetRelVel": measurement.target_rel_vel,
-                "SelHeadway": headway,
-            }
-        )
+        registry = self._registry
+        registry["Velocity"] = self._measured_velocity()
+        registry["ThrotPos"] = car.engine.throttle_position
+        registry["VehicleAhead"] = measurement.vehicle_ahead
+        registry["TargetRange"] = measurement.target_range
+        registry["TargetRelVel"] = measurement.target_rel_vel
 
-        self.bus.step(self.time)
+        self.bus.step(now)
 
-        if self._steps % round(CONTROL_PERIOD / PHYSICS_DT) == 0:
+        if steps % CONTROL_STEPS == 0:
             inputs = AccInputs.from_signals(self._acc_input_cache)
             self._acc_outputs = self.acc.step(CONTROL_PERIOD, inputs)
-            self._registry.update(self._acc_outputs.to_signals())
+            registry.update(self._acc_outputs.to_signals())
 
         out = self._acc_outputs
         honour = out.acc_enabled
         torque_cmd = out.requested_torque if honour and out.torque_requested else 0.0
         decel_cmd = out.requested_decel if honour and out.brake_requested else 0.0
         brake_flag = honour and out.brake_requested
-        self.car.step(
+        car.step(
             PHYSICS_DT,
             requested_torque=torque_cmd,
             requested_decel=decel_cmd,
             brake_requested=brake_flag,
-            driver_brake_pressure=brake_pressure,
+            driver_brake_pressure=self._brake_pressure,
         )
 
     def run_for(self, seconds: float) -> None:
@@ -249,6 +245,18 @@ class HilSimulator:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+
+    def _resolve_driver(self, driver: DriverState) -> None:
+        """Write the driver's inputs, overrides applied, to the registry."""
+        overrides = self._driver_overrides
+        self._driver_seen = driver
+        self._brake_pressure = overrides.get("brake_pressure", driver.brake_pressure)
+        registry = self._registry
+        registry["AccelPedPos"] = overrides.get("accel_pedal", driver.accel_pedal)
+        registry["BrakePedPres"] = self._brake_pressure
+        registry["ACCSetSpeed"] = overrides.get("set_speed", driver.set_speed)
+        registry["AccActive"] = bool(overrides.get("acc_on", driver.acc_on))
+        registry["SelHeadway"] = int(overrides.get("headway", driver.headway))
 
     def _measured_velocity(self) -> float:
         """Wheel-speed sensor reading (noisy on the vehicle profile)."""

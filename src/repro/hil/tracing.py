@@ -8,15 +8,19 @@ exactly what an external bolt-on monitor would have seen.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set
+from typing import Callable, Dict, Iterable, Mapping, Optional, Set
 
-from repro.can.frame import CanFrame
+from repro.can.database import MessageDef
 from repro.can.signal import SignalValue
 from repro.logs.trace import Trace
 
 
 class TraceRecorder:
     """Records decoded bus traffic into a trace.
+
+    Each message's signals are recorded through one
+    :meth:`Trace.recorder <repro.logs.trace.Trace.recorder>`, compiled
+    when the message is first seen.
 
     Args:
         name: name given to the captured trace.
@@ -29,19 +33,25 @@ class TraceRecorder:
     ) -> None:
         self.trace = Trace(name)
         self._filter: Optional[Set[str]] = set(signals) if signals else None
+        self._records: Dict[str, Callable[[float, Mapping[str, SignalValue]], None]] = {}
         self.frames_seen = 0
 
     def on_frame(
         self,
-        frame: CanFrame,
-        message_name: str,
+        message: MessageDef,
+        timestamp: float,
         values: Dict[str, SignalValue],
     ) -> None:
-        """Bus listener callback."""
+        """Bus listener callback: ``values`` holds every signal of
+        ``message``."""
         self.frames_seen += 1
-        if self._filter is not None:
-            values = {s: v for s, v in values.items() if s in self._filter}
-        self.trace.record_many(frame.timestamp, values)
+        record = self._records.get(message.name)
+        if record is None:
+            names = [signal.name for signal in message.signals]
+            if self._filter is not None:
+                names = [name for name in names if name in self._filter]
+            record = self._records[message.name] = self.trace.recorder(names)
+        record(timestamp, values)
 
     def restart(self, name: str = "") -> Trace:
         """Close out the current capture and begin a fresh one.
@@ -50,5 +60,6 @@ class TraceRecorder:
         """
         captured = self.trace
         self.trace = Trace(name or captured.name)
+        self._records = {}
         self.frames_seen = 0
         return captured

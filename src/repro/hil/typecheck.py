@@ -43,6 +43,11 @@ class CheckResult:
     reason: str = ""
 
 
+#: The one accepting result: a bit-flip injection re-checks its value
+#: on every frame, and results are immutable.
+ACCEPTED = CheckResult(True)
+
+
 class InjectionTypeChecker:
     """Applies a profile's value checking to injection requests."""
 
@@ -55,7 +60,7 @@ class InjectionTypeChecker:
         if not representable.accepted:
             return representable
         if self.profile is CheckProfile.VEHICLE:
-            return CheckResult(True)
+            return ACCEPTED
         return self._check_hil(signal, value)
 
     # ------------------------------------------------------------------
@@ -68,25 +73,25 @@ class InjectionTypeChecker:
         if signal.kind is SignalType.FLOAT:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 return CheckResult(False, "not a number")
-            return CheckResult(True)
+            return ACCEPTED
         if signal.kind is SignalType.BOOL:
             if isinstance(value, bool) or value in (0, 1):
-                return CheckResult(True)
+                return ACCEPTED
             return CheckResult(False, "not a boolean")
         if isinstance(value, bool) or not isinstance(value, int):
             return CheckResult(False, "enum value must be an integer")
         if not 0 <= value <= signal.max_raw:
             return CheckResult(False, "does not fit the enum field")
-        return CheckResult(True)
+        return ACCEPTED
 
     @staticmethod
     def _check_hil(signal: SignalDef, value: SignalValue) -> CheckResult:
         """HIL strong type checking (type-level, not physical-range)."""
         if signal.kind is SignalType.FLOAT:
             # Floats pass, including NaN and infinities (§III-A).
-            return CheckResult(True)
+            return ACCEPTED
         if signal.kind is SignalType.BOOL:
-            return CheckResult(True)
+            return ACCEPTED
         # Enums: out-of-range enumerated values are prohibited (§V-C3).
         assert isinstance(value, int)
         if signal.enum_labels and value not in signal.enum_labels:
@@ -97,7 +102,7 @@ class InjectionTypeChecker:
             return CheckResult(False, "enum below minimum")
         if signal.maximum is not None and value > signal.maximum:
             return CheckResult(False, "enum above maximum")
-        return CheckResult(True)
+        return ACCEPTED
 
 
 #: Shared strict checker (dSPACE HIL behaviour).

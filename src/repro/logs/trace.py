@@ -19,7 +19,7 @@ from __future__ import annotations
 import bisect
 import math
 from functools import cached_property
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -107,34 +107,49 @@ class Trace:
         times.append(float(timestamp))
         self._values.setdefault(signal, []).append(float(value))
 
-    def record_many(
-        self, timestamp: float, values: Dict[str, float]
-    ) -> None:
-        """Record several signal updates sharing one timestamp (one bus
-        frame), with :meth:`record`'s per-signal order check."""
-        timestamp = float(timestamp)
-        if not math.isfinite(timestamp):
-            raise non_finite_time(", ".join(values), timestamp)
-        all_times, all_values = self._times, self._values
-        for signal, value in values.items():
-            times = all_times.get(signal)
-            if times is None:
-                times = all_times[signal] = []
-                all_values[signal] = []
-            elif times and timestamp < times[-1] - ORDER_SLACK:
-                raise _out_of_order(signal, timestamp, times[-1])
-            times.append(timestamp)
-            all_values[signal].append(float(value))
+    def recorder(
+        self, signals: Sequence[str]
+    ) -> Callable[[float, Mapping[str, float]], None]:
+        """A recorder of one bus frame's updates of ``signals``.
+
+        The returned callable takes a timestamp and a mapping holding a
+        value for each of ``signals`` and appends one update per signal,
+        with :meth:`record`'s finiteness check and per-signal order
+        check.  The signals' column lists are resolved once, on the
+        first update recorded, rather than looked up per update.
+        """
+        names = tuple(signals)
+        label = ", ".join(names)
+        columns: Optional[Tuple[Tuple[str, List[float], List[float]], ...]] = None
+        isfinite, slack = math.isfinite, ORDER_SLACK
+
+        def record(timestamp: float, values: Mapping[str, float]) -> None:
+            nonlocal columns
+            timestamp = float(timestamp)
+            if not isfinite(timestamp):
+                raise non_finite_time(label, timestamp)
+            if columns is None:
+                columns = tuple(
+                    (name,) + self._update_lists(name) for name in names
+                )
+            for name, times, column in columns:
+                if times and timestamp < times[-1] - slack:
+                    raise _out_of_order(name, timestamp, times[-1])
+                times.append(timestamp)
+                column.append(float(values[name]))
+
+        return record
 
     def _update_lists(self, signal: str) -> Tuple[List[float], List[float]]:
         """``signal``'s own ``(timestamps, values)`` lists, created empty
         on first use.
 
-        Private to the CSV reader (:mod:`repro.logs.format`), its bulk
-        path: the reader runs :meth:`record`'s finiteness check and
-        :func:`signal_runs`' order check a block of updates at a time,
-        and then extends these lists in place.  Nothing else may append
-        through them.
+        Private to the block recorders: the CSV reader
+        (:mod:`repro.logs.format`) runs :meth:`record`'s finiteness
+        check and :func:`signal_runs`' order check a block of updates at
+        a time and then extends these lists in place, and a
+        :meth:`recorder` appends to them after the same checks.  Nothing
+        else may append through them.
         """
         times = self._times.get(signal)
         if times is None:

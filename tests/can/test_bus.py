@@ -4,10 +4,10 @@ import struct
 
 import pytest
 
-from helpers import ScalarJitter
+from helpers import PerFrameBus, ScalarJitter
 from repro.can.bus import JITTER_BLOCK, CanBus, JitterModel
 from repro.can.database import CanDatabase, MessageDef
-from repro.can.errors import BusError
+from repro.can.errors import BusError, FrameError
 from repro.can.signal import SignalDef, SignalType
 
 
@@ -36,7 +36,7 @@ class TestScheduling:
     def test_fast_message_four_times_per_slow(self):
         bus, _ = build_bus()
         counts = {"Fast": 0, "Slow": 0}
-        bus.add_listener(lambda f, name, v: counts.__setitem__(name, counts[name] + 1))
+        bus.add_listener(lambda m, t, v: counts.__setitem__(m.name, counts[m.name] + 1))
         bus.run_until(0.8)
         assert counts["Fast"] == pytest.approx(40, abs=1)
         assert counts["Slow"] == pytest.approx(10, abs=1)
@@ -45,7 +45,7 @@ class TestScheduling:
     def test_values_come_from_publisher_at_transmit_time(self):
         bus, state = build_bus()
         seen = []
-        bus.add_listener(lambda f, name, v: seen.append(v.get("speed")) if name == "Fast" else None)
+        bus.add_listener(lambda m, t, v: seen.append(v.get("speed")) if m.name == "Fast" else None)
         bus.run_until(0.05)
         state["speed"] = 99.0
         bus.run_until(0.10)
@@ -80,7 +80,7 @@ class TestJitter:
     def test_zero_jitter_gives_exact_timestamps(self):
         bus, _ = build_bus(jitter=0.0)
         stamps = []
-        bus.add_listener(lambda f, name, v: stamps.append(f.timestamp) if name == "Slow" else None)
+        bus.add_listener(lambda m, t, v: stamps.append(t) if m.name == "Slow" else None)
         bus.run_until(0.5)
         deltas = [round(b - a, 9) for a, b in zip(stamps, stamps[1:])]
         assert all(d == pytest.approx(0.08) for d in deltas)
@@ -88,7 +88,7 @@ class TestJitter:
     def test_jitter_perturbs_timestamps_but_not_schedule(self):
         bus, _ = build_bus(jitter=0.004, seed=3)
         stamps = []
-        bus.add_listener(lambda f, name, v: stamps.append(f.timestamp) if name == "Slow" else None)
+        bus.add_listener(lambda m, t, v: stamps.append(t) if m.name == "Slow" else None)
         bus.run_until(1.0)
         deltas = [b - a for a, b in zip(stamps, stamps[1:])]
         assert any(abs(d - 0.08) > 1e-6 for d in deltas)
@@ -121,6 +121,13 @@ class TestJitter:
         with pytest.raises(BusError):
             JitterModel(-0.001)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_jitter_rejected(self, bad):
+        # Regression: NaN and +inf were accepted, and NaN stamps then
+        # failed the trace recorder mid-run.
+        with pytest.raises(BusError, match="max_jitter must be a finite"):
+            JitterModel(bad)
+
 
 class TestTaps:
     def test_tap_rewrites_payload(self, database):
@@ -134,7 +141,7 @@ class TestTaps:
 
         bus.add_frame_tap(tap)
         seen = []
-        bus.add_listener(lambda f, name, v: seen.append(v["speed"]) if name == "Fast" else None)
+        bus.add_listener(lambda m, t, v: seen.append(v["speed"]) if m.name == "Fast" else None)
         bus.run_until(0.1)
         assert seen and all(value == -5.0 for value in seen)
 
@@ -144,3 +151,137 @@ class TestTaps:
         bus.add_frame_tap(tap)
         bus.remove_frame_tap(tap)
         bus.run_until(0.05)  # must not raise
+
+
+def crowded_database():
+    """A period shorter than the 0.01 s step, so "Rapid" is due two or
+    three times per step, and equal phases and periods, so "Tied" and
+    "Also" share every due time with each other and with "Rapid"."""
+    return CanDatabase(
+        [
+            MessageDef("Also", 0x30, 8, 0.02, (SignalDef("a", 0, 32, SignalType.FLOAT),)),
+            MessageDef("Rapid", 0x10, 8, 0.004, (SignalDef("r", 0, 32, SignalType.FLOAT),)),
+            MessageDef("Tied", 0x20, 8, 0.02, (SignalDef("t", 0, 32, SignalType.FLOAT),)),
+            MessageDef(
+                "Odd", 0x13, 4, 0.03,
+                (
+                    SignalDef("e", 0, 3, SignalType.ENUM),
+                    SignalDef("b", 8, 1, SignalType.BOOL),
+                ),
+            ),
+        ]
+    )
+
+
+def crowded_run(bus_class, jitter_class, steps=120):
+    """Step a bus over ``crowded_database`` with counting publishers, an
+    undeclared tap that rewrites "Odd" and drops every fourth "Also",
+    and a listener; return everything it saw, stamps as bytes."""
+    bus = bus_class(crowded_database(), jitter_class(0.003, 11))
+    calls = {"n": 0}
+
+    def provider():
+        calls["n"] += 1
+        return {"a": calls["n"], "r": -calls["n"], "t": 0.5 * calls["n"], "e": calls["n"] % 8, "b": calls["n"] % 3}
+
+    for name in ("Odd", "Tied", "Rapid", "Also"):
+        bus.attach_publisher(name, provider)
+    tapped, seen = [], []
+
+    def tap(message, data, timestamp):
+        tapped.append((message.name, struct.pack("<d", timestamp)))
+        if message.name == "Odd":
+            return bytes([data[0] ^ 0b101]) + data[1:]
+        if message.name == "Also" and len(tapped) % 4 == 0:
+            return None
+        return data
+
+    bus.add_frame_tap(tap)
+    bus.add_listener(
+        lambda message, timestamp, values: seen.append(
+            (message.name, struct.pack("<d", timestamp), dict(values))
+        )
+    )
+    sent = [bus.step(0.01 * (i + 1)) for i in range(steps)]
+    return seen, tapped, (bus.frames_sent, bus.frames_dropped), sent
+
+
+class TestDueList:
+    def test_matches_the_per_frame_oracle(self):
+        got = crowded_run(CanBus, JitterModel)
+        want = crowded_run(PerFrameBus, ScalarJitter)
+        assert got[:3] == want[:3]
+        # The oracle returns the frames, the bus their number.
+        assert got[3] == [len(frames) for frames in want[3]]
+        assert want[2][1] > 0
+
+    def test_a_message_due_twice_in_one_step(self):
+        bus = CanBus(crowded_database())
+        bus.attach_publisher("Rapid", dict)
+        stamps = []
+        bus.add_listener(lambda message, timestamp, values: stamps.append(timestamp))
+        # 0, 0.004, 0.008; then 0.012, 0.016 and 0.02 (accumulated a
+        # hair above 0.02, inside the step's 1e-12 slack); 0.024, 0.028.
+        assert [bus.step(0.01), bus.step(0.02), bus.step(0.03)] == [3, 3, 2]
+        due = 0.0
+        for stamp in stamps:
+            assert stamp == due  # the float accumulation of due + period
+            due += 0.004
+
+    def test_tied_dues_go_out_in_can_id_order(self):
+        bus = CanBus(crowded_database())
+        for name in ("Also", "Tied", "Rapid"):
+            bus.attach_publisher(name, dict)
+        order = []
+        bus.add_listener(lambda message, timestamp, values: order.append((timestamp, message.can_id)))
+        bus.run_until(0.1)
+        assert order == sorted(order)
+        assert order[:3] == [(0.0, 0x10), (0.0, 0x20), (0.0, 0x30)]
+
+
+class TestTapTargets:
+    def test_undeclared_tap_sees_every_frame(self):
+        bus, _ = build_bus()
+        names = []
+        bus.add_frame_tap(lambda message, data, timestamp: names.append(message.name) or data)
+        delivered = []
+        bus.add_listener(lambda message, timestamp, values: delivered.append(message.name))
+        bus.run_until(0.2)
+        assert names == delivered and {"Fast", "Slow"} == set(names)
+
+    def test_declared_tap_sees_only_its_live_targets(self):
+        bus, _ = build_bus()
+        targets = {"Slow"}
+        names = []
+        bus.add_frame_tap(
+            lambda message, data, timestamp: names.append(message.name) or data,
+            targets,
+        )
+        bus.run_until(0.2)
+        assert names and set(names) == {"Slow"}
+        targets.clear()
+        targets.add("Fast")
+        names.clear()
+        for step in range(21, 41):
+            bus.step(0.01 * step)
+        assert names and set(names) == {"Fast"}
+
+    def test_an_undeclared_tap_opens_every_message_to_all_taps(self):
+        bus, _ = build_bus()
+        declared, undeclared = [], []
+        bus.add_frame_tap(lambda m, d, t: declared.append(m.name) or d, {"Slow"})
+        bus.add_frame_tap(lambda m, d, t: undeclared.append(m.name) or d)
+        bus.run_until(0.2)
+        assert set(declared) == {"Slow"} and set(undeclared) == {"Fast", "Slow"}
+
+    def test_removing_an_unknown_tap_raises(self):
+        bus, _ = build_bus()
+        with pytest.raises(ValueError):
+            bus.remove_frame_tap(lambda message, data, timestamp: data)
+
+    def test_out_of_range_can_id_is_refused_when_scheduled(self):
+        database = CanDatabase(
+            [MessageDef("Wide", 0x800, 8, 0.02, (SignalDef("w", 0, 32, SignalType.FLOAT),))]
+        )
+        with pytest.raises(FrameError):
+            CanBus(database).attach_publisher("Wide", dict)

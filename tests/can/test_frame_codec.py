@@ -3,7 +3,10 @@
 Every case encodes and decodes one payload both ways: payloads must
 match byte for byte, decoded values bit for bit (floats compared through
 their IEEE-754 bytes, so NaN payloads and -0.0 count), and rejected
-values must raise the same error with the same message.
+values must raise the same error with the same message.  The
+payload-free :meth:`FrameCodec.deliver` must give the per-signal
+decode of the per-signal encode, and reject what it rejects, with the
+same message.
 """
 
 import enum
@@ -165,15 +168,15 @@ def check_message(message, values):
     try:
         want = per_signal_encode(message, values)
     except CodecError as expected:
-        with pytest.raises(CodecError) as raised:
-            codec.encode(values, {})
-        assert str(raised.value) == str(expected)
+        for code in (codec.encode, codec.deliver):
+            with pytest.raises(CodecError) as raised:
+                code(values)
+            assert str(raised.value) == str(expected)
         return
-    delivered = {}
-    got = codec.encode(values, delivered)
+    got = codec.encode(values)
     assert got == want
     decoded = per_signal_decode(message, want)
-    assert_same_values(delivered, decoded)
+    assert_same_values(codec.deliver(values), decoded)
     assert_same_values(codec.decode(want), decoded)
 
 
@@ -244,9 +247,8 @@ class TestEncodeDecode:
     def test_shared_byte_later_field_wins(self):
         message = synthetic_database().message_by_name("SharedByte")
         check_message(message, {"lo": 0b0101, "hi": 0b1111})
-        delivered = {}
-        FrameCodec(message.length, message.signals).encode(
-            {"lo": 0b0101, "hi": 0b1000}, delivered
+        delivered = FrameCodec(message.length, message.signals).deliver(
+            {"lo": 0b0101, "hi": 0b1000}
         )
         assert delivered["lo"] == 0b1000  # "hi" overwrote the shared bits
 
@@ -278,12 +280,15 @@ class TestLongFrames:
 
 
 class TestDatabaseContract:
-    def test_encode_out_parameter_matches_decode(self, database):
+    def test_deliver_matches_decode(self, database):
         for message in database.messages():
-            delivered = {}
-            data = database.encode(message.name, {}, delivered)
+            data = database.encode(message.name, {})
             _, decoded = database.decode(CanFrame(message.can_id, data))
-            assert_same_values(delivered, decoded)
+            assert_same_values(database.codec(message.name).deliver({}), decoded)
+
+    def test_unknown_codec(self, database):
+        with pytest.raises(DatabaseError, match="unknown message Nope"):
+            database.codec("Nope")
 
     def test_unknown_message(self, database):
         with pytest.raises(DatabaseError, match="unknown message Nope"):

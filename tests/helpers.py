@@ -197,7 +197,8 @@ class PerFrameBus:
     def add_listener(self, listener) -> None:
         self._listeners.append(listener)
 
-    def add_frame_tap(self, tap) -> None:
+    def add_frame_tap(self, tap, targets=None) -> None:
+        # Every tap sees every frame, whatever it declares.
         self._taps.append(tap)
 
     def step(self, now: float) -> List[CanFrame]:
@@ -225,7 +226,7 @@ class PerFrameBus:
         frame = CanFrame(message.can_id, data, timestamp)
         values = per_signal_decode(message, frame.data)
         for listener in self._listeners:
-            listener(frame, message.name, values)
+            listener(message, frame.timestamp, values)
         self.frames_sent += 1
         return frame
 
@@ -233,10 +234,10 @@ class PerFrameBus:
 class PerSignalRecorder(simulator.TraceRecorder):
     """The trace recorder appending one :meth:`Trace.record` per signal."""
 
-    def on_frame(self, frame, message_name, values) -> None:
+    def on_frame(self, message, timestamp, values) -> None:
         self.frames_seen += 1
         for signal, value in values.items():
-            self.trace.record(signal, frame.timestamp, float(value))
+            self.trace.record(signal, timestamp, float(value))
 
 
 @contextmanager

@@ -55,15 +55,18 @@ def run(scenario, inject, seed):
     return simulator
 
 
-def fingerprint(simulator):
-    trace = simulator.recorder.trace
+def columns(trace):
     return {
-        "signals": {
-            name: tuple(
-                array.tobytes() for array in trace.update_arrays(name)
-            )
-            for name in trace.signals()
-        },
+        name: tuple(array.tobytes() for array in trace.update_arrays(name))
+        for name in trace.signals()
+    }
+
+
+def fingerprint(simulator):
+    return {
+        "signals": columns(simulator.recorder.trace),
+        "captured": [columns(trace) for trace in getattr(simulator, "captured", ())],
+        "frames_seen": simulator.recorder.frames_seen,
         "frames_sent": simulator.bus.frames_sent,
         "frames_dropped": simulator.bus.frames_dropped,
         "attempts": simulator.injection.attempts,
@@ -88,3 +91,101 @@ def test_compiled_bus_matches_per_frame_oracle(kind, scenario, seed):
         assert want["frames_dropped"] > 0
     if kind == "value":
         assert want["rejections"] == 1
+
+
+# Changes made while the testbench runs, at times that fall between
+# frames of the same message, so each lands mid-hold.
+
+
+def injections_mid_hold(simulator):
+    """Set and clear injections one at a time: the messages the harness
+    declares to the bus follow every change."""
+    injection = simulator.injection
+    simulator.run_for(1.03)
+    injection.inject_value("Velocity", 31.5)
+    simulator.run_for(0.37)
+    injection.inject_bitflips("TargetRange", (30,))
+    simulator.run_for(0.41)
+    injection.clear("Velocity")
+    simulator.run_for(0.29)
+    injection.inject_silence("TargetRelVel")
+    injection.inject_stick("ACCSetSpeed")
+    simulator.run_for(0.23)
+    injection.clear("TargetRelVel")
+    injection.clear("Velocity")  # already clear
+    simulator.run_for(0.31)
+    injection.inject_value("SelHeadway", 3)
+    injection.inject_value("SelHeadway", 9)  # rejected: the 3 stays
+    simulator.run_for(0.43)
+    injection.clear_all()
+    simulator.run_for(0.33)
+    assert not injection.targets
+
+
+def driver_overrides_mid_run(simulator):
+    """Set and clear driver overrides; each shows on the bus from the
+    next frame of its message on, whatever the scripted driver does."""
+    script = simulator.scenario.make_driver()
+
+    def on_bus(**expected):
+        scripted = script.step(simulator.time)
+        for signal, field in (
+            ("AccelPedPos", "accel_pedal"),
+            ("BrakePedPres", "brake_pressure"),
+            ("ACCSetSpeed", "set_speed"),
+            ("SelHeadway", "headway"),
+            ("AccActive", "acc_on"),
+        ):
+            want = expected.get(field, getattr(scripted, field))
+            assert simulator.recorder.trace.updates(signal)[-1][1] == want, signal
+
+    simulator.run_for(1.07)
+    simulator.set_driver_override("set_speed", 12.0)
+    simulator.run_for(0.61)
+    on_bus(set_speed=12.0)
+    simulator.set_driver_override("brake_pressure", 40.0)
+    simulator.set_driver_override("headway", 3.0)
+    simulator.run_for(0.53)
+    on_bus(set_speed=12.0, brake_pressure=40.0, headway=3)
+    simulator.clear_driver_override("brake_pressure")
+    simulator.set_driver_override("acc_on", 0.0)
+    simulator.run_for(0.47)
+    on_bus(set_speed=12.0, headway=3, acc_on=0.0)
+    simulator.clear_driver_override("set_speed")
+    simulator.clear_driver_override("acc_on")
+    simulator.clear_driver_override("accel_pedal")  # never set
+    simulator.run_for(0.51)
+    on_bus(headway=3)
+
+
+def restart_mid_run(simulator):
+    simulator.run_for(1.13)
+    simulator.injection.inject_bitflips("Velocity", (31,))
+    simulator.captured = [simulator.recorder.restart("second")]
+    simulator.run_for(0.77)
+    simulator.captured.append(simulator.recorder.restart())
+    simulator.injection.clear_all()
+    simulator.run_for(0.59)
+
+
+SCRIPTS = {
+    "injections": injections_mid_hold,
+    "overrides": driver_overrides_mid_run,
+    "restart": restart_mid_run,
+}
+
+
+@pytest.mark.parametrize("script", sorted(SCRIPTS))
+@pytest.mark.parametrize("seed", [5, 2014])
+def test_mid_run_changes_match_per_frame_oracle(script, seed):
+    def run_script():
+        simulator = HilSimulator(cut_in(4.0), seed=seed)
+        SCRIPTS[script](simulator)
+        return fingerprint(simulator)
+
+    got = run_script()
+    with per_frame_bus():
+        want = run_script()
+    assert got == want
+    if script == "restart":
+        assert len(want["captured"]) == 2 and want["captured"][1]

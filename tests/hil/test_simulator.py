@@ -5,9 +5,11 @@ import math
 import weakref
 
 import pytest
+from unittest import mock
 
 from repro.can.fsracc import FSRACC_INPUTS, FSRACC_OUTPUTS
 from repro.errors import SimulationError
+from repro.hil import simulator as simulator_module
 from repro.hil.simulator import CONTROL_PERIOD, HilSimulator, PHYSICS_DT
 from repro.vehicle.scenario import hard_brake_lead, steady_follow
 
@@ -119,6 +121,15 @@ class TestScenarioDynamics:
     def test_jitter_bound_validated(self):
         with pytest.raises(SimulationError):
             HilSimulator(steady_follow(10.0), jitter_max=CONTROL_PERIOD)
+
+    @pytest.mark.parametrize("bad", [float("nan"), -0.001, -float("inf"), float("inf")])
+    def test_bad_jitter_refused_before_anything_is_built(self, bad):
+        # Regression: NaN was accepted and failed mid-run as a TraceError
+        # about Velocity; a negative bound raised BusError from the bus.
+        with mock.patch.object(
+            simulator_module, "fsracc_database", side_effect=AssertionError
+        ), pytest.raises(SimulationError, match="jitter_max must be at least 0"):
+            HilSimulator(steady_follow(10.0), jitter_max=bad)
 
 
 class TestReclamation:

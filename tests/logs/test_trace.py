@@ -31,19 +31,32 @@ class TestRecording:
         trace.record("a", 1.0, 2.0)
         assert trace.update_count("a") == 2
 
-    def test_record_many(self):
+    def test_recorder(self):
         trace = Trace()
-        trace.record_many(0.5, {"a": 1.0, "b": 2.0})
+        trace.recorder(("a", "b"))(0.5, {"a": 1.0, "b": 2.0, "x": 9.0})
         assert trace.signals() == ("a", "b")
 
-    def test_record_many_checks_order_per_signal(self):
+    def test_recorder_checks_order_per_signal(self):
         trace = Trace()
         trace.record("b", 1.0, 0.0)
-        trace.record_many(0.5 + 5e-13, {"a": True, "c": 3})
+        trace.recorder(("a", "c"))(0.5 + 5e-13, {"a": True, "c": 3})
+        record_ab = trace.recorder(("a", "b"))
         with pytest.raises(TraceError, match="b: update at t=0.500000"):
-            trace.record_many(0.5, {"a": 1.0, "b": 2.0})
+            record_ab(0.5, {"a": 1.0, "b": 2.0})
         assert trace.updates("a") == [(0.5 + 5e-13, 1.0), (0.5, 1.0)]
         assert trace.updates("c") == [(0.5 + 5e-13, 3.0)]
+
+    def test_recorder_follows_the_columns_it_resolved(self):
+        # The recorder appends to the lists record() appends to, so the
+        # order check sees updates made either way.
+        trace = Trace()
+        record = trace.recorder(("a",))
+        record(0.5, {"a": 1.0})
+        trace.record("a", 0.7, 2.0)
+        with pytest.raises(TraceError, match="a: update at t=0.600000"):
+            record(0.6, {"a": 3.0})
+        record(0.7, {"a": 4.0})
+        assert trace.updates("a") == [(0.5, 1.0), (0.7, 2.0), (0.7, 4.0)]
 
     @pytest.mark.parametrize("stamp", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_timestamps_rejected(self, stamp):
@@ -51,8 +64,9 @@ class TestRecording:
         with pytest.raises(TraceError, match="a: update at non-finite time"):
             trace.record("a", stamp, 1.0)
         with pytest.raises(TraceError, match="a, b: update at non-finite time"):
-            trace.record_many(stamp, {"a": 1.0, "b": 2.0})
+            trace.recorder(("a", "b"))(stamp, {"a": 1.0, "b": 2.0})
         assert trace.is_empty()
+        assert trace.signals() == ()
 
     def test_nan_timestamp_cannot_hide_a_backwards_step(self):
         # Regression: 0.0, 1.0, nan, 0.5 was accepted (nan compares false

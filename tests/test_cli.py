@@ -698,6 +698,29 @@ class TestFleetCommand:
         assert "must be a positive number of seconds" in capsys.readouterr().err
 
 
+class TestPeriodOption:
+    """Every command's ``--period`` refuses a non-positive or non-finite
+    value as a usage error.  Regression: ``check`` died with a raw
+    TraceError or ValueError traceback, ``lint`` accepted 0, and
+    ``audit``, ``margins`` and ``automata`` raised ZeroDivisionError."""
+
+    @pytest.mark.parametrize(
+        "command", ["check", "lint", "audit", "margins", "automata"]
+    )
+    @pytest.mark.parametrize("value", ["0", "-0.02", "nan", "inf"])
+    def test_bad_period_is_a_usage_error(self, command, value, tmp_path, capsys):
+        argv = [command, "--period", value]
+        if command == "check":
+            argv.insert(1, str(tmp_path / "t.csv"))
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert (
+            "must be a positive number of seconds, got %s" % value
+            in capsys.readouterr().err
+        )
+
+
 class TestTable1Backend:
     """Table I has one checking path: ``--backend`` is not an option."""
 
