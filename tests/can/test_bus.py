@@ -156,7 +156,7 @@ class TestTaps:
 def crowded_database():
     """A period shorter than the 0.01 s step, so "Rapid" is due two or
     three times per step, and equal phases and periods, so "Tied" and
-    "Also" share every due time with each other and with "Rapid"."""
+    "Also" share every due time (and all three share t=0)."""
     return CanDatabase(
         [
             MessageDef("Also", 0x30, 8, 0.02, (SignalDef("a", 0, 32, SignalType.FLOAT),)),
@@ -182,7 +182,8 @@ def crowded_run(bus_class, jitter_class, steps=120):
 
     def provider():
         calls["n"] += 1
-        return {"a": calls["n"], "r": -calls["n"], "t": 0.5 * calls["n"], "e": calls["n"] % 8, "b": calls["n"] % 3}
+        n = calls["n"]
+        return {"a": n, "r": -n, "t": 0.5 * n, "e": n % 8, "b": n % 3}
 
     for name in ("Odd", "Tied", "Rapid", "Also"):
         bus.attach_publisher(name, provider)
