@@ -1,25 +1,12 @@
-"""E19 — static margin prover: bound quality and pruning payoff.
+"""E19 — static margin prover: bound quality against dynamic margins.
 
-Two artifacts:
-
-* ``margins_static.txt`` — the prover's per-rule ``[lower, upper]``
-  intervals for the paper rules next to the dynamic rule-level margins
-  of a nominal campaign leg, with the containment contract (static
-  interval brackets the dynamic value) checked for every rule, and the
-  prover's wall clock measured against one simulated test — the whole
-  point of the static pass is that it costs milliseconds where a
-  campaign leg costs seconds.
-
-* ``margins_prune.txt`` — a fixture campaign with margin-certifiable
-  cells (a 1-bit signal rule that even direct injection cannot push
-  past ``[0, 1]``) run in full and with ``prune="margins"``: identical
-  letters, skipped simulations, measured speedup.  Audit pruning cannot
-  skip these cells — the rule *depends* on the injected signal — so the
-  leg isolates what the quantitative lattice adds over reachability.
-
-The paper campaign is deliberately not margin-pruned here: every paper
-rule's static lower bound is non-positive, so pruning it is a proven
-no-op (asserted byte-for-byte by the CI margins-smoke job).
+``margins_static.txt`` lists the prover's per-rule ``[lower, upper]``
+intervals for the paper rules next to the dynamic rule-level margins of
+a nominal campaign leg, with the containment contract (static interval
+brackets the dynamic value) checked for every rule, and the prover's
+wall clock measured against one simulated test — the whole point of the
+static pass is that it costs milliseconds where a campaign leg costs
+seconds.
 """
 
 from __future__ import annotations
@@ -27,38 +14,13 @@ from __future__ import annotations
 import time
 
 from repro.analysis.margins import analyze_margins
-from repro.core.monitor import Monitor, Rule
+from repro.core.monitor import Monitor
 from repro.hil.simulator import HilSimulator
 from repro.rules.safety_rules import paper_rules
-from repro.testing.campaign import InjectionTest, RobustnessCampaign
 from repro.vehicle.scenario import steady_follow
 
 #: Same seed as every other reproduction artifact (see conftest.py).
 SEED = 2014
-
-# A rule the margin prover certifies for *every* cell: VehicleAhead is
-# one bit, so injection can only produce 0/1 and the margin of "< 2"
-# stays at 1.  The float rule rides along unpruned for contrast.
-RULES = [
-    Rule.from_text("bit_bound", "flag is one bit", "VehicleAhead < 2"),
-    Rule.from_text("vel_bound", "velocity bound", "Velocity < 100"),
-]
-
-TESTS = [
-    InjectionTest("Random VehicleAhead", "Random", ("VehicleAhead",)),
-    InjectionTest("Random Velocity", "Random", ("Velocity",)),
-]
-
-
-def _campaign(prune=None) -> RobustnessCampaign:
-    return RobustnessCampaign(
-        rules=RULES,
-        seed=SEED,
-        hold_time=2.0,
-        gap_time=0.5,
-        settle_time=8.0,
-        prune=prune,
-    )
 
 
 def test_static_bounds_bracket_dynamic_margins(publish):
@@ -111,49 +73,3 @@ def test_static_bounds_bracket_dynamic_margins(publish):
     # The static pass must be orders cheaper than simulating one leg.
     assert static_s < dynamic_s
 
-
-def test_margin_prune_speedup(publish):
-    started = time.perf_counter()
-    full = _campaign().run_table1(tests=TESTS)
-    full_s = time.perf_counter() - started
-
-    started = time.perf_counter()
-    pruned = _campaign(prune="margins").run_table1(tests=TESTS)
-    pruned_s = time.perf_counter() - started
-
-    # The prover's own cost per campaign: env widening + one interval
-    # per (test x rule) cell, measured on a fresh campaign instance.
-    started = time.perf_counter()
-    decisions = [
-        _campaign(prune="margins").margin_safe_rule_ids(test)
-        for test in TESTS
-    ]
-    prover_s = time.perf_counter() - started
-
-    full_letters = [row.letters for row in full.rows]
-    pruned_letters = [row.letters for row in pruned.rows]
-    identical = pruned_letters == full_letters
-
-    certified = sum(len(d) for d in decisions)
-    speedup = full_s / pruned_s if pruned_s > 0 else float("inf")
-
-    lines = [
-        "MARGIN-BASED STATIC PRUNING (E19)",
-        "fixture: %d rules x %d tests (%d cells)"
-        % (len(RULES), len(TESTS), len(RULES) * len(TESTS)),
-        "margin-certified: %d cell(s) (audit pruning: 0 — the bit rule "
-        "depends on its injected signal)" % certified,
-        "",
-        "full campaign:   %7.2f s" % full_s,
-        "pruned campaign: %7.2f s  (%.2fx)" % (pruned_s, speedup),
-        "prover decisions: %6.4f s (cell envs + %d rule intervals)"
-        % (prover_s, len(TESTS) * len(RULES)),
-        "",
-        "letter matrices identical: %s" % identical,
-    ]
-    publish("margins_prune.txt", "\n".join(lines))
-
-    assert identical
-    assert certified >= len(TESTS)  # the bit rule is certified everywhere
-    # The prover must cost far less than the work it saves.
-    assert prover_s < full_s

@@ -33,7 +33,7 @@ quantitative ``AU5xx`` findings on top: provably unfalsifiable rules
 section, statically doomed (injection x rule) cells — negative static
 upper margin under the cell's injection-widened ranges — in the plan
 section, plus the ``provably_safe_rules`` / ``margin_prunable_cells`` /
-``doomed_cells`` summary counters that feed ``table1 --prune margins``.
+``doomed_cells`` summary counters.
 
 Like the rest of the package the auditor is pure static analysis: it
 reads parsed ASTs, the database, and a :class:`CampaignPlan` — no trace
@@ -680,8 +680,8 @@ def _plan_checks(
                     "graph: those cells cannot differ from an "
                     "uninjected run" % ", ".join(dead),
                     suggestion=(
-                        "prune the cells (table1 --prune audit) or add "
-                        "a rule over the injected signals"
+                        "drop the test from the plan or add a rule over "
+                        "the injected signals"
                     ),
                 )
             )

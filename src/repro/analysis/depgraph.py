@@ -9,8 +9,9 @@ actually reads.  From those two relations the auditor answers
 
 * which DBC signals / machine states no rule references (monitoring
   coverage, family 2 of ``repro audit``), and
-* which injection targets reach which rules (the static-pruning
-  relation behind ``prune="audit"`` campaigns and the AU3xx checks).
+* which injection targets reach which rules (the relation behind the
+  AU3xx checks and the injection-widened environments of
+  :func:`~repro.analysis.margins.cell_env`).
 
 Influence is computed as reachability over the flow edges: injecting a
 signal perturbs every output of every component that (transitively)
@@ -247,7 +248,7 @@ class DependencyGraph:
 
     def dead_rules(self, targets: Sequence[str]) -> Tuple[str, ...]:
         """Ids of rules no injected signal can reach, in rule order —
-        the statically dead cells ``prune="audit"`` skips."""
+        the statically dead cells the audit reports as AU304."""
         live = set(self.rules_reached(targets))
         return tuple(
             rule.rule_id for rule in self.rules if rule.rule_id not in live

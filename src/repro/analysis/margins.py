@@ -32,11 +32,11 @@ Soundness contract (checked by ``tests/analysis/
 test_margins_differential.py`` over every paper rule and 500+ fuzzed
 (spec, trace, injection) triples): for every row ``i`` of any conforming
 trace, ``static.lo <= dynamic.lower[i]`` and ``dynamic.upper[i] <=
-static.hi``.  Two consequences power the campaign integrations:
+static.hi``.  Two consequences power the audit's plan findings:
 
 * ``static.lo > 0`` proves every row TRUE — the rule is statically
-  unfalsifiable in that environment, so its campaign cell can be pruned
-  to ``"S"`` without simulating (``table1 --prune margins``);
+  unfalsifiable in that environment, so its campaign cell can only
+  read ``"S"`` (the report's ``prunable`` cells);
 * ``static.hi < 0`` proves every row FALSE — the cell is statically
   doomed to raw violations (the audit's AU502).
 
@@ -162,8 +162,8 @@ def cell_env(
     range-limited physical models and the exogenous driver inputs are
     scripted in-range.  Returns ``None`` when a target is not in the
     database — the cell cannot be reasoned about (and the campaign
-    harness would raise), so callers disable pruning, mirroring
-    ``prune="audit"``.
+    harness would raise), so callers skip it, as the audit's AU303
+    finding does.
     """
     if any(target not in database for target in targets):  # type: ignore[operator]
         return None

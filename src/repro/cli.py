@@ -91,6 +91,15 @@ def _period(value: str) -> float:
     return number
 
 
+def _duration(value: str) -> float:
+    number = float(value)
+    if not (number >= 0 and math.isfinite(number)):
+        raise argparse.ArgumentTypeError(
+            "must be a finite number of seconds >= 0, got %s" % value
+        )
+    return number
+
+
 def _progress(text: str) -> None:
     """Progress lines go to stderr so piped stdout stays clean."""
     print(text, file=sys.stderr, flush=True)
@@ -565,42 +574,20 @@ def _build_parser() -> argparse.ArgumentParser:
         help="injection type-checker profile (default hil)",
     )
     table_cmd.add_argument(
-        "--hold", type=float, default=HOLD_TIME,
+        "--hold", type=_period, default=HOLD_TIME,
         help="seconds each fault is held (default %s)" % HOLD_TIME,
     )
     table_cmd.add_argument(
-        "--gap", type=float, default=GAP_TIME,
+        "--gap", type=_duration, default=GAP_TIME,
         help="pass-through seconds between injections (default %s)" % GAP_TIME,
     )
     table_cmd.add_argument(
-        "--settle", type=float, default=SETTLE_TIME,
+        "--settle", type=_duration, default=SETTLE_TIME,
         help="seconds before the first injection (default %s)" % SETTLE_TIME,
     )
     table_cmd.add_argument(
-        "--limit", type=int, default=None,
+        "--limit", type=_positive_int, default=None,
         help="run only the first N rows (smoke testing)",
-    )
-    table_cmd.add_argument(
-        "--prune",
-        choices=("audit", "margins"),
-        default=None,
-        help=(
-            "skip (injection x rule) cells static analysis certifies: "
-            "'audit' skips cells the dependency graph proves dead "
-            "(letter-identical for nominal-clean rule sets); 'margins' "
-            "skips cells the margin prover bounds strictly positive "
-            "(letter-identical unconditionally)"
-        ),
-    )
-    table_cmd.add_argument(
-        "--prune-threshold",
-        type=_non_negative,
-        default=0.0,
-        help=(
-            "margin bar for --prune margins: only cells whose static "
-            "lower bound exceeds this are skipped (must be >= 0; "
-            "default 0)"
-        ),
     )
     table_cmd.add_argument(
         "--metrics-out",
@@ -1022,8 +1009,6 @@ def _cmd_table1(args: argparse.Namespace) -> int:
         hold_time=args.hold,
         gap_time=args.gap,
         settle_time=args.settle,
-        prune=args.prune,
-        margin_threshold=args.prune_threshold,
         robustness=args.robustness or args.margins_out is not None,
         near_miss_threshold=args.near_miss_threshold,
     )

@@ -25,6 +25,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from repro.can.codec import physical_to_raw
+from repro.can.errors import CodecError
 from repro.can.signal import SignalDef, SignalType, SignalValue
 
 
@@ -73,6 +75,10 @@ class InjectionTypeChecker:
         if signal.kind is SignalType.FLOAT:
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 return CheckResult(False, "not a number")
+            try:
+                physical_to_raw(signal, value)
+            except CodecError as exc:
+                return CheckResult(False, str(exc))
             return ACCEPTED
         if signal.kind is SignalType.BOOL:
             if isinstance(value, bool) or value in (0, 1):

@@ -15,8 +15,9 @@ campaign seed and the row label, so the whole table is reproducible.
 
 from __future__ import annotations
 
+import math
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,7 +29,7 @@ from repro.core.monitor import (
     Rule,
     require_non_negative,
 )
-from repro.errors import InjectionError
+from repro.errors import InjectionError, SimulationError
 from repro.hil.simulator import HilSimulator, SimulationResult
 from repro.hil.typecheck import HIL_PROFILE, InjectionTypeChecker
 from repro.logs.trace import Trace
@@ -75,21 +76,18 @@ class InjectionTest:
 class TestOutcome:
     """Result of running one injection test.
 
-    ``report`` is ``None`` when static pruning skipped the whole test
-    (every cell statically dead or margin-certified — see ``prune``).
     ``margins`` is ``None`` unless the campaign ran with
     ``robustness=True``; then it maps each rule id to its JSON-safe
-    robustness digest (plus a ``near_miss`` flag), or to ``None`` for
-    cells static pruning skipped without monitoring.
+    robustness digest (plus a ``near_miss`` flag).
     """
 
     test: InjectionTest
-    report: Optional[MonitorReport]
+    report: MonitorReport
     letters: Dict[str, str]
     collisions: int
     rejections: int
     trace: Optional[Trace] = None
-    margins: Optional[Dict[str, Optional[Dict[str, object]]]] = None
+    margins: Optional[Dict[str, Dict[str, object]]] = None
 
     def to_row(self) -> TableRow:
         """Convert to a Table I row."""
@@ -156,24 +154,6 @@ class RobustnessCampaign:
     simulator *and* its own :class:`Monitor`, so outcomes cannot bleed
     between tests and instances are safe to ship to worker processes
     (see :mod:`repro.testing.parallel`).
-
-    ``prune="audit"`` enables static injection pruning: (injection x
-    rule) cells the :class:`~repro.analysis.depgraph.DependencyGraph`
-    proves unreachable are reported ``"S"`` without monitoring them, and
-    tests whose every cell is dead skip their simulation entirely.  The
-    letter matrix is identical to a full run for any nominal-clean rule
-    set (see :meth:`dead_rule_ids`); the ``campaign.pruned_cells`` /
-    ``campaign.pruned_tests`` counters record what was skipped.
-
-    ``prune="margins"`` enables quantitative static pruning: cells whose
-    static robustness lower bound (``repro.analysis.margins``, computed
-    in the test's injection-widened environment) exceeds
-    ``margin_threshold`` are provably satisfied on *every* monitored row
-    of *any* conforming trace, so they are reported ``"S"`` without
-    monitoring — letter-identical to a full run unconditionally, not
-    just for nominal-clean rule sets.  Tests whose every cell is pruned
-    skip their simulation entirely (and, like audit-pruned tests, report
-    zero collisions/rejections).
     """
 
     def __init__(
@@ -185,21 +165,19 @@ class RobustnessCampaign:
         gap_time: float = GAP_TIME,
         settle_time: float = SETTLE_TIME,
         keep_traces: bool = False,
-        prune: Optional[str] = None,
-        margin_threshold: float = 0.0,
         robustness: bool = False,
         near_miss_threshold: Optional[float] = None,
     ) -> None:
-        if prune not in (None, "audit", "margins"):
-            raise ValueError(
-                "unknown prune mode %r; expected None, 'audit', or "
-                "'margins'" % (prune,)
-            )
-        if margin_threshold < 0:
-            raise ValueError(
-                "margin_threshold must be non-negative, got %r"
-                % (margin_threshold,)
-            )
+        for name, value in (
+            ("hold_time", hold_time),
+            ("gap_time", gap_time),
+            ("settle_time", settle_time),
+        ):
+            if not (value >= 0 and math.isfinite(value)):
+                raise SimulationError(
+                    "%s must be a finite number of seconds >= 0, got %r"
+                    % (name, value)
+                )
         if near_miss_threshold is not None:
             require_non_negative("near_miss_threshold", near_miss_threshold)
             robustness = True
@@ -216,23 +194,9 @@ class RobustnessCampaign:
         self.gap_time = gap_time
         self.settle_time = settle_time
         self.keep_traces = keep_traces
-        self.prune = prune
-        self.margin_threshold = margin_threshold
-        self._graph = None
-        self._margin_safe: Optional[Dict[Tuple[str, ...], Tuple[str, ...]]] = (
-            None
-        )
         # Validate the rule set eagerly (duplicate ids, undefined
         # machines) so misconfiguration fails here, not inside a worker.
         self.make_monitor()
-
-    def __getstate__(self) -> dict:
-        # The dependency graph is a derived cache; workers rebuild it
-        # lazily from the pickled configuration.
-        state = dict(self.__dict__)
-        state["_graph"] = None
-        state["_margin_safe"] = None
-        return state
 
     # ------------------------------------------------------------------
 
@@ -243,67 +207,6 @@ class RobustnessCampaign:
         processes) would couple outcomes to shared object state.
         """
         return Monitor(self.rules)
-
-    def _dependency_graph(self):
-        """The audit dependency graph over this campaign's rules
-        (built lazily; never pickled — see ``__getstate__``)."""
-        if self._graph is None:
-            from repro.analysis.depgraph import DependencyGraph
-
-            self._graph = DependencyGraph(_plan_database(), self.rules)
-        return self._graph
-
-    def dead_rule_ids(self, test: InjectionTest) -> Tuple[str, ...]:
-        """Rule ids statically unreachable from ``test``'s targets.
-
-        Empty unless ``prune="audit"``.  Unknown targets disable pruning
-        for the test so the harness raises exactly where an unpruned
-        run would.  The skipped cells are reported ``"S"`` — identical
-        to a full run whenever the rule set is nominal-clean (the rules
-        hold on an uninjected trace), which the audit's dependency
-        analysis guarantees the pruned cells cannot deviate from.
-        """
-        if self.prune != "audit":
-            return ()
-        database = _plan_database()
-        if any(target not in database for target in test.targets):
-            return ()
-        return self._dependency_graph().dead_rules(test.targets)
-
-    def margin_safe_rule_ids(self, test: InjectionTest) -> Tuple[str, ...]:
-        """Rule ids the margin prover certifies for ``test``'s cells.
-
-        Empty unless ``prune="margins"``.  A rule is certified when its
-        static robustness lower bound — computed over the test's
-        injection-widened signal ranges (:func:`cell_env`) — exceeds
-        ``margin_threshold``: every monitored row of any conforming
-        trace is then strictly satisfied, so the cell's letter is
-        ``"S"`` regardless of intent filters (which only dismiss
-        violations).  Unknown targets disable pruning for the test, as
-        with :meth:`dead_rule_ids`.  Results are cached per targets
-        tuple (never pickled — see ``__getstate__``).
-        """
-        if self.prune != "margins":
-            return ()
-        if self._margin_safe is None:
-            self._margin_safe = {}
-        key = tuple(test.targets)
-        cached = self._margin_safe.get(key)
-        if cached is not None:
-            return cached
-        from repro.analysis.margins import cell_env, rule_margin
-
-        env = cell_env(_plan_database(), key, self._dependency_graph())
-        if env is None:
-            safe: Tuple[str, ...] = ()
-        else:
-            safe = tuple(
-                rule.rule_id
-                for rule in self.rules
-                if rule_margin(rule, env).lo > self.margin_threshold
-            )
-        self._margin_safe[key] = safe
-        return safe
 
     def injection_count(self, test: InjectionTest) -> int:
         """How many injections ``test``'s plan holds (no RNG consumed)."""
@@ -370,50 +273,20 @@ class RobustnessCampaign:
         """
         registry = get_registry()
         registry.counter("campaign.tests").inc()
-        dead = set(self.dead_rule_ids(test))
-        dead.update(self.margin_safe_rule_ids(test))
-        if dead and len(dead) == len(self.rules):
-            # Every cell of the row is statically dead: no injected
-            # signal reaches any rule, so the trace is nominal by
-            # construction and the whole simulation can be skipped.
-            registry.counter("campaign.pruned_tests").inc()
-            registry.counter("campaign.pruned_cells").inc(len(dead))
-            return TestOutcome(
-                test=test,
-                report=None,
-                letters={rule.rule_id: "S" for rule in self.rules},
-                collisions=0,
-                rejections=0,
-                margins=(
-                    {rule.rule_id: None for rule in self.rules}
-                    if self.robustness
-                    else None
-                ),
-            )
         result = self._simulate(test)
-        live = [rule for rule in self.rules if rule.rule_id not in dead]
         with registry.span("campaign.check"):
-            monitor = Monitor(live) if dead else self.make_monitor()
-            report = monitor.check(
+            report = self.make_monitor().check(
                 result.trace,
                 robustness=self.robustness,
                 near_miss_threshold=self.near_miss_threshold,
             )
-        if dead:
-            registry.counter("campaign.pruned_cells").inc(len(dead))
         letters = {
-            rule.rule_id: (
-                "S" if rule.rule_id in dead else report.letter(rule.rule_id)
-            )
-            for rule in self.rules
+            rule.rule_id: report.letter(rule.rule_id) for rule in self.rules
         }
         margins = None
         if self.robustness:
             margins = {}
             for rule in self.rules:
-                if rule.rule_id in dead:
-                    margins[rule.rule_id] = None
-                    continue
                 checked = report.result(rule.rule_id)
                 digest = checked.robustness.to_dict()
                 digest["near_miss"] = checked.near_miss is not None

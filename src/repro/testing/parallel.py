@@ -25,14 +25,6 @@ snapshots as rows complete; histogram merging is associative, so the
 campaign-level totals are independent of completion order and equal to
 a sequential run's counters.
 
-Audit pruning (``prune="audit"``) composes transparently: the prune
-mode pickles with the campaign configuration, each worker rebuilds the
-dependency graph lazily on first use (the graph itself is a derived
-cache and never crosses the process boundary), and pruning decisions
-are deterministic functions of the configuration — so a pruned parallel
-run produces the same letter matrix as a pruned sequential run, which
-in turn matches the unpruned matrix for nominal-clean rule sets.
-
 Every parallel run records its boundary traffic when a registry is
 installed: ``parallel.pickle_bytes.campaign`` is the one-time config
 payload each worker unpickles, and ``parallel.pickle_bytes.results``

@@ -100,9 +100,8 @@ class TableRow:
     rejections: int = 0
     #: Per-rule robustness digests (``lower``/``upper``/``worst_row``/
     #: ``worst_time``/``near_miss``, infinities JSON-encoded), present
-    #: only for campaigns run with ``robustness=True``.  A ``None``
-    #: entry is a cell audit pruning skipped without monitoring.
-    margins: Optional[Dict[str, Optional[Dict[str, object]]]] = None
+    #: only for campaigns run with ``robustness=True``.
+    margins: Optional[Dict[str, Dict[str, object]]] = None
 
     def letter_string(self) -> str:
         """The row's letters as a compact ``SVSV...`` string."""
@@ -160,10 +159,9 @@ class Table1:
 
         Each cell shows the rule's certain margin bound for that test —
         negative numbers are violation depth, positive numbers distance
-        from violation, ``inf`` a rule with nothing metric at stake,
-        ``·`` a statically pruned cell.  A trailing ``*`` marks a
-        near-miss cell.  Requires a robustness campaign
-        (:meth:`has_margins`).
+        from violation, ``inf`` a rule with nothing metric at stake.  A
+        trailing ``*`` marks a near-miss cell.  Requires a robustness
+        campaign (:meth:`has_margins`).
         """
         if not self.has_margins():
             raise ValueError(
@@ -296,10 +294,8 @@ class Table1:
         return "\n".join(lines)
 
 
-def _margin_cell(digest: Optional[Dict[str, object]]) -> str:
+def _margin_cell(digest: Dict[str, object]) -> str:
     """One heatmap cell from a per-rule robustness digest."""
-    if digest is None:
-        return "·"
     upper = digest["upper"]
     if upper == "inf":
         text = "inf"

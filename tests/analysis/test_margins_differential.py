@@ -4,11 +4,13 @@ The static prover in ``repro.analysis.margins`` promises *containment*:
 for any trace whose signals conform to the environment, every per-row
 value of both arrays from ``evaluate_robustness`` lies inside the
 single static ``[lower, upper]`` interval.  This file checks that
-promise three ways:
+promise, and its certifying side:
 
 * every paper rule over the shared nominal HIL run, under the DBC
   environment (and, per campaign cell, under the injection-widened
   environments, which must only ever *loosen* the nominal interval);
+* one certified cell: ``analyze_margins`` bounds ``VehicleAhead < 2``
+  strictly positive even while VehicleAhead itself is injected;
 * 500 fuzzed (spec, trace, injection) triples: random AST formulas over
   random signal ranges, with a random subset of signals "injected"
   (widened to the full line plus NaN/inf special values in the trace —
@@ -29,12 +31,13 @@ from repro.analysis.intervals import TOP, Interval
 from repro.analysis.margins import (
     CERTAIN_FALSE,
     MarginEnv,
+    analyze_margins,
     cell_env,
     formula_margin,
     margin_env,
     rule_margin,
 )
-from repro.analysis.audit import paper_plan
+from repro.analysis.audit import CampaignPlan, paper_plan
 from repro.core.ast import (
     Always,
     And,
@@ -57,9 +60,10 @@ from repro.core.ast import (
     Unary,
 )
 from repro.core.evaluator import EvalContext, evaluate_robustness
-from repro.core.monitor import Monitor
+from repro.core.monitor import Monitor, Rule
 from repro.core.statemachine import StateMachine
 from repro.rules.safety_rules import paper_specset
+from repro.testing.campaign import InjectionTest
 
 PERIOD = 0.02
 
@@ -113,8 +117,8 @@ class TestPaperRules:
 
     def test_no_paper_rule_is_statically_safe(self, specs, database):
         # Every paper rule's gate is a boolean atom, which lifts the
-        # antecedent to +/-inf, so no static lower bound clears zero —
-        # margin pruning is a provable no-op on the paper campaign.
+        # antecedent to +/-inf, so no static lower bound clears zero:
+        # no paper cell is statically certified.
         env = margin_env(database)
         for rule in specs.rules:
             static = rule_margin(rule, env, machines=specs.machines)
@@ -136,6 +140,49 @@ class TestPaperRules:
                 cell = rule_margin(rule, widened, machines=specs.machines)
                 assert cell.lo <= nominal.lo, (test.label, rule.rule_id)
                 assert cell.hi >= nominal.hi, (test.label, rule.rule_id)
+
+
+class TestInjectedCellCertificate:
+    """The certifying side of the cell prover: a positive static lower
+    bound under the test's injection-widened environment.
+
+    VehicleAhead is a 1-bit BOOL, so even injecting it directly can only
+    put raw 0/1 on the bus: the margin of ``VehicleAhead < 2`` stays at
+    least 1 in that cell, although the rule reads the injected signal
+    and the dependency graph therefore cannot call the cell dead.
+    """
+
+    RULE = Rule.from_text("on_bit", "flag is one bit", "VehicleAhead < 2")
+    PLAN = CampaignPlan(
+        tests=(
+            InjectionTest("Random VehicleAhead", "Random", ("VehicleAhead",)),
+        )
+    )
+
+    def report(self, database, threshold):
+        return analyze_margins(
+            [self.RULE], database=database, plan=self.PLAN,
+            threshold=threshold,
+        )
+
+    def test_certifies_injected_bool_rule(self, database):
+        report = self.report(database, threshold=0.0)
+        (cell,) = report.cells
+        assert cell.interval.lo == 1.0, cell.interval
+        assert cell.prunable(0.0)
+        assert report.summary()["prunable_cells"] == 1
+        assert report.seeds() == []
+        graph = DependencyGraph(database, [self.RULE])
+        assert graph.dead_rules(("VehicleAhead",)) == ()
+
+    def test_threshold_raises_the_bar(self, database):
+        # The lower bound is exactly 1: a threshold at or above it keeps
+        # the cell a falsification seed.
+        report = self.report(database, threshold=1.0)
+        (cell,) = report.cells
+        assert not cell.prunable(1.0)
+        assert report.summary()["prunable_cells"] == 0
+        assert report.seeds() == [cell]
 
 
 # ----------------------------------------------------------------------

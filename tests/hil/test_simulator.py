@@ -11,6 +11,7 @@ from repro.can.fsracc import FSRACC_INPUTS, FSRACC_OUTPUTS
 from repro.errors import SimulationError
 from repro.hil import simulator as simulator_module
 from repro.hil.simulator import CONTROL_PERIOD, HilSimulator, PHYSICS_DT
+from repro.hil.typecheck import HIL_PROFILE, VEHICLE_PROFILE
 from repro.vehicle.scenario import hard_brake_lead, steady_follow
 
 
@@ -149,3 +150,21 @@ class TestReclamation:
             assert bus_ref() is None
         finally:
             gc.enable()
+
+
+class TestUnencodableInjection:
+    @pytest.mark.parametrize(
+        "checker", [HIL_PROFILE, VEHICLE_PROFILE], ids=["hil", "vehicle"]
+    )
+    def test_float_beyond_float32_is_rejected_not_fatal(self, checker):
+        # Regression: 1e39 was accepted on both profiles and the next
+        # run_for died with CodecError from the injection tap.
+        sim = HilSimulator(
+            scenario=steady_follow(duration=4.0), checker=checker, seed=3
+        )
+        sim.run_for(1.0)
+        result = sim.injection.inject_value("Velocity", 1e39)
+        assert not result.accepted
+        assert "cannot encode 1e+39 as float32" in result.reason
+        sim.run_for(1.0)
+        assert sim.result().injection_rejections == 1

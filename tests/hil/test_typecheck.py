@@ -82,3 +82,16 @@ class TestProfiles:
         checker_veh = InjectionTypeChecker(CheckProfile.VEHICLE)
         assert not checker_hil.check(ENUM_SIG, 7).accepted
         assert checker_veh.check(ENUM_SIG, 7).accepted
+
+    @pytest.mark.parametrize(
+        "checker", [HIL_PROFILE, VEHICLE_PROFILE], ids=["hil", "vehicle"]
+    )
+    @pytest.mark.parametrize(
+        "value", [1e39, -1e39, 10**400], ids=["1e39", "-1e39", "int1e400"]
+    )
+    def test_float_outside_float32_rejected(self, checker, value):
+        # Regression: accepted, then the injection tap raised CodecError
+        # mid-run.  The reason is the codec's own.
+        result = checker.check(FLOAT_SIG, value)
+        assert not result.accepted
+        assert result.reason == "f: cannot encode %r as float32" % (value,)

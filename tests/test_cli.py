@@ -381,42 +381,36 @@ class TestAuditCommand:
         assert "AU201" in out
 
 
-class TestTable1Prune:
-    def test_pruned_paper_table_is_byte_identical(self, tmp_path, capsys):
-        # No Table I cell is statically dead, so --prune audit is a
-        # pure no-op on the paper campaign — same bytes out.
-        plain, pruned = tmp_path / "plain.txt", tmp_path / "pruned.txt"
-        argv = ["table1", "--seed", "11", "--limit", "2"] + FAST_TABLE1
-        assert main(argv + ["--out", str(plain)]) == 0
-        assert main(argv + ["--prune", "audit", "--out", str(pruned)]) == 0
-        capsys.readouterr()
-        assert pruned.read_bytes() == plain.read_bytes()
+class TestTable1TimingOptions:
+    """``table1`` refuses a bad ``--hold/--gap/--settle/--limit`` as a
+    usage error.  Regression: ``--hold nan`` and ``--hold -1`` printed
+    an all-S table, ``--hold inf`` never finished, ``--settle -5`` ran
+    a different plan, and ``--limit -1`` silently dropped the last
+    row."""
 
-    def test_prune_composes_with_jobs(self, tmp_path, capsys):
-        plain, pruned = tmp_path / "plain.txt", tmp_path / "pruned.txt"
-        argv = ["table1", "--seed", "11", "--limit", "2"] + FAST_TABLE1
-        assert main(argv + ["--out", str(plain)]) == 0
-        assert (
-            main(
-                argv
-                + ["--prune", "audit", "--jobs", "2", "--out", str(pruned)]
-            )
-            == 0
-        )
-        capsys.readouterr()
-        assert pruned.read_bytes() == plain.read_bytes()
-
-    def test_margin_pruned_paper_table_is_byte_identical(
-        self, tmp_path, capsys
-    ):
-        # Every paper rule's static lower bound is <= 0, so
-        # --prune margins is a proven no-op on Table I — same bytes.
-        plain, pruned = tmp_path / "plain.txt", tmp_path / "pruned.txt"
-        argv = ["table1", "--seed", "11", "--limit", "2"] + FAST_TABLE1
-        assert main(argv + ["--out", str(plain)]) == 0
-        assert main(argv + ["--prune", "margins", "--out", str(pruned)]) == 0
-        capsys.readouterr()
-        assert pruned.read_bytes() == plain.read_bytes()
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("--hold", "nan", "must be a positive number of seconds"),
+            ("--hold", "-1", "must be a positive number of seconds"),
+            ("--hold", "inf", "must be a positive number of seconds"),
+            ("--hold", "0", "must be a positive number of seconds"),
+            ("--gap", "nan", "must be a finite number of seconds >= 0"),
+            ("--gap", "-1", "must be a finite number of seconds >= 0"),
+            ("--gap", "inf", "must be a finite number of seconds >= 0"),
+            ("--settle", "-5", "must be a finite number of seconds >= 0"),
+            ("--settle", "nan", "must be a finite number of seconds >= 0"),
+            ("--settle", "inf", "must be a finite number of seconds >= 0"),
+            ("--limit", "-1", "must be >= 1"),
+            ("--limit", "0", "must be >= 1"),
+        ],
+    )
+    def test_bad_value_is_a_usage_error(self, option, value, message, capsys):
+        argv = ["table1", "--limit", "1"] + FAST_TABLE1 + [option, value]
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "%s, got %s" % (message, value) in capsys.readouterr().err
 
 
 class TestNegativeThresholds:
@@ -425,13 +419,9 @@ class TestNegativeThresholds:
         [
             ["check", "{trace}", "--near-miss-threshold", "-1"],
             ["table1", "--limit", "1", "--near-miss-threshold", "-1"],
-            [
-                "table1", "--limit", "1", "--prune", "margins",
-                "--prune-threshold", "-1",
-            ],
             ["margins", "--threshold", "-1"],
         ],
-        ids=["check", "table1-near-miss", "table1-prune", "margins"],
+        ids=["check", "table1-near-miss", "margins"],
     )
     def test_rejected_as_usage_error(
         self, argv, tmp_path, nominal_trace, capsys

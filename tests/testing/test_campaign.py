@@ -6,6 +6,7 @@ exercised with shortened hold times so the suite stays fast.
 
 import pytest
 
+from repro.errors import SimulationError
 from repro.hil.typecheck import VEHICLE_PROFILE
 from repro.rules.safety_rules import RULE_IDS
 from repro.testing.campaign import (
@@ -126,6 +127,16 @@ class TestRunTest:
 
 
 class TestScenarioDuration:
+    @pytest.mark.parametrize(
+        "name", ["hold_time", "gap_time", "settle_time"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_bad_timing_rejected(self, name, value):
+        # Regression: a NaN or negative hold ran an all-S campaign and
+        # an infinite one never finished.
+        with pytest.raises(SimulationError, match=name):
+            quick_campaign(**{name: value})
+
     def test_duration_is_settle_plus_injections(self):
         campaign = quick_campaign()
         test = InjectionTest("Random Velocity", "Random", ("Velocity",))
