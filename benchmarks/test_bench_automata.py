@@ -5,10 +5,11 @@ One artifact:
 * ``automata_certificates.txt`` — per paper rule, the automaton's
   monitorability certificate (class, exact decision horizon in rows)
   next to the horizon the online monitor provisions from syntactic
-  future-reach, plus the observability partition, with the whole
-  compile pass wall-clocked against one streamed nominal drive.  The
-  point of the static pass is that certificates cost milliseconds
-  while measuring decision latency empirically costs a drive log.
+  future-reach, plus the observability partition.  The artifact holds
+  verdicts only; the compile cost is measured by the ``audit``
+  workload of ``bench/run.py``.  The point of the static pass is that
+  certificates cost milliseconds while measuring decision latency
+  empirically costs a drive log.
 
 The contracts the artifact witnesses (also asserted, so the bench
 doubles as a smoke test):
@@ -19,7 +20,7 @@ doubles as a smoke test):
   (the certificate can only tighten, never invalidate, the buffer
   sizing);
 * the compile pass is cheaper than producing and streaming one
-  nominal drive.
+  nominal drive (asserted on the host clock, not published).
 """
 
 from __future__ import annotations
@@ -57,8 +58,6 @@ def test_certificates_against_streamed_drive(publish):
 
     lines = [
         "SYMBOLIC AUTOMATA CERTIFICATES VS MONITOR PROVISIONING (E21)",
-        "compile pass: %7.4f s   streamed drive: %7.2f s"
-        % (compile_s, stream_s),
         "",
         "%-8s %-10s %-14s %-14s %s"
         % ("rule", "class", "exact horizon", "monitor rows", "droppable"),

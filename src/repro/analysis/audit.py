@@ -22,7 +22,9 @@ per report section:
 The symbolic automata pass (:mod:`repro.analysis.automata`) is the one
 static prover behind two layers: it answers every AU101/AU102 pair
 question and the AU103 vacuity questions that interval folding leaves
-open, and every rule gets a monitorability certificate cross-checked
+open (read off the same per-rule automaton as the certificate; the
+questions it gives up on are listed in one AU105 finding), and every
+rule gets a monitorability certificate cross-checked
 against the online monitor's conservative horizon (``AU6xx``: no
 finite decision horizon, over-provisioned buffering, or an
 uncertifiable rule).
@@ -52,7 +54,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     List,
@@ -64,11 +65,12 @@ from typing import (
 
 from repro.analysis.analyzer import database_env
 from repro.analysis.automata import (
+    NO,
     PROVED,
+    FormulaPair,
+    RuleAutomaton,
     compile_rule,
-    prove_contradicts,
-    prove_implies,
-    prove_valid,
+    count_give_up,
 )
 from repro.analysis.catalog import make_diagnostic
 from repro.analysis.checks import formula_status
@@ -231,39 +233,25 @@ class _ProverContext:
     """Everything the automata decision procedure needs beyond ``env``:
     the spec machines ``in_state`` atoms run against, the DBC boolean
     signals, and the sampling period that fixes the window row counts.
+
+    ``undecided`` records, per typed give-up reason, the rule pair or
+    rule of every question the prover gave up on (AU105).
     """
 
     machines: Tuple[StateMachine, ...] = ()
     bool_signals: FrozenSet[str] = frozenset()
     period: float = DEFAULT_PERIOD
+    undecided: Dict[str, List[str]] = field(default_factory=dict)
 
-
-def _proves(
-    prover: Callable[..., str],
-    formulas: Sequence[Formula],
-    env: Mapping[str, Interval],
-    ctx: _ProverContext,
-) -> bool:
-    """Whether the automata ``prover`` settles its question.
-
-    The prover answers its typed give-ups (state budget, unsupported
-    formula, alphabet, evaluation) with ``"unknown"`` and counts them
-    as ``audit.prover.undecided.<reason>``; any other exception is a
-    bug and propagates.
-    """
-    return (
-        prover(
-            *formulas, machines=ctx.machines, env=env,
-            bool_signals=ctx.bool_signals, period=ctx.period,
-        )
-        == PROVED
-    )
+    def gave_up(self, reasons: Sequence[str], subject: str) -> None:
+        for reason in reasons:
+            self.undecided.setdefault(reason, []).append(subject)
 
 
 def _rule_pair_checks(
     rules: Sequence,
     env: Mapping[str, Interval],
-    ctx: _ProverContext = _ProverContext(),
+    ctx: _ProverContext,
 ) -> List[Diagnostic]:
     findings: List[Diagnostic] = []
     # Contradiction and subsumption are only meaningful between rules
@@ -282,12 +270,19 @@ def _rule_pair_checks(
                     # Statically constant formulas are vacuity findings
                     # (AU103 / speclint), not pair conflicts.
                     continue
-                if _proves(
-                    prove_contradicts,
-                    (rule_a.formula, rule_b.formula),
-                    env,
-                    ctx,
-                ):
+                # The prover answers its typed give-ups (state budget,
+                # unsupported formula, alphabet, evaluation) with
+                # "unknown" and counts them; any other exception is a
+                # bug and propagates.
+                pair = FormulaPair(
+                    rule_a.formula,
+                    rule_b.formula,
+                    machines=ctx.machines,
+                    env=env,
+                    bool_signals=ctx.bool_signals,
+                    period=ctx.period,
+                )
+                if pair.contradicts() == PROVED:
                     findings.append(
                         make_diagnostic(
                             "AU101",
@@ -302,30 +297,27 @@ def _rule_pair_checks(
                             ),
                         )
                     )
-                    continue
-                findings.extend(
-                    _subsumption_pair(rule_a, rule_b, env, ctx)
+                else:
+                    findings.extend(_subsumption_pair(rule_a, rule_b, pair))
+                ctx.gave_up(
+                    pair.give_ups, "%s/%s" % (rule_a.rule_id, rule_b.rule_id)
                 )
     return findings
 
 
-def _subsumption_pair(
-    rule_a,
-    rule_b,
-    env: Mapping[str, Interval],
-    ctx: _ProverContext = _ProverContext(),
-) -> List[Diagnostic]:
+def _subsumption_pair(rule_a, rule_b, pair: FormulaPair) -> List[Diagnostic]:
     if rule_a.formula == rule_b.formula:
         # Identical bodies are SL702's finding, not subsumption.
         return []
-    for strong, weak in ((rule_a, rule_b), (rule_b, rule_a)):
+    for strong, weak, forward in (
+        (rule_a, rule_b, True),
+        (rule_b, rule_a, False),
+    ):
         # A filtered rule may dismiss violations the weak rule would
         # report, so only an unfiltered strong rule truly covers it.
         if strong.filters:
             continue
-        if _proves(
-            prove_implies, (strong.formula, weak.formula), env, ctx
-        ):
+        if pair.implies(forward) == PROVED:
             return [
                 make_diagnostic(
                     "AU102",
@@ -344,11 +336,15 @@ def _subsumption_pair(
 
 def _vacuity_checks(
     rules: Sequence,
+    automata: Sequence[RuleAutomaton],
     env: Mapping[str, Interval],
-    ctx: _ProverContext = _ProverContext(),
+    ctx: _ProverContext,
 ) -> List[Diagnostic]:
+    """AU103 — by interval folding, else read off each rule's own
+    automaton (``automata``, one per rule): a deterministic automaton
+    that reaches no rejecting verdict is valid."""
     findings = []
-    for rule in rules:
+    for rule, compiled in zip(rules, automata):
         if formula_status(rule.effective_formula(), env) == ALWAYS:
             findings.append(
                 make_diagnostic(
@@ -360,39 +356,67 @@ def _vacuity_checks(
                     suggestion="tighten the bound below the DBC range",
                 )
             )
-        elif _proves(prove_valid, (rule.effective_formula(),), env, ctx):
+        elif compiled.give_up is not None:
+            count_give_up(compiled.give_up)
+            ctx.gave_up((compiled.give_up,), rule.rule_id)
+        elif compiled.falsifiable == NO:
             findings.append(
                 make_diagnostic(
                     "AU103",
                     "rule %s" % rule.rule_id,
                     "effective formula is valid by decision procedure: "
-                    "the automaton for its negation accepts no in-range "
-                    "trace, so the rule cannot detect in-specification "
-                    "misbehaviour",
+                    "its automaton rejects no in-range trace, so the "
+                    "rule cannot detect in-specification misbehaviour",
                     suggestion="tighten the bound below the DBC range",
                 )
             )
     return findings
 
 
+def _undecided_findings(ctx: _ProverContext) -> List[Diagnostic]:
+    """AU105 — one finding naming every question the prover gave up
+    on, per typed reason (its count equals the audit's
+    ``audit.prover.undecided.<reason>`` counter)."""
+    if not ctx.undecided:
+        return []
+    total = sum(len(subjects) for subjects in ctx.undecided.values())
+    return [
+        make_diagnostic(
+            "AU105",
+            "rule set",
+            "the decision procedure gave up on %d question(s), which "
+            "stay unknown: %s"
+            % (
+                total,
+                "; ".join(
+                    "%s on %d (%s)"
+                    % (
+                        reason,
+                        len(subjects),
+                        ", ".join(dict.fromkeys(subjects)),
+                    )
+                    for reason, subjects in sorted(ctx.undecided.items())
+                ),
+            ),
+            suggestion=(
+                "a contradiction, subsumption or vacuity finding may be "
+                "missing for these rules; rewrite them in the supported "
+                "fragment or raise the automata budgets"
+            ),
+        )
+    ]
+
+
 def _monitorability_checks(
     rules: Sequence,
-    env: Mapping[str, Interval],
-    ctx: _ProverContext,
+    automata: Sequence[RuleAutomaton],
     summary: Dict[str, int],
 ) -> List[Diagnostic]:
     """AU6xx — certificates from the symbolic automata pass, each
     cross-checked against the online monitor's conservative horizon."""
     findings: List[Diagnostic] = []
     certified = 0
-    for rule in rules:
-        compiled = compile_rule(
-            rule,
-            machines=ctx.machines,
-            env=env,
-            bool_signals=ctx.bool_signals,
-            period=ctx.period,
-        )
+    for rule, compiled in zip(rules, automata):
         if compiled.status != "ok":
             findings.append(
                 make_diagnostic(
@@ -887,9 +911,22 @@ def audit_rules(
         1 for interval in rule_margins.values() if interval.lo > 0
     )
 
+    # One automaton per rule answers both its vacuity question and its
+    # monitorability certificate.
+    automata = [
+        compile_rule(
+            rule,
+            machines=ctx.machines,
+            env=env,
+            bool_signals=ctx.bool_signals,
+            period=period,
+        )
+        for rule in rules
+    ]
     rule_findings = _rule_pair_checks(rules, env, ctx)
-    rule_findings.extend(_vacuity_checks(rules, env, ctx))
-    rule_findings.extend(_monitorability_checks(rules, env, ctx, summary))
+    rule_findings.extend(_vacuity_checks(rules, automata, env, ctx))
+    rule_findings.extend(_undecided_findings(ctx))
+    rule_findings.extend(_monitorability_checks(rules, automata, summary))
     rule_findings.extend(_coverage_overlap_checks(graph))
     rule_findings.extend(_margin_rule_checks(rule_margins))
 

@@ -18,9 +18,10 @@ the construction:
 * an **emptiness/containment prover** — ``a`` contradicts ``b`` iff
   the automaton of ``a ∧ b`` cannot reach its accepting sink (and
   cannot loop satisfied forever); ``a`` implies ``b`` iff ``a ∧ ¬b``
-  is empty — the only prover behind the audit's AU101/AU102 pair
-  findings and the AU103 vacuity questions interval folding leaves
-  open;
+  is empty; ``a`` is valid iff its own automaton cannot reach its
+  rejecting sink (nor loop falsified forever) — the only prover behind
+  the audit's AU101/AU102 pair findings and the AU103 vacuity
+  questions interval folding leaves open;
 * **observable-signal reduction** — a signal is droppable for a rule
   when no reachable state distinguishes letters that differ only in
   that signal's atoms, which the fleet rollup surfaces as a
@@ -55,6 +56,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -73,7 +75,6 @@ from repro.analysis.predicates import (
     AlphabetError,
     MAX_ALPHABET_ATOMS,
     build_alphabet,
-    collect_atoms,
     dbc_environment,
     evaluate_proposition,
 )
@@ -762,6 +763,33 @@ def _advance_machine(
     return state
 
 
+def _support(term: Term, memo: Dict[Term, int]) -> int:
+    """Bitmask of the alphabet atoms :func:`step_term` reads when it
+    steps ``term``: a delay reads nothing this row, a window with
+    ``lo > 0`` only its left operand, a last-row window only its right
+    one.  Machine literals read the product state, not the letter."""
+    mask = memo.get(term)
+    if mask is not None:
+        return mask
+    if isinstance(term, Lit):
+        mask = 1 << term.index
+    elif isinstance(term, (Conj, Disj)):
+        mask = 0
+        for operand in term.operands:
+            mask |= _support(operand, memo)
+    elif isinstance(term, (Until, Release)):
+        if term.lo > 0:
+            mask = _support(term.left, memo)
+        elif term.hi == 0:
+            mask = _support(term.right, memo)
+        else:
+            mask = _support(term.left, memo) | _support(term.right, memo)
+    else:
+        mask = 0
+    memo[term] = mask
+    return mask
+
+
 def compile_term(
     term: Term,
     alphabet: Alphabet,
@@ -773,11 +801,19 @@ def compile_term(
     ``machines`` are the state machines referenced by ``MLit`` terms;
     their joint state is tracked in the product.  Raises
     :class:`StateBudgetError` past ``max_states``.
+
+    A state's derivative depends only on the atoms its term reads and
+    on the machines' next states, so the letters are split into
+    classes that agree on both, and each class is stepped once.  States
+    are still interned and pushed in letter order, which keeps the
+    numbering that of a letter-by-letter exploration.
     """
     machines = tuple(machines)
+    letters = alphabet.letters
+    names = tuple(machine.name for machine in machines)
     # Per letter: the atom-truth map (for guards) and the bit accessor.
     truth_maps: List[Dict[Formula, bool]] = []
-    for mask in alphabet.letters:
+    for mask in letters:
         truth_maps.append(
             {
                 atom: bool((mask >> i) & 1)
@@ -810,6 +846,36 @@ def compile_term(
         transitions.append(())
         return indices[key]
 
+    supports: Dict[Term, int] = {}
+    partitions: Dict[
+        Tuple[int, Tuple[str, ...]],
+        Tuple[List[int], List[Tuple[int, Tuple[str, ...]]]],
+    ] = {}
+
+    def letter_classes(support: int, mstates: Tuple[str, ...]):
+        """Per letter position its class, and per class (in order of
+        first letter) that letter and the machines' next states."""
+        key = (support, mstates)
+        found = partitions.get(key)
+        if found is not None:
+            return found
+        numbers: Dict[Tuple[int, Tuple[str, ...]], int] = {}
+        class_of: List[int] = []
+        firsts: List[Tuple[int, Tuple[str, ...]]] = []
+        for pos, mask in enumerate(letters):
+            new_mstates = tuple(
+                _advance_machine(machine, mstate, truth_maps[pos])
+                for machine, mstate in zip(machines, mstates)
+            )
+            class_key = (mask & support, new_mstates)
+            number = numbers.get(class_key)
+            if number is None:
+                number = numbers[class_key] = len(firsts)
+                firsts.append((mask, new_mstates))
+            class_of.append(number)
+        partitions[key] = found = (class_of, firsts)
+        return found
+
     # One entry per machine-state combination (machine-initial first, as
     # state 0): rules restart at every row, so the machines may be in
     # any state when the word begins.
@@ -833,23 +899,19 @@ def compile_term(
                 current for _ in alphabet.letters
             )
             continue
-        row: List[int] = []
-        for pos, mask in enumerate(alphabet.letters):
-            truth = truth_maps[pos]
-            new_mstates = tuple(
-                _advance_machine(machine, mstate, truth)
-                for machine, mstate in zip(machines, current_mstates)
-            )
-            assign = _Assignment(
-                mask,
-                {m.name: s for m, s in zip(machines, new_mstates)},
-            )
+        class_of, firsts = letter_classes(
+            _support(current_term, supports), current_mstates
+        )
+        successors: List[int] = []
+        for mask, new_mstates in firsts:
+            assign = _Assignment(mask, dict(zip(names, new_mstates)))
             successor_term = step_term(current_term, assign)
-            successor = intern(state_key(successor_term, new_mstates))
-            row.append(successor)
-            if successor not in explored:
-                frontier.append(successor)
-        transitions[current] = tuple(row)
+            successors.append(intern(state_key(successor_term, new_mstates)))
+        row = tuple(successors[number] for number in class_of)
+        transitions[current] = row
+        frontier.extend(
+            successor for successor in row if successor not in explored
+        )
 
     accept = indices.get((TT, sink_key))
     reject = indices.get((FF, sink_key))
@@ -876,7 +938,6 @@ def compile_formulas(
     env: Optional[Mapping[str, Interval]] = None,
     bool_signals: FrozenSet[str] = frozenset(),
     period: float = DEFAULT_PERIOD,
-    max_states: int = DEFAULT_STATE_BUDGET,
     max_atoms: int = MAX_ALPHABET_ATOMS,
 ) -> Tuple[Alphabet, Tuple[StateMachine, ...], List[Term]]:
     """Shared alphabet and residual terms for several formulas.
@@ -886,16 +947,14 @@ def compile_formulas(
     one another — the basis of the containment prover.
     """
     by_name = _machine_map(machines)
-    _, machine_names = collect_atoms(formulas, by_name)
     alphabet = build_alphabet(
         formulas, by_name, env=env, bool_signals=bool_signals,
         max_atoms=max_atoms,
     )
-    used = tuple(by_name[name] for name in machine_names)
+    used = tuple(by_name[name] for name in alphabet.machines)
     terms = [
         formula_to_term(formula, alphabet, period) for formula in formulas
     ]
-    del max_states  # budget applies at compile_term time
     return alphabet, used, terms
 
 
@@ -931,32 +990,74 @@ _GIVE_UP_REASONS = {
     AlphabetError: "alphabet",
     EvaluationError: "evaluation",
 }
+_GIVE_UPS = tuple(_GIVE_UP_REASONS)
 
 
-def _decide(
-    formulas: Sequence[Formula],
-    combine,
-    machines: Sequence[StateMachine],
-    env: Optional[Mapping[str, Interval]],
-    bool_signals: FrozenSet[str],
-    period: float,
-    max_states: int,
-) -> str:
-    try:
-        alphabet, used, terms = compile_formulas(
-            formulas, machines, env=env, bool_signals=bool_signals,
-            period=period,
-        )
-        automaton = compile_term(
-            combine(terms), alphabet, used, max_states=max_states
-        )
-    except tuple(_GIVE_UP_REASONS) as exc:
-        get_registry().counter(
-            "audit.prover.undecided.%s" % _GIVE_UP_REASONS[type(exc)]
-        ).inc()
-        return UNKNOWN
-    status = automaton.satisfiable()
-    return PROVED if status == NO else UNKNOWN
+def count_give_up(reason: str) -> str:
+    """Count a question the prover gave up on for ``reason``; its
+    answer is ``"unknown"``."""
+    get_registry().counter("audit.prover.undecided.%s" % reason).inc()
+    return UNKNOWN
+
+
+class FormulaPair:
+    """Two formulas compiled to terms over one shared alphabet.
+
+    The pair's questions — contradiction and implication either way —
+    combine the same two terms, so the alphabet is built once per pair.
+    A question the prover gives up on answers ``"unknown"``, is counted
+    (:func:`count_give_up`) and appends its reason to ``give_ups``.
+    """
+
+    def __init__(
+        self,
+        a: Formula,
+        b: Formula,
+        machines: Sequence[StateMachine] = (),
+        env: Optional[Mapping[str, Interval]] = None,
+        bool_signals: FrozenSet[str] = frozenset(),
+        period: float = DEFAULT_PERIOD,
+        max_states: int = DEFAULT_STATE_BUDGET,
+    ) -> None:
+        self.max_states = max_states
+        self.give_ups: List[str] = []
+        self._failure: Optional[str] = None
+        try:
+            self._compiled = compile_formulas(
+                [a, b], machines, env=env, bool_signals=bool_signals,
+                period=period,
+            )
+        except _GIVE_UPS as exc:
+            self._failure = _GIVE_UP_REASONS[type(exc)]
+
+    def _proves_empty(self, combined: Callable[[Term, Term], Term]) -> str:
+        if self._failure is not None:
+            return self._give_up(self._failure)
+        alphabet, used, (a, b) = self._compiled
+        try:
+            automaton = compile_term(
+                combined(a, b), alphabet, used, max_states=self.max_states
+            )
+        except _GIVE_UPS as exc:
+            return self._give_up(_GIVE_UP_REASONS[type(exc)])
+        return PROVED if automaton.satisfiable() == NO else UNKNOWN
+
+    def _give_up(self, reason: str) -> str:
+        self.give_ups.append(reason)
+        return count_give_up(reason)
+
+    def contradicts(self) -> str:
+        """``"proved"`` when no in-range trace satisfies both formulas
+        at the same starting row; ``"unknown"`` otherwise."""
+        return self._proves_empty(lambda a, b: conj((a, b)))
+
+    def implies(self, forward: bool = True) -> str:
+        """``"proved"`` when every in-range trace satisfying the first
+        formula at a row satisfies the second there too (emptiness of
+        ``a ∧ ¬b``); ``forward=False`` asks the converse."""
+        if forward:
+            return self._proves_empty(lambda a, b: conj((a, neg_term(b))))
+        return self._proves_empty(lambda a, b: conj((b, neg_term(a))))
 
 
 def prove_contradicts(
@@ -970,10 +1071,9 @@ def prove_contradicts(
 ) -> str:
     """``"proved"`` when no in-range trace satisfies ``a`` and ``b`` at
     the same starting row; ``"unknown"`` otherwise."""
-    return _decide(
-        [a, b], lambda terms: conj(terms), machines, env, bool_signals,
-        period, max_states,
-    )
+    return FormulaPair(
+        a, b, machines, env, bool_signals, period, max_states
+    ).contradicts()
 
 
 def prove_implies(
@@ -987,11 +1087,9 @@ def prove_implies(
 ) -> str:
     """``"proved"`` when every in-range trace satisfying ``a`` at a row
     satisfies ``b`` there too (emptiness of ``a ∧ ¬b``)."""
-    return _decide(
-        [a, b],
-        lambda terms: conj((terms[0], neg_term(terms[1]))),
-        machines, env, bool_signals, period, max_states,
-    )
+    return FormulaPair(
+        a, b, machines, env, bool_signals, period, max_states
+    ).implies()
 
 
 def prove_valid(
@@ -1003,12 +1101,18 @@ def prove_valid(
     max_states: int = DEFAULT_STATE_BUDGET,
 ) -> str:
     """``"proved"`` when no in-range trace can falsify ``formula`` —
-    the decision-procedure form of the vacuity check."""
-    return _decide(
-        [formula],
-        lambda terms: neg_term(terms[0]),
-        machines, env, bool_signals, period, max_states,
-    )
+    the decision-procedure form of the vacuity check.  The formula's
+    own automaton answers it: deterministic, it reaches no rejecting
+    verdict exactly when the automaton of the negation accepts
+    nothing."""
+    try:
+        automaton = compile_formula(
+            formula, machines, env=env, bool_signals=bool_signals,
+            period=period, max_states=max_states,
+        )
+    except _GIVE_UPS as exc:
+        return count_give_up(_GIVE_UP_REASONS[type(exc)])
+    return PROVED if automaton.falsifiable() == NO else UNKNOWN
 
 
 # ----------------------------------------------------------------------
@@ -1109,6 +1213,10 @@ class RuleAutomaton:
     observability: Optional[Observability] = None
     satisfiable: str = UNKNOWN
     falsifiable: str = UNKNOWN
+    #: The typed give-up behind a failed compile (``state_budget``,
+    #: ``unsupported_formula``, ``alphabet`` or ``evaluation``), so a
+    #: question read off this automaton can count it.
+    give_up: Optional[str] = None
 
     def to_dict(self) -> Dict[str, object]:
         certificate = self.certificate
@@ -1189,21 +1297,18 @@ def compile_rule(
             max_states=max_states,
             max_atoms=max_atoms,
         )
-    except (AlphabetError, UnsupportedFormulaError, EvaluationError) as exc:
+    except _GIVE_UPS as exc:
         return RuleAutomaton(
             rule_id=rule.rule_id,
             name=name,
-            status="unsupported",
+            status=(
+                "budget"
+                if isinstance(exc, StateBudgetError)
+                else "unsupported"
+            ),
             reason=str(exc),
             monitor_horizon_rows=horizon,
-        )
-    except StateBudgetError as exc:
-        return RuleAutomaton(
-            rule_id=rule.rule_id,
-            name=name,
-            status="budget",
-            reason=str(exc),
-            monitor_horizon_rows=horizon,
+            give_up=_GIVE_UP_REASONS[type(exc)],
         )
     classification, safety, co_safety = automaton.classify()
     certificate = Certificate(

@@ -20,7 +20,7 @@ The cross-artifact auditor (``repro audit``, :mod:`repro.analysis.audit`)
 owns the ``AU`` range:
 
 * ``AU1xx`` — rule-set verification (contradiction, subsumption,
-  set-level vacuity, duplicate coverage);
+  set-level vacuity, duplicate coverage, prover give-ups);
 * ``AU2xx`` — monitoring coverage (unreferenced signals, states, modes);
 * ``AU3xx`` — injection-plan static checks (degenerate values, oversized
   flip masks, unknown targets, statically dead injections);
@@ -298,6 +298,19 @@ CATALOG: Dict[str, CatalogEntry] = {
             "properties of the same signals.",
             "rule3 and rule4 both over {Velocity, ACCSetSpeed, "
             "RequestedTorque, ACCEnabled}",
+        ),
+        _entry(
+            "AU105",
+            Severity.INFO,
+            "prover gave up",
+            "The automata decision procedure gave up on some "
+            "contradiction, subsumption or vacuity questions (past "
+            "operator, predicate-alphabet budget, state budget, or a "
+            "window with no sample row): they stay unknown, so an "
+            "AU101-AU103 finding may be missing for the rules named.  "
+            "One finding per audit lists each typed reason with its "
+            "question count and the rule pairs or rules asked about.",
+            "once[0, 0.2] ServiceACC paired with every other rule",
         ),
         _entry(
             "AU201",

@@ -110,10 +110,13 @@ class Alphabet:
 
     ``atoms[i]``'s truth in letter ``mask`` is bit ``i`` of ``mask``.
     ``letters`` lists every coherent bitmask in ascending order.
+    ``machines`` names the state machines whose guards contributed
+    atoms, in first-reference order.
     """
 
     atoms: Tuple[Formula, ...]
     letters: Tuple[int, ...]
+    machines: Tuple[str, ...] = ()
 
     def index(self, atom: Formula) -> int:
         """Bit position of ``atom`` (structural equality)."""
@@ -331,7 +334,7 @@ def build_alphabet(
         # Only reachable with an inconsistent environment; a real DBC
         # always admits at least one row.
         raise AlphabetError("no coherent letter exists under the DBC ranges")
-    return Alphabet(atoms=atoms, letters=letters)
+    return Alphabet(atoms=atoms, letters=letters, machines=machine_names)
 
 
 def dbc_environment(

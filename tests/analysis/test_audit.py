@@ -301,12 +301,14 @@ class TestDecisionProcedureFindings:
 
     def test_au103_validity_by_decision_procedure(self, database):
         from repro.analysis.audit import _vacuity_checks
+        from repro.analysis.automata import compile_rule
         from repro.analysis.checks import formula_status
 
         env, ctx = self._env_ctx(database)
         rule = Rule.from_text("taut", "t", "Velocity > 5 or Velocity <= 5")
         assert formula_status(rule.effective_formula(), env) != "always"
-        findings = _vacuity_checks([rule], env, ctx)
+        compiled = compile_rule(rule, env=env, bool_signals=ctx.bool_signals)
+        findings = _vacuity_checks([rule], [compiled], env, ctx)
         au103 = [f for f in findings if f.code == "AU103"]
         assert len(au103) == 1
         assert "by decision procedure" in au103[0].message
@@ -360,8 +362,9 @@ class TestDecisionProcedureFindings:
 
 
 class TestProverGiveUps:
-    """A typed prover give-up reads as "unknown" and is counted; any
-    other exception out of a prover is a bug and fails the audit."""
+    """A typed prover give-up reads as "unknown", is counted, and is
+    surfaced as one AU105 finding; any other exception out of a prover
+    is a bug and fails the audit."""
 
     def test_state_budget_give_up_is_counted(self, monkeypatch):
         import functools
@@ -375,15 +378,49 @@ class TestProverGiveUps:
             )
 
         baseline = paper_audit()
-        for name in ("prove_contradicts", "prove_implies", "prove_valid"):
+        # Starve the pair questions and the rule automata, which answer
+        # the vacuity questions as well as the certificates.
+        for name in ("FormulaPair", "compile_rule"):
             starved = functools.partial(getattr(automata, name), max_states=1)
             monkeypatch.setattr(audit, name, starved)
         registry = MetricsRegistry()
         with use_registry(registry):
             report = paper_audit()
         counters = registry.snapshot()["counters"]
-        assert counters["audit.prover.undecided.state_budget"] > 0
-        assert report.format_text() == baseline.format_text()
+        given_up = counters["audit.prover.undecided.state_budget"]
+        assert given_up > len(paper_rules())
+        # Starving proves nothing new: every baseline finding stays, and
+        # the only additions are the uncertified rules and the one
+        # give-up finding, which names every rule's vacuity question.
+        before = set(baseline.diagnostics())
+        after = set(report.diagnostics())
+        assert before <= after
+        assert {d.code for d in after - before} == {"AU105", "AU603"}
+        [undecided] = [d for d in after if d.code == "AU105"]
+        assert "gave up on %d question(s)" % given_up in undecided.message
+        head = "state_budget on %d (" % given_up
+        listed = undecided.message.split(head, 1)[1].rstrip(")").split(", ")
+        assert {rule.rule_id for rule in paper_rules()} <= set(listed)
+        assert report.summary["certified_rules"] == 0
+
+    def test_give_up_finding_matches_counters(self):
+        from repro.obs import MetricsRegistry, use_registry
+
+        registry = MetricsRegistry()
+        with use_registry(registry):
+            report = fixture_report()
+        counters = registry.snapshot()["counters"]
+        assert counters == {"audit.prover.undecided.unsupported_formula": 25}
+        [undecided] = [d for d in report.diagnostics() if d.code == "AU105"]
+        assert undecided.subject == "rule set"
+        assert "unsupported_formula on 25 (" in undecided.message
+        # Eight pairs with the past-operator rule rK, then its own
+        # vacuity question.
+        assert undecided.message.endswith("rK/rL, rK)")
+
+    def test_clean_audit_has_no_give_up_finding(self):
+        report = audit_rules(paper_rules(), plan=paper_plan())
+        assert "AU105" not in report.codes()
 
     def test_unexpected_prover_error_fails_loudly(self, monkeypatch, capsys):
         from repro.analysis import audit
@@ -392,6 +429,6 @@ class TestProverGiveUps:
         def broken(*args, **kwargs):
             raise RuntimeError("prover bug")
 
-        monkeypatch.setattr(audit, "prove_implies", broken)
+        monkeypatch.setattr(audit, "FormulaPair", broken)
         with pytest.raises(RuntimeError, match="prover bug"):
             main(["audit"])
