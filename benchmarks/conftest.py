@@ -1,10 +1,12 @@
-"""Shared fixtures for the benchmark/reproduction harness.
+"""Shared fixtures for the reproduction harness.
 
-Each benchmark regenerates one of the paper's tables or figures (see
+Each test regenerates one of the paper's tables or figures (see
 DESIGN.md's per-experiment index), prints it, and writes it under
-``results/``.  Expensive artifacts (the full Table I campaign, the
-synthetic vehicle drive) are session-scoped so the suite pays for them
-once.
+``results/``.  Every artifact is a pure function of the code and
+:data:`SEED`: verdicts, counts and letter tables, never host timings
+(speed is measured by ``bench/run.py``).  Expensive artifacts (the full
+Table I campaign, the synthetic vehicle drive) are session-scoped so the
+suite pays for them once.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ from __future__ import annotations
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 warnings.filterwarnings("ignore", category=RuntimeWarning)
@@ -49,32 +50,12 @@ def publish(results_dir):
 
 
 @pytest.fixture(scope="session")
-def benign_trace():
-    """``rows`` samples of signals ``x`` and ``y`` in [0, 1) at 20 ms.
-
-    No threshold the timing sweeps use is ever crossed, so window
-    aggregation, not violation bookkeeping, dominates their timings.
-    """
-    from repro.logs.trace import Trace
-
-    def _benign_trace(rows: int) -> Trace:
-        rng = np.random.default_rng(SEED)
-        trace = Trace("benign")
-        for name in ("x", "y"):
-            for row, value in enumerate(rng.uniform(0.0, 1.0, size=rows)):
-                trace.record(name, row * 0.02, float(value))
-        return trace
-
-    return _benign_trace
-
-
-@pytest.fixture(scope="session")
 def table1():
     """The full Table I campaign (the expensive artifact, ~1 minute).
 
     Run with margins on: the boolean letters are bit-identical either
     way (E18 asserts so against the committed fixture), and every
-    margin-consuming benchmark shares the one campaign.
+    margin-consuming test shares the one campaign.
     """
     from repro.testing.campaign import RobustnessCampaign
 
@@ -93,7 +74,7 @@ def drive_logs():
 
 @pytest.fixture(scope="session")
 def long_trace():
-    """A long nominal HIL trace for throughput measurements."""
+    """A long (300 s) nominal HIL trace."""
     from repro.hil.simulator import HilSimulator
     from repro.vehicle.scenario import steady_follow
 

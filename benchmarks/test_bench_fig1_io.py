@@ -24,8 +24,8 @@ def render_fig1(database) -> str:
     return "\n".join(lines)
 
 
-def test_fig1_io_inventory(benchmark, publish):
-    database = benchmark(fsracc_database)
+def test_fig1_io_inventory(publish):
+    database = fsracc_database()
     text = render_fig1(database)
     publish("fig1_io.txt", text)
 

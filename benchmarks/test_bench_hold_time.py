@@ -73,7 +73,7 @@ def render(by_hold) -> str:
     return "\n".join(lines)
 
 
-def test_hold_time_sensitivity(benchmark, publish):
+def test_hold_time_sensitivity(publish):
     by_hold = {hold: violated_cells(hold) for hold in HOLD_TIMES}
     publish("hold_time.txt", render(by_hold))
 
@@ -85,12 +85,3 @@ def test_hold_time_sensitivity(benchmark, publish):
     # relationship is not required to be monotone in between (switch
     # transients vs slow manifestations trade off).
     assert totals[20.0] > totals[2.0]
-
-    # Benchmark: one short-hold test (the sweep's unit of work).
-    quick = RobustnessCampaign(
-        seed=1, hold_time=2.0, gap_time=0.5, settle_time=8.0
-    )
-    benchmark(
-        quick.run_test,
-        InjectionTest("Random Velocity", "Random", ("Velocity",)),
-    )

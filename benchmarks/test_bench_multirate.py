@@ -8,7 +8,7 @@ held-value difference makes a steadily increasing torque "appear to be
 constant for three samples out of four", with jitter occasionally
 stretching the gap to five fast samples.
 
-This bench builds a jittered multi-rate trace with a *monotonically
+This bench builds a jittered multi-rate trace with a *steadily
 rising* slow signal and reports:
 
 * the fraction of genuinely-rising rows the naive trend misses;
@@ -69,11 +69,11 @@ def render(cmp, hist, naive_rows, fresh_rows) -> str:
     )
 
 
-def test_multirate_sampling_ablation(benchmark, publish):
+def test_multirate_sampling_ablation(publish):
     trace = jittered_ramp_trace()
     view = trace.to_view(FAST)
 
-    cmp = benchmark(compare_trends, view, "RequestedTorque")
+    cmp = compare_trends(view, "RequestedTorque")
     hist = update_interval_histogram(view, "RequestedTorque")
 
     # A rule asserting the ramp is rising, under both trend semantics.

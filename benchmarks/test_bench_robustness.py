@@ -14,19 +14,13 @@ differential guarantee at full campaign scale:
 * near-miss margins over the §IV-A vehicle drive
   (``results/near_misses.txt``) — the E18 finding is that the relaxed
   rules report every drive log clean while the margins expose cells
-  where the intent filters dismissed a real crossing;
-* the margin pass costs a constant factor over boolean evaluation,
-  independent of window width (``results/robustness_bench.txt``).
+  where the intent filters dismissed a real crossing.
 """
 
 import json
-import math
-import time
 from pathlib import Path
 
-from repro.core.evaluator import EvalContext, evaluate_formula, evaluate_robustness
 from repro.core.monitor import Monitor
-from repro.core.parser import parse_formula
 from repro.core.robustness import float_from_json
 from repro.rules.safety_rules import RULE_IDS, paper_rules
 from repro.testing.campaign import RobustnessCampaign
@@ -38,13 +32,6 @@ GOLDEN = (
 #: Must match the session ``table1`` fixture (benchmarks/conftest.py).
 SEED = 2014
 NEAR_MISS_THRESHOLD = 5.0
-
-#: One future and one past window plus propositional structure: the
-#: operator mix of the paper rules, at a parameterized width.
-SWEEP_FORMULA = (
-    "always[0, %(ms)dms] (x < 2.0 and (y > -3.0 or once[0, %(ms)dms] y > 0.5))"
-)
-SWEEP_PERIOD = 0.02
 
 
 def canonical_json(table) -> str:
@@ -118,41 +105,3 @@ def test_drive_log_near_misses(drive_logs, publish):
     assert crossed_cells > 0
     # ...and rule #5 rides its bound at exactly zero margin.
     assert zero_margin_cells > 0
-
-
-def test_robustness_overhead_is_flat(benign_trace, publish):
-    """Margins cost a constant factor over boolean verdicts at every
-    window width: the robustness path runs on the same O(n) kernels."""
-    rows = 20000
-    trace = benign_trace(rows)
-    lines = [
-        "ROBUSTNESS EVALUATOR SWEEP (%d rows at %.0f ms)"
-        % (rows, SWEEP_PERIOD * 1000),
-        "",
-        "%-12s %14s %14s %10s" % ("width", "bool s", "robust s", "overhead"),
-    ]
-    overheads = []
-    for width in (25, 250, 1000):
-        formula = parse_formula(
-            SWEEP_FORMULA % {"ms": round(width * SWEEP_PERIOD * 1000)}
-        )
-        best = {evaluate_formula: math.inf, evaluate_robustness: math.inf}
-        for _ in range(2):
-            for evaluate in best:
-                # A fresh view and context per run: no run reuses
-                # another's memo entries or lazily built columns.
-                ctx = EvalContext(trace.to_view(SWEEP_PERIOD, signals=("x", "y")))
-                started = time.perf_counter()
-                evaluate(formula, ctx)
-                best[evaluate] = min(best[evaluate], time.perf_counter() - started)
-        boolean, robust = best[evaluate_formula], best[evaluate_robustness]
-        overheads.append(robust / boolean)
-        lines.append(
-            "%-12s %14.4f %14.4f %10.2f"
-            % ("%d rows" % width, boolean, robust, overheads[-1])
-        )
-    flatness = overheads[-1] / overheads[0]
-    lines.extend(["", "overhead flatness (widest / narrowest) %.3f" % flatness])
-    publish("robustness_bench.txt", "\n".join(lines))
-    # Same-machine scaling: overhead must not grow with window width.
-    assert flatness < 5.0

@@ -29,7 +29,7 @@ def render(rows) -> str:
     return "\n".join(lines)
 
 
-def test_vehicle_log_analysis(benchmark, drive_logs, publish):
+def test_vehicle_log_analysis(drive_logs, publish):
     strict = Monitor(paper_rules())
     relaxed = Monitor(paper_rules(relaxed=True))
 
@@ -69,7 +69,3 @@ def test_vehicle_log_analysis(benchmark, drive_logs, publish):
     # The relaxed (triaged) rules dismiss everything.
     for trace in drive_logs:
         assert relaxed.check(trace).all_satisfied
-
-    # Benchmark: strict-rule checking of one representative drive log.
-    longest = max(drive_logs, key=lambda t: t.duration)
-    benchmark(strict.check, longest)

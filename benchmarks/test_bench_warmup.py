@@ -54,7 +54,7 @@ def render(without_warmup, with_warmup) -> str:
     )
 
 
-def test_warmup_ablation(benchmark, publish):
+def test_warmup_ablation(publish):
     trace = HilSimulator(acquisition_scenario(), seed=2014).run().trace
 
     bare = Monitor([consistency_rule(with_warmup=False)])
@@ -73,11 +73,3 @@ def test_warmup_ablation(benchmark, publish):
     assert len(bare_result.violations) >= ACQUISITIONS - 2
     # ...and warm-up removes all of them (there is no real fault here).
     assert not warmed_result.violated
-
-    # Benchmark: computing the warm-up mask over the whole trace.
-    from repro.core.evaluator import EvalContext
-
-    rule = consistency_rule(with_warmup=True)
-    view = trace.to_view(0.02, signals=rule.signals())
-    ctx = EvalContext(view)
-    benchmark(rule.warmup.mask, ctx)

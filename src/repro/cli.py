@@ -100,6 +100,15 @@ def _duration(value: str) -> float:
     return number
 
 
+def _port(value: str) -> int:
+    number = int(value)
+    if not 0 <= number <= 65535:
+        raise argparse.ArgumentTypeError(
+            "must be a TCP port in 0-65535, got %s" % value
+        )
+    return number
+
+
 def _progress(text: str) -> None:
     """Progress lines go to stderr so piped stdout stays clean."""
     print(text, file=sys.stderr, flush=True)
@@ -169,7 +178,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sim_cmd.add_argument(
         "scenario", choices=sorted(STANDARD_SCENARIOS), help="scenario name"
     )
-    sim_cmd.add_argument("--duration", type=float, default=None)
+    sim_cmd.add_argument(
+        "--duration",
+        type=_period,
+        default=None,
+        help="simulated seconds (default: the scenario's duration)",
+    )
     sim_cmd.add_argument("--seed", type=int, default=0)
     sim_cmd.add_argument("--out", default=None, help="trace output file")
     sim_cmd.set_defaults(handler=_cmd_simulate)
@@ -271,9 +285,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="monitor against a custom .rules file instead of the paper rules",
     )
     replay_cmd.add_argument("--period", type=_period, default=0.02)
-    replay_cmd.add_argument("--min-chunk-rows", type=int, default=50)
+    replay_cmd.add_argument("--min-chunk-rows", type=_positive_int, default=50)
     replay_cmd.add_argument(
-        "--retention", type=float, default=1.0, help="history kept per stream (s)"
+        "--retention", type=_duration, default=1.0, help="history kept per stream (s)"
     )
     replay_cmd.add_argument(
         "--inbox",
@@ -289,7 +303,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     replay_cmd.add_argument(
         "--status-port",
-        type=int,
+        type=_port,
         default=None,
         help="serve live repro.fleet/v1 rollups on this port (0 = ephemeral)",
     )

@@ -141,12 +141,21 @@ class OnlineMonitor:
                 "period must be a positive, finite number of seconds, got %r"
                 % (period,)
             )
+        if min_chunk_rows < 1:
+            raise SpecError(
+                "min_chunk_rows must be >= 1, got %r" % (min_chunk_rows,)
+            )
+        if not (retention >= 0 and math.isfinite(retention)):
+            raise SpecError(
+                "retention must be a finite number of seconds >= 0, got %r"
+                % (retention,)
+            )
         # Reuse the offline monitor's validation and signal bookkeeping.
         self._offline = Monitor(rules, machines=machines, period=period)
         self.rules = self._offline.rules
         self.machines = self._offline.machines
         self.period = period
-        self.min_chunk_rows = max(1, min_chunk_rows)
+        self.min_chunk_rows = min_chunk_rows
         if near_miss_threshold is not None:
             require_non_negative("near_miss_threshold", near_miss_threshold)
             robustness = True

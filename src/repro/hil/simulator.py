@@ -221,13 +221,19 @@ class HilSimulator:
 
     def run_for(self, seconds: float) -> None:
         """Step the testbench forward by ``seconds`` of simulated time."""
+        if not math.isfinite(seconds):
+            raise SimulationError(
+                "simulated time must be finite, got %r seconds" % (seconds,)
+            )
         end = self.time + seconds
         while self.time < end - PHYSICS_DT / 2:
             self.step()
 
     def run(self, duration: Optional[float] = None) -> SimulationResult:
         """Run to ``duration`` (default: the scenario's) and summarize."""
-        self.run_for((duration or self.scenario.duration) - self.time)
+        if duration is None:
+            duration = self.scenario.duration
+        self.run_for(duration - self.time)
         return self.result()
 
     def result(self) -> SimulationResult:

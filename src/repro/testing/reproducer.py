@@ -2,14 +2,17 @@
 
 Regenerates the paper's core artifacts (Table I, the §IV-A vehicle-log
 analysis, and the monitoring-coverage view) without going through
-pytest-benchmark — the programmatic path for CI pipelines and for the
-``repro-oracle reproduce`` command.  The full experiment suite, including
-the ablations, lives in ``benchmarks/``.
+pytest — the programmatic path for CI pipelines and for the
+``repro-oracle reproduce`` command.  The report is a pure function of
+the seed and the ``quick`` flag (no host timings), so
+``results/reproduction_report.txt`` is regenerated byte for byte.  The
+full experiment suite, including the ablations, lives in
+``benchmarks/``; ``tools/regenerate_results.sh`` rebuilds all of
+``results/``.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -31,7 +34,6 @@ class ReproductionResult:
     table1: Table1
     vehicle_rows: List[Dict[str, str]]
     coverage_text: str
-    elapsed: float
     checks: Dict[str, bool] = field(default_factory=dict)
 
     @property
@@ -42,7 +44,7 @@ class ReproductionResult:
     def report(self) -> str:
         """The combined human-readable reproduction report."""
         lines = [
-            "REPRODUCTION REPORT (%.0f s)" % self.elapsed,
+            "REPRODUCTION REPORT",
             "",
             self.table1.format(),
             "",
@@ -81,8 +83,6 @@ def reproduce(
     def report_progress(stage: str, detail: str) -> None:
         if progress is not None:
             progress(stage, detail)
-
-    started = time.monotonic()
 
     report_progress("table1", "running the fault-injection campaign")
     campaign = RobustnessCampaign(seed=seed)
@@ -129,6 +129,5 @@ def reproduce(
         table1=table,
         vehicle_rows=vehicle_rows,
         coverage_text=coverage.summary(),
-        elapsed=time.monotonic() - started,
         checks=checks,
     )

@@ -766,6 +766,30 @@ class TestPeriodArgument:
             OnlineMonitor([Rule.from_text("r", "n", "x > 0")], period=period)
 
 
+class TestChunkAndRetentionArguments:
+    """Regression: ``min_chunk_rows`` below 1 was clamped to 1, and a
+    NaN or infinite ``retention`` raised a raw ``ValueError`` or
+    ``OverflowError`` while sizing the history."""
+
+    @pytest.mark.parametrize("rows", [0, -4])
+    def test_min_chunk_rows_below_one_rejected(self, rows):
+        with pytest.raises(SpecError, match="min_chunk_rows must be >= 1"):
+            OnlineMonitor([Rule.from_text("r", "n", "x > 0")], min_chunk_rows=rows)
+
+    @pytest.mark.parametrize(
+        "retention", [-0.5, float("nan"), float("inf"), -float("inf")]
+    )
+    def test_bad_retention_rejected(self, retention):
+        with pytest.raises(SpecError, match="retention must be a finite"):
+            OnlineMonitor([Rule.from_text("r", "n", "x > 0")], retention=retention)
+
+    def test_boundary_values_accepted(self):
+        online = OnlineMonitor(
+            [Rule.from_text("r", "n", "x > 0")], min_chunk_rows=1, retention=0.0
+        )
+        assert online.min_chunk_rows == 1
+
+
 #: Rules for the block-ingest differential: a future-bounded window (so
 #: chunks lag the clock), a past-looking one, and a freshness-aware delta.
 BLOCK_RULES = (

@@ -119,6 +119,21 @@ class TestScenarioDynamics:
         simulator.run_for(1.0)
         assert simulator.time == pytest.approx(1.0, abs=PHYSICS_DT)
 
+    def test_run_zero_duration_simulates_nothing(self):
+        # Regression: ``run(0)`` fell back to the scenario's full 10 s.
+        result = HilSimulator(steady_follow(10.0)).run(0.0)
+        assert result.duration == 0.0
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_time_is_refused(self, bad):
+        # Regression: NaN simulated 0 s and infinity never returned.
+        simulator = HilSimulator(steady_follow(10.0))
+        with mock.patch.object(simulator, "step", side_effect=AssertionError):
+            with pytest.raises(SimulationError, match="must be finite"):
+                simulator.run_for(bad)
+            with pytest.raises(SimulationError, match="must be finite"):
+                simulator.run(bad)
+
     def test_jitter_bound_validated(self):
         with pytest.raises(SimulationError):
             HilSimulator(steady_follow(10.0), jitter_max=CONTROL_PERIOD)

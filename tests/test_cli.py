@@ -46,6 +46,22 @@ class TestSimulateAndCheck:
         with pytest.raises(SystemExit):
             main(["simulate", "warp_drive"])
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_duration_is_a_usage_error(self, value, capsys, monkeypatch):
+        """Regression: ``0`` simulated the scenario's full 120 s, ``nan``
+        and ``-1`` simulated 0 s and exited 0, and ``inf`` never
+        returned."""
+        from repro.hil.simulator import HilSimulator
+
+        monkeypatch.setattr(HilSimulator, "step", None)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["simulate", "steady_follow", "--duration", value])
+        assert excinfo.value.code == 2
+        assert (
+            "must be a positive number of seconds, got %s" % value
+            in capsys.readouterr().err
+        )
+
 
 class TestTopLevel:
     def test_no_command_prints_help(self, capsys):
@@ -669,12 +685,22 @@ class TestFleetCommand:
             ("--streams", "0", "must be >= 1, got 0"),
             ("--period", "0", "must be a positive number of seconds, got 0"),
             ("--period", "nan", "must be a positive number of seconds, got nan"),
+            ("--retention", "nan", "must be a finite number of seconds >= 0, got nan"),
+            ("--retention", "inf", "must be a finite number of seconds >= 0, got inf"),
+            ("--retention", "-1", "must be a finite number of seconds >= 0, got -1"),
+            ("--min-chunk-rows", "0", "must be >= 1, got 0"),
+            ("--min-chunk-rows", "-4", "must be >= 1, got -4"),
+            ("--status-port", "-1", "must be a TCP port in 0-65535, got -1"),
+            ("--status-port", "70000", "must be a TCP port in 0-65535, got 70000"),
         ],
     )
     def test_non_positive_sizes_are_usage_errors(
         self, option, value, message, tmp_path, capsys
     ):
-        """Regression: these exited 1 with a raw traceback."""
+        """Regression: these exited 1 with a raw traceback (``--retention
+        nan/inf``: ValueError/OverflowError; ``--status-port``: an
+        OverflowError from ``bind()``), or, for ``--min-chunk-rows``,
+        were silently clamped to 1."""
         with pytest.raises(SystemExit) as excinfo:
             main(["fleet", "replay", str(tmp_path), option, value])
         assert excinfo.value.code == 2

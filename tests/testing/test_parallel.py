@@ -3,8 +3,10 @@
 The headline contract: for the same campaign seed, a parallel run must
 produce a letter matrix byte-identical to the sequential run, with rows
 in paper order regardless of completion order.  Short hold times keep
-these runs fast; the full-table speedup measurement lives in
-``benchmarks/test_bench_parallel.py``.
+these runs fast; the full margins campaign on four workers is
+byte-compared with its golden fixture by
+``benchmarks/test_bench_robustness.py``, and campaign speed is measured
+by the ``campaign`` workload of ``bench/run.py``.
 """
 
 import pickle

@@ -26,7 +26,6 @@ class TestReproductionResult:
                 {"scenario": "v:x", "strict": "S" * 7, "relaxed": "S" * 7}
             ],
             coverage_text="signal coverage: 70%",
-            elapsed=1.0,
             checks=checks,
         )
 
@@ -41,6 +40,16 @@ class TestReproductionResult:
         assert "REAL VEHICLE LOGS" in text
         assert "MONITORING COVERAGE" in text
         assert "PASS" in text
+
+    def test_report_header_is_host_independent(self):
+        # Regression: the header stamped the run's wall time, e.g.
+        # "REPRODUCTION REPORT (47 s)", so the committed report changed
+        # on every regeneration.
+        text = self._result({"a": True}).report()
+        assert text.splitlines()[0] == "REPRODUCTION REPORT"
+        host_words = (" s)", "seconds", "elapsed", "core(s)")
+        assert not any(word in text for word in host_words)
+        assert self._result({"a": True}).report() == text
 
 
 class TestDriverSmoke:
