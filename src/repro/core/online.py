@@ -253,15 +253,18 @@ class OnlineMonitor:
 
     def buffer_row_span(self) -> int:
         """Monitor rows spanned by the fullest per-signal buffer now."""
+        return self._row_span(self._buffer.retain(-math.inf)[2])
+
+    def _row_span(self, bounds: Sequence[Tuple[float, float]]) -> int:
+        """Most monitor rows spanned by one of ``bounds``, the ``(oldest,
+        newest)`` buffered timestamps of each signal."""
         if self._start_time is None:
             return 0
-        span = 0
-        for signal in self._buffer.signals():
-            if not self._buffer.update_count(signal):
-                continue
-            oldest, newest = self._buffer.time_bounds(signal)
-            span = max(span, self._row_of(newest) - self._row_of(oldest) + 1)
-        return span
+        row_of = self._row_of
+        return max(
+            (row_of(newest) - row_of(oldest) + 1 for oldest, newest in bounds),
+            default=0,
+        )
 
     def feed(self, timestamp: float, signal: str, value: float) -> List[Violation]:
         """Consume one bus event; returns violations finalized by it.
@@ -488,15 +491,6 @@ class OnlineMonitor:
     def _emit_instrumented(
         self, upto_row: int, registry
     ) -> List[Violation]:
-        occupancy = max(
-            (
-                self._buffer.update_count(signal)
-                for signal in self._buffer.signals()
-            ),
-            default=0,
-        )
-        if occupancy > self._peak_buffer_rows:
-            self._peak_buffer_rows = occupancy
         history_start = max(0, self._next_emit_row - self._history_rows)
         t0 = self._start_time
         view_start = t0 + history_start * self.period
@@ -513,6 +507,7 @@ class OnlineMonitor:
             # A required signal has no buffered data yet: keep buffering
             # and record that evaluation is stalled — finish() surfaces
             # the missing names if the stall never resolves.
+            self._note_peak(self._buffer.retain(-math.inf)[0])
             self.emit_waits += 1
             self._waiting_signals = tuple(
                 name
@@ -569,12 +564,15 @@ class OnlineMonitor:
 
         self._next_emit_row = upto_row + 1
         # Advance the retention frontier: events behind it can no longer
-        # influence any future chunk.  trim() pops each expired update
+        # influence any future chunk.  The trim pops each expired update
         # exactly once, so maintenance is O(1) amortized per event —
-        # never a rebuild of the retained suffix.
+        # never a rebuild of the retained suffix — and the same pass
+        # over the signals measures the fullest buffer (before the
+        # trim) and the spans the bound check needs.
         keep_from = t0 + next_history_start * self.period
-        self._buffer.trim(keep_from)
-        span = self.buffer_row_span()
+        peak, buffered, bounds = self._buffer.retain(keep_from)
+        self._note_peak(peak)
+        span = self._row_span(bounds)
         if span > self.max_buffer_rows:
             raise AssertionError(
                 "bounded-memory invariant broken: buffer spans %d rows, "
@@ -587,9 +585,13 @@ class OnlineMonitor:
                     self.min_chunk_rows,
                 )
             )
-        registry.gauge("online.buffer_events").set(self._buffer.update_count())
+        registry.gauge("online.buffer_events").set(buffered)
         registry.gauge("online.buffer_peak_rows").set(self._peak_buffer_rows)
         return fresh
+
+    def _note_peak(self, occupancy: int) -> None:
+        if occupancy > self._peak_buffer_rows:
+            self._peak_buffer_rows = occupancy
 
     def _emit_rule(
         self,

@@ -220,17 +220,29 @@ class HilSimulator:
         )
 
     def run_for(self, seconds: float) -> None:
-        """Step the testbench forward by ``seconds`` of simulated time."""
+        """Step the testbench forward by ``seconds`` of simulated time.
+
+        ``seconds`` must be finite and not negative (up to half a
+        physics step of float noise): time does not run backwards.
+        """
         if not math.isfinite(seconds):
             raise SimulationError(
                 "simulated time must be finite, got %r seconds" % (seconds,)
+            )
+        if seconds < -PHYSICS_DT / 2:
+            raise SimulationError(
+                "simulated time cannot run backwards: asked for %r seconds at "
+                "t=%r s" % (seconds, self.time)
             )
         end = self.time + seconds
         while self.time < end - PHYSICS_DT / 2:
             self.step()
 
     def run(self, duration: Optional[float] = None) -> SimulationResult:
-        """Run to ``duration`` (default: the scenario's) and summarize."""
+        """Run to ``duration`` (default: the scenario's) and summarize.
+
+        A ``duration`` the testbench has already passed is an error.
+        """
         if duration is None:
             duration = self.scenario.duration
         self.run_for(duration - self.time)

@@ -181,18 +181,20 @@ class Trace:
         return list(zip(self._times[signal], self._values[signal]))
 
     def update_arrays(self, signal: str) -> Tuple[np.ndarray, np.ndarray]:
-        """One signal's ``(timestamps, values)`` as float64 arrays.
-
-        What :class:`TraceView` resamples from: one C-level list→array
-        conversion per signal instead of a Python-level ``(t, v)`` tuple
-        walk.
-        """
+        """One signal's ``(timestamps, values)`` as float64 arrays
+        (copies): one C-level list→array conversion instead of a
+        Python-level ``(t, v)`` tuple walk."""
         if signal not in self._times:
             raise TraceError("no updates recorded for signal %s" % signal)
         return (
             np.asarray(self._times[signal], dtype=np.float64),
             np.asarray(self._values[signal], dtype=np.float64),
         )
+
+    def _raw_updates(self, signal: str) -> Tuple[List[float], List[float]]:
+        """``signal``'s own ``(timestamps, values)`` lists, uncopied: what
+        :class:`TraceView` resamples from."""
+        return self._times[signal], self._values[signal]
 
     @property
     def start_time(self) -> float:
@@ -359,8 +361,8 @@ class StreamTrace:
       the front — every update is dropped at most once over the stream's
       lifetime, so buffer maintenance costs O(1) amortized per recorded
       event;
-    * :meth:`to_view` copies out only what is still buffered, never the
-      stream's full history.
+    * :meth:`to_view` resamples straight from the rings' live slices,
+      so it reads only what is still buffered and keeps no copy of it.
 
     The store never deletes a signal's *name* — a signal whose updates
     have all expired still answers ``in`` but holds zero updates, which
@@ -466,10 +468,34 @@ class StreamTrace:
         move backwards).  Updates exactly at ``before`` are kept, matching
         ``Trace.sliced(before, inf)`` semantics.
         """
-        dropped = sum(ring.trim(before) for ring in self._rings.values())
+        buffered = self.update_count()
+        return buffered - self.retain(before)[1]
+
+    def retain(self, before: float) -> Tuple[int, int, List[Tuple[float, float]]]:
+        """:meth:`trim` to ``before``, measuring the store in the same
+        pass over the signals.
+
+        Returns ``(peak, left, bounds)``: the most updates any signal
+        buffered before the trim, the updates left after it, and the
+        ``(oldest, newest)`` buffered timestamps of each signal that
+        still buffers any.  ``retain(-inf)`` drops nothing and only
+        measures.
+        """
+        peak = left = 0
+        bounds: List[Tuple[float, float]] = []
+        for ring in self._rings.values():
+            size = ring.end - ring.start
+            if size > peak:
+                peak = size
+            size -= ring.trim(before)
+            if size:
+                left += size
+                bounds.append(
+                    (float(ring.times[ring.start]), float(ring.times[ring.end - 1]))
+                )
         if before > self._frontier:
             self._frontier = before
-        return dropped
+        return peak, left, bounds
 
     # ------------------------------------------------------------------
     # Inspection (the TraceView protocol)
@@ -503,6 +529,12 @@ class StreamTrace:
             ring.times[ring.start : ring.end].copy(),
             ring.values[ring.start : ring.end].copy(),
         )
+
+    def _raw_updates(self, signal: str) -> Tuple[np.ndarray, np.ndarray]:
+        """``signal``'s buffered ``(timestamps, values)`` as views of its
+        ring, uncopied: what :class:`TraceView` resamples from."""
+        ring = self._rings[signal]
+        return ring.times[ring.start : ring.end], ring.values[ring.start : ring.end]
 
     def time_bounds(self, signal: str) -> Tuple[float, float]:
         """``(oldest, newest)`` buffered timestamps of one signal.
@@ -554,96 +586,173 @@ class StreamTrace:
         return TraceView(self, period, signals=signals, start=start, end=end)
 
 
-class _SignalColumns:
-    """Lazily computed per-signal arrays for one :class:`TraceView`.
+#: Most updates a view bins at once.  A view's resample copies at most
+#: this many updates into temporaries, however long the trace, and fills
+#: its held columns this many grid cells at a time.
+_BIN_BLOCK = 1 << 16
 
-    Construction stores only the signal's raw ``(timestamp, value)``
-    update arrays; every derived column is computed on first access and
-    cached (``cached_property``).  A rule set that never differences a
-    signal therefore never pays for its ``delta``/``rate``/``fresh_age``
-    columns — only the held values it actually reads.  The computations
-    themselves are byte-for-byte the original eager ones, so views built
-    lazily resample identically.
+
+def _update_blocks(
+    updates: Sequence[Tuple[Sequence[float], Sequence[float]]],
+    codes: np.ndarray,
+    times: np.ndarray,
+    values: np.ndarray,
+) -> Iterator[int]:
+    """Copy the ``(times, values)`` updates of signals ``0..S-1``,
+    signal by signal and each signal's in order, into the equal-length
+    buffers ``times`` and ``values`` a block at a time, numbering each
+    update's signal in ``codes``; yields each block's length."""
+    size, filled = len(times), 0
+    for code, (stamps, readings) in enumerate(updates):
+        start, total = 0, len(stamps)
+        while start < total:
+            stop = min(total, start + size - filled)
+            end = filled + stop - start
+            codes[filled:end] = code
+            if stop - start == total:
+                # Unsliced: slicing a list would copy it first.
+                times[filled:end], values[filled:end] = stamps, readings
+            else:
+                times[filled:end] = stamps[start:stop]
+                values[filled:end] = readings[start:stop]
+            filled, start = end, stop
+            if filled == size:
+                yield filled
+                filled = 0
+    if filled:
+        yield filled
+
+
+def _resample(
+    updates: Sequence[Tuple[Sequence[float], Sequence[float]]],
+    n: int,
+    t0: float,
+    period: float,
+) -> List["_SignalColumns"]:
+    """The grid columns of ``S`` signals over ``n`` rows from ``t0``, all
+    built in one pass: one :class:`_SignalColumns` per ``(times,
+    values)`` of ``updates``.
+
+    The columns are rows of ``S × (n + 1)`` arrays.  Column 0 of signal
+    ``s`` holds its *fill-in*, the value (and time) shown before its
+    first update: that of its first update on the grid, else 0.0 (and
+    ``t0``); ``fresh`` there marks the fill-in as set.  Columns
+    ``1..n`` are the grid rows.
+
+    * Binning: an update becomes visible at the first grid time at or
+      after its timestamp — updates before ``t0`` at row 0, updates
+      past the last row nowhere.  The updates of all signals are binned
+      together, a block of at most :data:`_BIN_BLOCK` updates
+      (:func:`_update_blocks`) at a time, into flat cells
+      ``s * (n + 1) + 1 + row``; fancy assignment applies in order, so
+      of several updates in one cell the later wins.
+    * Hold: one ``maximum.accumulate`` over an int32 index array gives
+      each cell the flat index of its latest fresh cell, or of its
+      signal's column 0 before any; one gather then fills ``values``
+      in place.  The gather is cut into blocks too: it reads only fresh
+      cells and column 0, which it maps to themselves, so a block never
+      reads a cell an earlier block changed.
+    """
+    count, width = len(updates), n + 1
+    fresh = np.zeros((count, width), dtype=bool)
+    values = np.zeros((count, width))
+    stamps = np.zeros((count, width))
+    stamps[:, 0] = t0
+    flat_fresh, flat_values, flat_stamps = (
+        fresh.reshape(-1),
+        values.reshape(-1),
+        stamps.reshape(-1),
+    )
+    size = min(sum(len(times) for times, _ in updates), _BIN_BLOCK)
+    block = np.empty(size, dtype=np.int64), np.empty(size), np.empty(size)
+    for length in _update_blocks(updates, *block):
+        codes, times, readings = (column[:length] for column in block)
+        rows = times - t0
+        rows /= period
+        rows -= 1e-9
+        np.ceil(rows, out=rows)
+        cells = rows.astype(np.int64)
+        np.maximum(cells, 0, out=cells)
+        keep = cells < n
+        if not keep.all():
+            codes, times, readings, cells = (
+                codes[keep],
+                times[keep],
+                readings[keep],
+                cells[keep],
+            )
+        # Column 0 of each update's signal; the update's own cell.
+        codes *= width
+        cells += codes
+        cells += 1
+        flat_fresh[cells] = True
+        flat_values[cells] = readings
+        flat_stamps[cells] = times
+        # The first update of each signal in the block sets the
+        # signal's fill-in, unless an earlier block did.
+        heads = np.empty(len(codes), dtype=bool)
+        heads[:1] = True
+        np.not_equal(codes[1:], codes[:-1], out=heads[1:])
+        lead = heads.nonzero()[0]
+        lead = lead[~flat_fresh[codes[lead]]]
+        first = codes[lead]
+        flat_fresh[first] = True
+        flat_values[first] = readings[lead]
+        flat_stamps[first] = times[lead]
+
+    index = np.int32 if count * width < 2**31 else np.int64
+    held = np.where(fresh, np.arange(width, dtype=index), index(0))
+    np.maximum.accumulate(held, axis=1, out=held)
+    ever_fresh = held > 0
+    held += np.arange(0, count * width, width, dtype=index)[:, None]
+    flat_held = held.reshape(-1)
+    for start in range(0, count * width, _BIN_BLOCK):
+        stop = start + _BIN_BLOCK
+        flat_values[start:stop] = flat_values[flat_held[start:stop]]
+    return [
+        _SignalColumns(
+            fresh[s, 1:], values[s, 1:], ever_fresh[s, 1:], flat_stamps, held[s, 1:]
+        )
+        for s in range(count)
+    ]
+
+
+class _SignalColumns:
+    """One signal's columns in a :class:`TraceView`.
+
+    The grid columns — ``fresh``, ``values`` and ``ever_fresh`` — are
+    rows of the view's 2-D arrays, built for every signal of the view
+    at once by :func:`_resample`.  Every derived column is computed
+    from them on first access and cached (``cached_property``), so a
+    rule set that never differences a signal never pays for its
+    ``delta``/``rate``/``fresh_age`` columns.
     """
 
     def __init__(
         self,
-        n: int,
-        t0: float,
-        period: float,
-        times: np.ndarray,
-        vals: np.ndarray,
+        fresh: np.ndarray,
+        values: np.ndarray,
+        ever_fresh: np.ndarray,
+        stamps: np.ndarray,
+        held: np.ndarray,
     ) -> None:
-        self._n = n
-        self._t0 = t0
-        self._period = period
-        self._raw_times = times
-        self._raw_vals = vals
-
-    @cached_property
-    def _binned(self):
-        """Updates dropped onto the grid: fresh/has flags plus the
-        latest update value/timestamp at each fresh row."""
-        n = self._n
-        times = self._raw_times
-        vals = self._raw_vals
-        # Row at which each update becomes visible: the first grid time
-        # at or after the update timestamp.
-        bins = np.ceil((times - self._t0) / self._period - 1e-9).astype(int)
-        bins = np.clip(bins, 0, None)
-        keep = bins < n
-        bins, times, vals = bins[keep], times[keep], vals[keep]
-
-        fresh = np.zeros(n, dtype=bool)
-        has = np.zeros(n, dtype=bool)
-        val_at = np.zeros(n)
-        time_at = np.zeros(n)
-        if len(bins):
-            fresh[bins] = True
-            has[bins] = True
-            # Later updates overwrite earlier ones in the same bin because
-            # fancy-index assignment applies in order and bins are sorted.
-            val_at[bins] = vals
-            time_at[bins] = times
-        first_value = vals[0] if len(vals) else 0.0
-        first_time = times[0] if len(times) else self._t0
-        return fresh, has, val_at, time_at, first_value, first_time
-
-    @cached_property
-    def fresh(self) -> np.ndarray:
-        return self._binned[0]
-
-    @cached_property
-    def _held(self):
-        """Sample-and-hold fill: values, ever_fresh, update_times."""
-        _, has, val_at, time_at, first_value, first_time = self._binned
-        n = self._n
-        position = np.where(has, np.arange(n), -1)
-        filled = np.maximum.accumulate(position)
-        ever_fresh = filled >= 0
-        safe = np.maximum(filled, 0)
-        values = np.where(ever_fresh, val_at[safe], first_value)
-        update_times = np.where(ever_fresh, time_at[safe], first_time)
-        return values, ever_fresh, update_times
-
-    @cached_property
-    def values(self) -> np.ndarray:
-        return self._held[0]
-
-    @cached_property
-    def ever_fresh(self) -> np.ndarray:
-        return self._held[1]
+        self.fresh = fresh
+        self.values = values
+        self.ever_fresh = ever_fresh
+        # The view's flat update-time cells, and the cell each row of
+        # this signal holds from.
+        self._stamps = stamps
+        self._held = held
 
     @cached_property
     def update_times(self) -> np.ndarray:
-        return self._held[2]
+        return self._stamps[self._held]
 
     @cached_property
     def delta_naive(self) -> np.ndarray:
-        n = self._n
         values = self.values
-        delta_naive = np.zeros(n)
-        if n > 1:
+        delta_naive = np.zeros(len(values))
+        if len(values) > 1:
             with np.errstate(invalid="ignore"):
                 delta_naive[1:] = values[1:] - values[:-1]
         return delta_naive
@@ -656,14 +765,14 @@ class _SignalColumns:
     def _trend(self):
         """Freshness-aware delta/rate: difference between the two most
         recent fresh values, held between updates."""
-        n = self._n
-        _, _, val_at, time_at, _, _ = self._binned
+        n = len(self.fresh)
         fresh_rows = self._fresh_rows
         delta_fresh = np.zeros(n)
         rate = np.zeros(n)
         if len(fresh_rows) >= 2:
-            fresh_vals = val_at[fresh_rows]
-            fresh_times = time_at[fresh_rows]
+            # A fresh row holds its own (latest) update.
+            fresh_vals = self.values[fresh_rows]
+            fresh_times = self.update_times[fresh_rows]
             step_delta = np.zeros(len(fresh_rows))
             step_rate = np.zeros(len(fresh_rows))
             with np.errstate(invalid="ignore"):
@@ -692,7 +801,7 @@ class _SignalColumns:
 
     @cached_property
     def fresh_age(self) -> np.ndarray:
-        n = self._n
+        n = len(self.fresh)
         fresh_rows = self._fresh_rows
         if len(fresh_rows):
             order = np.searchsorted(fresh_rows, np.arange(n), side="right") - 1
@@ -720,6 +829,13 @@ class TraceView:
       naive trend the paper found misleading);
     * ``rate`` — ``delta_fresh`` divided by the time between those fresh
       updates (engineering units per second).
+
+    Construction resamples every selected signal at once, in one binning
+    pass over their updates and one hold fill (:func:`_resample`), into
+    2-D arrays the view owns, so later changes to the trace do not
+    reach it.  ``values``, ``fresh`` and ``ever_fresh`` are then rows of
+    those arrays; the other columns are computed from them on first
+    access.
     """
 
     def __init__(
@@ -745,16 +861,19 @@ class TraceView:
             raise TraceError("view end precedes start")
         n_rows = int(math.floor((t1 - t0) / period + 1e-9)) + 1
         self.times = t0 + period * np.arange(n_rows)
-        # Snapshot each signal's raw update arrays now (cheap, and
-        # isolates the view from later trace mutation); the O(n_rows)
-        # column computations happen lazily on first access.
-        self._columns: Dict[str, _SignalColumns] = {}
-        t0_row = float(self.times[0])
-        for signal in self.signal_names:
-            raw_times, raw_vals = trace.update_arrays(signal)
-            self._columns[signal] = _SignalColumns(
-                n_rows, t0_row, self.period, raw_times, raw_vals
+        # The grid columns are built now, for every signal in one pass,
+        # so the view holds no reference into the trace's buffers.
+        self._columns: Dict[str, _SignalColumns] = dict(
+            zip(
+                self.signal_names,
+                _resample(
+                    [trace._raw_updates(signal) for signal in self.signal_names],
+                    n_rows,
+                    float(self.times[0]),
+                    self.period,
+                ),
             )
+        )
 
     # ------------------------------------------------------------------
 

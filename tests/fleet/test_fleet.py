@@ -382,6 +382,12 @@ class TestRollupSchema:
 
 
 class TestStatusServer:
+    @pytest.mark.parametrize("port", [-1, 65536, 70000])
+    def test_out_of_range_port_is_refused_on_construction(self, port):
+        # Regression: start() died with a raw OverflowError from bind().
+        with pytest.raises(ValueError, match="must be a TCP port in 0-65535"):
+            StatusServer(None, port=port)
+
     def test_serves_live_rollup_and_health(self):
         async def scenario():
             service = FleetService(simple_rules(), min_chunk_rows=10)

@@ -1,6 +1,7 @@
 """Shared helpers for building small, hand-authored traces in tests,
-plus four oracles: the O(n·w) window kernel, the per-frame CAN bus, the
-per-line drive-log reader and per-event online and fleet ingest."""
+plus five oracles: the O(n·w) window kernel, the per-frame CAN bus, the
+per-line drive-log reader, the per-signal view resample and per-event
+online and fleet ingest."""
 
 from __future__ import annotations
 
@@ -24,7 +25,7 @@ from repro.fleet.service import FleetReport, FleetService
 from repro.fleet.shard import StreamShard
 from repro.hil import simulator
 from repro.logs.format import PathOrFile, _read_header
-from repro.logs.trace import Trace, non_finite_time
+from repro.logs.trace import Trace, TraceView, non_finite_time
 from repro.obs import get_registry, use_registry
 
 #: The default monitor period used throughout the tests.
@@ -287,6 +288,108 @@ def _loop_read(handle: TextIO) -> Trace:
             )
         trace.record(parts[1], timestamp, value)
     return trace
+
+
+# ----------------------------------------------------------------------
+# The per-signal view resample oracle
+# ----------------------------------------------------------------------
+
+#: Every column a :class:`TraceView` exposes per signal.
+VIEW_COLUMNS = (
+    "values",
+    "fresh",
+    "ever_fresh",
+    "update_times",
+    "delta_fresh",
+    "delta_naive",
+    "rate",
+    "fresh_age",
+)
+
+
+def loop_view_columns(trace, view: TraceView) -> Dict[str, Dict[str, np.ndarray]]:
+    """Resample each of ``view``'s signals from ``trace`` one signal at a
+    time, on ``view``'s grid: the oracle for the one-pass resample behind
+    :meth:`Trace.to_view` and :meth:`StreamTrace.to_view`.  Returns
+    ``{signal: {column: array}}`` over :data:`VIEW_COLUMNS`."""
+    columns: Dict[str, Dict[str, np.ndarray]] = {}
+    for signal in view.signal_names:
+        times, values = trace.update_arrays(signal)
+        resampled = PerSignalColumns(
+            view.n_rows, view.start_time, view.period, times, values
+        )
+        columns[signal] = {name: getattr(resampled, name) for name in VIEW_COLUMNS}
+    return columns
+
+
+class PerSignalColumns:
+    """One signal's view columns, each from its own numpy pass over the
+    signal's raw updates."""
+
+    def __init__(
+        self, n: int, t0: float, period: float, times: np.ndarray, vals: np.ndarray
+    ) -> None:
+        # Row at which each update becomes visible: the first grid time
+        # at or after the update timestamp.
+        bins = np.ceil((times - t0) / period - 1e-9).astype(int)
+        bins = np.clip(bins, 0, None)
+        keep = bins < n
+        bins, times, vals = bins[keep], times[keep], vals[keep]
+        fresh = np.zeros(n, dtype=bool)
+        val_at = np.zeros(n)
+        time_at = np.zeros(n)
+        if len(bins):
+            fresh[bins] = True
+            # Later updates overwrite earlier ones in the same bin.
+            val_at[bins] = vals
+            time_at[bins] = times
+        first_value = vals[0] if len(vals) else 0.0
+        first_time = times[0] if len(times) else t0
+
+        position = np.where(fresh, np.arange(n), -1)
+        filled = np.maximum.accumulate(position)
+        ever_fresh = filled >= 0
+        safe = np.maximum(filled, 0)
+        self.fresh = fresh
+        self.ever_fresh = ever_fresh
+        self.values = np.where(ever_fresh, val_at[safe], first_value)
+        self.update_times = np.where(ever_fresh, time_at[safe], first_time)
+
+        self.delta_naive = np.zeros(n)
+        if n > 1:
+            with np.errstate(invalid="ignore"):
+                self.delta_naive[1:] = self.values[1:] - self.values[:-1]
+
+        # Freshness-aware delta/rate: difference between the two most
+        # recent fresh values, held between updates.
+        fresh_rows = np.flatnonzero(fresh)
+        self.delta_fresh = np.zeros(n)
+        self.rate = np.zeros(n)
+        if len(fresh_rows) >= 2:
+            fresh_vals = val_at[fresh_rows]
+            fresh_times = time_at[fresh_rows]
+            step_delta = np.zeros(len(fresh_rows))
+            step_rate = np.zeros(len(fresh_rows))
+            with np.errstate(invalid="ignore"):
+                dv = fresh_vals[1:] - fresh_vals[:-1]
+            dt = fresh_times[1:] - fresh_times[:-1]
+            step_delta[1:] = dv
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step_rate[1:] = np.where(dt > 0, dv / np.where(dt > 0, dt, 1.0), 0.0)
+            order = np.searchsorted(fresh_rows, np.arange(n), side="right") - 1
+            valid = order >= 0
+            safe_order = np.maximum(order, 0)
+            self.delta_fresh = np.where(valid, step_delta[safe_order], 0.0)
+            self.rate = np.where(valid, step_rate[safe_order], 0.0)
+
+        self.fresh_age = np.arange(n)
+        if len(fresh_rows):
+            order = np.searchsorted(fresh_rows, np.arange(n), side="right") - 1
+            valid = order >= 0
+            safe_order = np.maximum(order, 0)
+            self.fresh_age = np.where(
+                valid, np.arange(n) - fresh_rows[safe_order], np.arange(n)
+            )
 
 
 # ----------------------------------------------------------------------

@@ -124,6 +124,24 @@ class TestScenarioDynamics:
         result = HilSimulator(steady_follow(10.0)).run(0.0)
         assert result.duration == 0.0
 
+    def test_negative_time_is_refused(self):
+        # Regression: run_for(-1.0) returned having simulated nothing.
+        simulator = HilSimulator(steady_follow(10.0))
+        with mock.patch.object(simulator, "step", side_effect=AssertionError):
+            with pytest.raises(SimulationError, match="cannot run backwards"):
+                simulator.run_for(-1.0)
+        assert simulator.time == 0.0
+        simulator.run_for(0.0)  # zero stays legal
+
+    def test_run_to_a_time_already_passed_is_refused(self):
+        # Regression: run(0.5) after run_for(1.0) returned a 1.0 s result.
+        simulator = HilSimulator(steady_follow(10.0))
+        simulator.run_for(1.0)
+        with pytest.raises(SimulationError, match="cannot run backwards"):
+            simulator.run(0.5)
+        # Running to the time already reached simulates nothing.
+        assert simulator.run(simulator.time).duration == simulator.time
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_time_is_refused(self, bad):
         # Regression: NaN simulated 0 s and infinity never returned.

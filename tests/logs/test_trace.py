@@ -1,6 +1,7 @@
 """Trace and TraceView semantics — the monitor's data model."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 from helpers import multirate_trace, uniform_trace
 from repro.errors import TraceError
-from repro.logs.trace import Trace
+from repro.logs.trace import _BIN_BLOCK, Trace
 
 
 class TestRecording:
@@ -274,6 +275,37 @@ class TestViewProperties:
         delta = view.delta_fresh("a")
         expected = np.diff(np.array(values))
         assert np.allclose(delta[1:], expected)
+
+
+class TestViewMemory:
+    def test_whole_trace_view_allocates_one_block_beyond_its_columns(self):
+        """A whole-trace view of the longest paper trace's size (the
+        25,750 rows of ``mBallista All``, 11 rule signals) keeps only its
+        grid columns — five ``S × (n + 1)`` arrays: fresh and ever-fresh
+        flags (1 byte a cell), values and update times (8 bytes), hold
+        indices (4 bytes) — and on the way allocates at most one
+        binning block's temporaries beyond them (at most eight 8-byte
+        values per update of a block), not a copy of every update."""
+        rows, signals = 25750, 11
+        trace = Trace("long")
+        for index in range(signals):
+            step = (0.01, 0.02, 0.04)[index % 3]
+            times = np.arange(0.0, (rows - 1) * 0.02, step) + 0.003 * index
+            for timestamp in times.tolist():
+                trace.record("s%d" % index, timestamp, math.sin(timestamp))
+        assert trace.update_count() > 5 * _BIN_BLOCK
+
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            view = trace.to_view(0.02, start=0.0)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert view.n_rows == rows
+        columns = 22 * signals * (rows + 1) + view.times.nbytes
+        assert retained - before <= columns + 64 * 1024
+        assert peak - retained <= 8 * 8 * _BIN_BLOCK
 
 
 class TestStreamTrace:
