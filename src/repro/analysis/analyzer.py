@@ -28,6 +28,7 @@ from repro.analysis.diagnostics import Diagnostic, sort_diagnostics
 from repro.analysis.intervals import Interval
 from repro.core.monitor import DEFAULT_PERIOD
 from repro.core.statemachine import StateMachine
+from repro.errors import positive_seconds
 
 
 def database_env(database) -> Dict[str, Interval]:
@@ -56,7 +57,7 @@ def build_context(
     return LintContext(
         database=database,
         machines={machine.name: machine for machine in machines},
-        period=period,
+        period=positive_seconds("period", period),
         env=database_env(database) if database is not None else {},
     )
 

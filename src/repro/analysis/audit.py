@@ -86,6 +86,7 @@ from repro.analysis.predicates import dbc_environment
 from repro.core.ast import Formula
 from repro.core.monitor import DEFAULT_PERIOD
 from repro.core.statemachine import StateMachine
+from repro.errors import positive_seconds
 
 #: The ACC operating modes of the paper's §II system description; a spec
 #: set with no machine state for a mode cannot express mode-specific
@@ -864,12 +865,13 @@ def audit_rules(
     cross-artifact by definition, so there is always a signal universe.
     ``period`` defaults to the plan's period (or the monitor default).
     """
+    if period is None:
+        period = plan.period if plan is not None else DEFAULT_PERIOD
+    positive_seconds("period", period)
     if database is None:
         from repro.can.fsracc import fsracc_database
 
         database = fsracc_database()
-    if period is None:
-        period = plan.period if plan is not None else DEFAULT_PERIOD
     rules = list(rules)
     machines = list(machines)
     env = database_env(database)

@@ -98,7 +98,7 @@ from repro.core.ast import (
 from repro.core.monitor import DEFAULT_PERIOD
 from repro.core.statemachine import StateMachine
 from repro.core.windows import bounds_to_rows
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, count, positive_seconds
 from repro.obs import get_registry
 
 #: Default cap on DFA states per compilation (product states included).
@@ -1438,12 +1438,14 @@ def analyze_automata(
     Mirrors :func:`~repro.analysis.audit.audit_rules`: ``database=None``
     loads the FSRACC database for the DBC-seeded coherence filter.
     """
+    if period is None:
+        period = DEFAULT_PERIOD
+    positive_seconds("period", period)
+    count("max_states", max_states)
     if database is None:
         from repro.can.fsracc import fsracc_database
 
         database = fsracc_database()
-    if period is None:
-        period = DEFAULT_PERIOD
     env, bool_signals = dbc_environment(database)
     report = AutomataReport(target=target, period=period)
     for rule in rules:

@@ -96,7 +96,7 @@ from repro.core.ast import (
 from repro.core.monitor import DEFAULT_PERIOD, Rule
 from repro.core.statemachine import StateMachine
 from repro.core.windows import bounds_to_rows
-from repro.errors import EvaluationError
+from repro.errors import EvaluationError, non_negative_threshold, positive_seconds
 
 _INF = math.inf
 
@@ -564,16 +564,14 @@ def analyze_margins(
     the audit's AU303 finding).  ``threshold`` is the pruning bar cells
     are judged against (must be non-negative so pruning stays sound).
     """
-    if threshold < 0:
-        raise ValueError(
-            "margin threshold must be non-negative, got %r" % (threshold,)
-        )
+    non_negative_threshold("threshold", threshold)
+    if period is None:
+        period = plan.period if plan is not None else DEFAULT_PERIOD  # type: ignore[attr-defined]
+    positive_seconds("period", period)
     if database is None:
         from repro.can.fsracc import fsracc_database
 
         database = fsracc_database()
-    if period is None:
-        period = plan.period if plan is not None else DEFAULT_PERIOD  # type: ignore[attr-defined]
     rules = list(rules)
     machines = list(machines)
     env = margin_env(database)

@@ -35,7 +35,6 @@ not a :class:`~repro.can.frame.CanFrame`.
 
 from __future__ import annotations
 
-import math
 from operator import itemgetter
 from typing import (
     AbstractSet,
@@ -55,6 +54,7 @@ from repro.can.database import CanDatabase, MessageDef
 from repro.can.errors import BusError
 from repro.can.frame import CanFrame
 from repro.can.signal import SignalValue
+from repro.errors import non_negative_seconds
 
 #: Provides the publisher's current signal values for one message.
 Provider = Callable[[], Mapping[str, SignalValue]]
@@ -80,12 +80,7 @@ class JitterModel:
     """
 
     def __init__(self, max_jitter: float = 0.0, seed: int = 0) -> None:
-        if not (max_jitter >= 0 and math.isfinite(max_jitter)):
-            raise BusError(
-                "max_jitter must be a finite non-negative number of "
-                "seconds, got %r" % max_jitter
-            )
-        self.max_jitter = max_jitter
+        self.max_jitter = non_negative_seconds("max_jitter", max_jitter)
         self._rng = np.random.default_rng(seed)
         self._units: Iterator[float] = iter(())
 

@@ -16,6 +16,7 @@ from repro.can.codec import FrameCodec
 from repro.can.errors import DatabaseError
 from repro.can.frame import CanFrame, MAX_DLC
 from repro.can.signal import SignalDef, SignalValue
+from repro.errors import positive_seconds
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,7 @@ class MessageDef:
                 "%s: message length %d outside 1..%d"
                 % (self.name, self.length, MAX_DLC)
             )
-        if self.period <= 0:
-            raise DatabaseError("%s: period must be positive" % self.name)
+        positive_seconds("%s: period" % self.name, self.period)
         seen = set()
         for signal in self.signals:
             if signal.name in seen:

@@ -26,17 +26,17 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.monitor import Monitor
 from repro.core.oracle import TestOracle
 from repro.hil.simulator import HilSimulator
 from repro.logs.format import read_trace, write_trace
 from repro.logs.vehicle_logs import generate_drive_logs
-from repro.errors import SpecError
+from repro import errors
+from repro.errors import ParameterError, SpecError
 from repro.rules.safety_rules import paper_rules, paper_specset
 from repro.testing.campaign import (
     GAP_TIME,
@@ -46,6 +46,7 @@ from repro.testing.campaign import (
     single_signal_tests,
     table1_tests,
 )
+from repro.testing.parallel import resolve_jobs
 from repro.vehicle.scenario import STANDARD_SCENARIOS
 
 
@@ -59,54 +60,37 @@ def main(argv: Optional[List[str]] = None) -> int:
     return args.handler(args)
 
 
-def _jobs_arg(value: str) -> int:
-    jobs = int(value)
-    if jobs < 0:
-        raise argparse.ArgumentTypeError(
-            "must be >= 0 (0 means all cores), got %d" % jobs
-        )
-    return jobs
+def _number(text: str) -> Union[int, float]:
+    """``int(text)``, else ``float(text)``: ``nan``, ``inf`` or ``2.5``
+    given for a count reach its check and get its message."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
-def _non_negative(value: str) -> float:
-    number = float(value)
-    if not number >= 0:
-        raise argparse.ArgumentTypeError("must be >= 0, got %s" % value)
+def _option(check: Callable[..., object]) -> Callable[[str], object]:
+    """An argparse ``type`` from one of :mod:`repro.errors`' checks.
+
+    A refused value is a usage error with the check's own message, so
+    the CLI and the library refuse the same values with the same text.
+    """
+
+    def number(text: str) -> object:
+        try:
+            return check("value", _number(text))
+        except ParameterError as exc:
+            raise argparse.ArgumentTypeError(exc.reason) from None
+
     return number
 
 
-def _positive_int(value: str) -> int:
-    number = int(value)
-    if number < 1:
-        raise argparse.ArgumentTypeError("must be >= 1, got %s" % value)
-    return number
-
-
-def _period(value: str) -> float:
-    number = float(value)
-    if not (number > 0 and math.isfinite(number)):
-        raise argparse.ArgumentTypeError(
-            "must be a positive number of seconds, got %s" % value
-        )
-    return number
-
-
-def _duration(value: str) -> float:
-    number = float(value)
-    if not (number >= 0 and math.isfinite(number)):
-        raise argparse.ArgumentTypeError(
-            "must be a finite number of seconds >= 0, got %s" % value
-        )
-    return number
-
-
-def _port(value: str) -> int:
-    number = int(value)
-    if not 0 <= number <= 65535:
-        raise argparse.ArgumentTypeError(
-            "must be a TCP port in 0-65535, got %s" % value
-        )
-    return number
+_seconds = _option(errors.positive_seconds)
+_span = _option(errors.non_negative_seconds)
+_count = _option(errors.count)
+_port = _option(errors.tcp_port)
+_threshold = _option(errors.non_negative_threshold)
+_jobs = _option(lambda _, jobs: resolve_jobs(jobs))
 
 
 def _progress(text: str) -> None:
@@ -180,7 +164,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sim_cmd.add_argument(
         "--duration",
-        type=_period,
+        type=_seconds,
         default=None,
         help="simulated seconds (default: the scenario's duration)",
     )
@@ -191,7 +175,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check_cmd = sub.add_parser("check", help="check a stored trace file")
     check_cmd.add_argument("trace", help="trace file written by this tool")
     check_cmd.add_argument("--relaxed", action="store_true")
-    check_cmd.add_argument("--period", type=_period, default=0.02)
+    check_cmd.add_argument("--period", type=_seconds, default=0.02)
     check_cmd.add_argument(
         "--coverage",
         action="store_true",
@@ -222,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check_cmd.add_argument(
         "--near-miss-threshold",
-        type=_non_negative,
+        type=_threshold,
         default=None,
         help=(
             "flag passing rules whose margin is at most this value "
@@ -245,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     online_cmd.add_argument("trace", help="trace file written by this tool")
     online_cmd.add_argument("--relaxed", action="store_true")
-    online_cmd.add_argument("--period", type=_period, default=0.02)
+    online_cmd.add_argument("--period", type=_seconds, default=0.02)
     online_cmd.add_argument(
         "--rules",
         default=None,
@@ -273,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     replay_cmd.add_argument("log_dir", help="directory of trace files to replay")
     replay_cmd.add_argument(
         "--streams",
-        type=_positive_int,
+        type=_count,
         default=8,
         help="stream count (logs are cycled)",
     )
@@ -284,14 +268,14 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="monitor against a custom .rules file instead of the paper rules",
     )
-    replay_cmd.add_argument("--period", type=_period, default=0.02)
-    replay_cmd.add_argument("--min-chunk-rows", type=_positive_int, default=50)
+    replay_cmd.add_argument("--period", type=_seconds, default=0.02)
+    replay_cmd.add_argument("--min-chunk-rows", type=_count, default=50)
     replay_cmd.add_argument(
-        "--retention", type=_duration, default=1.0, help="history kept per stream (s)"
+        "--retention", type=_span, default=1.0, help="history kept per stream (s)"
     )
     replay_cmd.add_argument(
         "--inbox",
-        type=_positive_int,
+        type=_count,
         default=1024,
         help="bounded inbox size per stream, in events",
     )
@@ -361,7 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default="text",
         help="output format (default text)",
     )
-    lint_cmd.add_argument("--period", type=_period, default=0.02)
+    lint_cmd.add_argument("--period", type=_seconds, default=0.02)
     lint_cmd.add_argument(
         "--no-dbc",
         action="store_true",
@@ -413,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     audit_cmd.add_argument(
         "--period",
-        type=_period,
+        type=_seconds,
         default=None,
         help="monitor sampling period in seconds (default: plan period)",
     )
@@ -459,16 +443,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     margins_cmd.add_argument(
         "--threshold",
-        type=_non_negative,
+        type=_threshold,
         default=0.0,
         help=(
             "pruning bar: cells whose static lower bound exceeds this "
-            "are reported prunable (must be >= 0; default 0)"
+            "are reported prunable (>= 0, inf allowed; default 0)"
         ),
     )
     margins_cmd.add_argument(
         "--period",
-        type=_period,
+        type=_seconds,
         default=None,
         help="monitor sampling period in seconds (default: plan period)",
     )
@@ -515,13 +499,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     automata_cmd.add_argument(
         "--period",
-        type=_period,
+        type=_seconds,
         default=None,
         help="monitor sampling period in seconds (default: 0.02)",
     )
     automata_cmd.add_argument(
         "--max-states",
-        type=int,
+        type=_count,
         default=None,
         help="state budget per automaton (default 20000)",
     )
@@ -547,7 +531,7 @@ def _build_parser() -> argparse.ArgumentParser:
     repro_cmd.add_argument("--out", default=None, help="write the report here")
     repro_cmd.add_argument(
         "--jobs",
-        type=_jobs_arg,
+        type=_jobs,
         default=1,
         help="worker processes for the campaign (0 = all cores; default 1)",
     )
@@ -564,7 +548,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     table_cmd.add_argument(
         "--jobs",
-        type=_jobs_arg,
+        type=_jobs,
         default=1,
         help=(
             "worker processes (0 = all cores; default 1); the letter "
@@ -588,19 +572,19 @@ def _build_parser() -> argparse.ArgumentParser:
         help="injection type-checker profile (default hil)",
     )
     table_cmd.add_argument(
-        "--hold", type=_period, default=HOLD_TIME,
+        "--hold", type=_seconds, default=HOLD_TIME,
         help="seconds each fault is held (default %s)" % HOLD_TIME,
     )
     table_cmd.add_argument(
-        "--gap", type=_duration, default=GAP_TIME,
+        "--gap", type=_span, default=GAP_TIME,
         help="pass-through seconds between injections (default %s)" % GAP_TIME,
     )
     table_cmd.add_argument(
-        "--settle", type=_duration, default=SETTLE_TIME,
+        "--settle", type=_span, default=SETTLE_TIME,
         help="seconds before the first injection (default %s)" % SETTLE_TIME,
     )
     table_cmd.add_argument(
-        "--limit", type=_positive_int, default=None,
+        "--limit", type=_count, default=None,
         help="run only the first N rows (smoke testing)",
     )
     table_cmd.add_argument(
@@ -622,7 +606,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     table_cmd.add_argument(
         "--near-miss-threshold",
-        type=_non_negative,
+        type=_threshold,
         default=None,
         help=(
             "flag passing cells whose margin is at most this value "
@@ -960,9 +944,6 @@ def _cmd_automata(args: argparse.Namespace) -> int:
     max_states = (
         args.max_states if args.max_states is not None else DEFAULT_STATE_BUDGET
     )
-    if max_states < 1:
-        print("automata: --max-states must be positive", file=sys.stderr)
-        return 2
 
     targets = _spec_targets(args)
 

@@ -54,7 +54,7 @@ from repro.core.violations import (
     extract_violations,
 )
 from repro.core.warmup import WarmupSpec
-from repro.errors import SpecError
+from repro.errors import SpecError, non_negative_threshold, positive_seconds
 from repro.logs.trace import Trace, TraceView
 from repro.obs import get_registry
 
@@ -333,7 +333,7 @@ class Monitor:
             raise SpecError("duplicate rule ids: %s" % ids)
         self.rules: List[Rule] = list(rules)
         self.machines: List[StateMachine] = list(machines)
-        self.period = period
+        self.period = positive_seconds("period", period)
         machine_names = {machine.name for machine in self.machines}
         for rule in self.rules:
             for name in rule.machines():
@@ -414,7 +414,7 @@ class Monitor:
     ) -> MonitorReport:
         """Check every rule against an already-built view."""
         if near_miss_threshold is not None:
-            require_non_negative("near_miss_threshold", near_miss_threshold)
+            non_negative_threshold("near_miss_threshold", near_miss_threshold)
             robustness = True
         registry = get_registry()
         registry.counter("monitor.checks").inc()
@@ -468,12 +468,6 @@ class Monitor:
             if result.near_miss is not None:
                 registry.counter("monitor.near_misses").inc()
         return result
-
-
-def require_non_negative(name: str, value: float) -> None:
-    """Reject a negative threshold with a :class:`SpecError`."""
-    if value < 0:
-        raise SpecError("%s must be non-negative, got %r" % (name, value))
 
 
 def row_mask(rule: Rule, ctx: EvalContext, first_row: int = 0) -> np.ndarray:

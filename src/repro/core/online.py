@@ -88,14 +88,13 @@ from repro.core.monitor import (
     RuleResult,
     _detect_near_miss,
     check_rows,
-    require_non_negative,
     rule_verdict,
 )
 from repro.core.robustness import RuleRobustness
 from repro.core.statemachine import StateMachine
 from repro.core.types import Verdict
 from repro.core.violations import Violation
-from repro.errors import SpecError, TraceError
+from repro.errors import TraceError, count, non_negative_seconds, non_negative_threshold
 from repro.logs.trace import StreamTrace, Trace, non_finite_time
 from repro.obs import get_registry
 
@@ -136,20 +135,8 @@ class OnlineMonitor:
         robustness: bool = False,
         near_miss_threshold: Optional[float] = None,
     ) -> None:
-        if not (period > 0 and math.isfinite(period)):
-            raise SpecError(
-                "period must be a positive, finite number of seconds, got %r"
-                % (period,)
-            )
-        if min_chunk_rows < 1:
-            raise SpecError(
-                "min_chunk_rows must be >= 1, got %r" % (min_chunk_rows,)
-            )
-        if not (retention >= 0 and math.isfinite(retention)):
-            raise SpecError(
-                "retention must be a finite number of seconds >= 0, got %r"
-                % (retention,)
-            )
+        min_chunk_rows = count("min_chunk_rows", min_chunk_rows)
+        retention = non_negative_seconds("retention", retention)
         # Reuse the offline monitor's validation and signal bookkeeping.
         self._offline = Monitor(rules, machines=machines, period=period)
         self.rules = self._offline.rules
@@ -157,7 +144,7 @@ class OnlineMonitor:
         self.period = period
         self.min_chunk_rows = min_chunk_rows
         if near_miss_threshold is not None:
-            require_non_negative("near_miss_threshold", near_miss_threshold)
+            non_negative_threshold("near_miss_threshold", near_miss_threshold)
             robustness = True
         self.robustness = robustness
         self.near_miss_threshold = near_miss_threshold

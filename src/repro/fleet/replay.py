@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.monitor import DEFAULT_PERIOD, Rule
 from repro.core.statemachine import StateMachine
-from repro.errors import TraceError
+from repro.errors import TraceError, count
 from repro.fleet.service import Block, FleetReport, FleetService
 from repro.logs.format import read_trace
 from repro.logs.trace import Trace
@@ -45,8 +45,7 @@ def assign_streams(traces: Sequence[Trace], streams: int) -> List[Tuple[str, Tra
     streams over six drive logs is fine; ids embed both the slot and the
     source log (``s03:emergency_brake``) to keep rollups readable.
     """
-    if streams < 1:
-        raise TraceError("need at least one stream, got %d" % streams)
+    streams = count("streams", streams)
     if not traces:
         raise TraceError("no traces to replay")
     return [

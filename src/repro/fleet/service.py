@@ -49,6 +49,7 @@ import numpy as np
 
 from repro.core.monitor import DEFAULT_PERIOD, MonitorReport, Rule
 from repro.core.statemachine import StateMachine
+from repro.errors import count, non_negative_seconds, positive_seconds
 from repro.fleet.rollup import fleet_rollup
 from repro.fleet.shard import StreamShard
 from repro.obs import MetricsRegistry
@@ -191,16 +192,14 @@ class FleetService:
                 "backpressure policy must be one of %s, got %r"
                 % ("/".join(POLICIES), policy)
             )
-        if inbox_events < 1:
-            raise ValueError("inbox_events must be >= 1, got %d" % inbox_events)
         self.rules = list(rules)
         self.machines = list(machines)
-        self.period = period
-        self.min_chunk_rows = min_chunk_rows
-        self.retention = retention
-        self.inbox_events = inbox_events
+        self.period = positive_seconds("period", period)
+        self.min_chunk_rows = count("min_chunk_rows", min_chunk_rows)
+        self.retention = non_negative_seconds("retention", retention)
+        self.inbox_events = count("inbox_events", inbox_events)
         self.policy = policy
-        self.batch_events = max(1, batch_events)
+        self.batch_events = count("batch_events", batch_events)
         #: Also stream per-rule robustness margins (each shard's rollup
         #: entry gains a ``margins`` block — see ``StreamShard.margins``).
         self.robustness = robustness

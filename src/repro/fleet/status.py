@@ -20,6 +20,7 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Optional
 
+from repro.errors import tcp_port
 from repro.fleet.service import FleetService
 
 
@@ -28,16 +29,14 @@ class StatusServer:
 
     Pass ``port=0`` to bind an ephemeral port (read it back from
     :attr:`port` after :meth:`start`).  A port outside 0-65535 raises
-    :class:`ValueError` here, not a socket error at :meth:`start`.
+    :class:`ParameterError` here, not a socket error at :meth:`start`.
     """
 
     def __init__(
         self, service: FleetService, port: int = 0, host: str = "127.0.0.1"
     ) -> None:
-        if not 0 <= port <= 65535:
-            raise ValueError("port must be a TCP port in 0-65535, got %s" % port)
         self.service = service
-        self._requested = (host, port)
+        self._requested = (host, tcp_port("port", port))
         self._server: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
 

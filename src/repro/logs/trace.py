@@ -23,7 +23,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, 
 
 import numpy as np
 
-from repro.errors import TraceError
+from repro.errors import TraceError, positive_seconds
 
 #: One trace event: (timestamp, signal name, value).
 TraceEvent = Tuple[float, str, float]
@@ -846,11 +846,9 @@ class TraceView:
         start: Optional[float] = None,
         end: Optional[float] = None,
     ) -> None:
-        if period <= 0:
-            raise TraceError("view period must be positive")
+        self.period = positive_seconds("period", period)
         if trace.is_empty():
             raise TraceError("cannot build a view of an empty trace")
-        self.period = float(period)
         self.signal_names: Tuple[str, ...] = tuple(signals or trace.signals())
         for signal in self.signal_names:
             if signal not in trace:

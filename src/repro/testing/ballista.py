@@ -19,7 +19,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.can.signal import SignalDef, SignalType, SignalValue
-from repro.errors import InjectionError
+from repro.errors import count as check_count
 
 #: The paper's exceptional float set, §III-A (22 values).
 BALLISTA_FLOATS: Tuple[float, ...] = (
@@ -57,8 +57,7 @@ def ballista_values(
     exceptional set; booleans and enums fall back to random valid values,
     as the paper did.
     """
-    if count <= 0:
-        raise InjectionError("count must be positive")
+    check_count("count", count)
     if signal.kind is SignalType.FLOAT:
         replace = count > len(BALLISTA_FLOATS)
         picks = rng.choice(len(BALLISTA_FLOATS), size=count, replace=replace)

@@ -15,7 +15,7 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.can.signal import SignalDef
-from repro.errors import InjectionError
+from repro.errors import InjectionError, count
 
 #: The paper's bit-flip sizes.
 FLIP_SIZES: Tuple[int, ...] = (1, 2, 4)
@@ -27,8 +27,7 @@ def bitflip_offsets(
     signal: SignalDef, n_bits: int, rng: np.random.Generator
 ) -> Tuple[int, ...]:
     """Choose ``n_bits`` distinct bit positions inside the signal field."""
-    if n_bits <= 0:
-        raise InjectionError("n_bits must be positive")
+    count("n_bits", n_bits)
     if n_bits > signal.bit_length:
         raise InjectionError(
             "%s: cannot flip %d distinct bits in a %d-bit field"

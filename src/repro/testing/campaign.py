@@ -15,7 +15,6 @@ campaign seed and the row label, so the whole table is reproducible.
 
 from __future__ import annotations
 
-import math
 import zlib
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -23,13 +22,13 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.can.fsracc import FSRACC_INPUTS, fsracc_database
-from repro.core.monitor import (
-    Monitor,
-    MonitorReport,
-    Rule,
-    require_non_negative,
+from repro.core.monitor import Monitor, MonitorReport, Rule
+from repro.errors import (
+    InjectionError,
+    non_negative_seconds,
+    non_negative_threshold,
+    positive_seconds,
 )
-from repro.errors import InjectionError, SimulationError
 from repro.hil.simulator import HilSimulator, SimulationResult
 from repro.hil.typecheck import HIL_PROFILE, InjectionTypeChecker
 from repro.logs.trace import Trace
@@ -168,18 +167,11 @@ class RobustnessCampaign:
         robustness: bool = False,
         near_miss_threshold: Optional[float] = None,
     ) -> None:
-        for name, value in (
-            ("hold_time", hold_time),
-            ("gap_time", gap_time),
-            ("settle_time", settle_time),
-        ):
-            if not (value >= 0 and math.isfinite(value)):
-                raise SimulationError(
-                    "%s must be a finite number of seconds >= 0, got %r"
-                    % (name, value)
-                )
+        positive_seconds("hold_time", hold_time)
+        non_negative_seconds("gap_time", gap_time)
+        non_negative_seconds("settle_time", settle_time)
         if near_miss_threshold is not None:
-            require_non_negative("near_miss_threshold", near_miss_threshold)
+            non_negative_threshold("near_miss_threshold", near_miss_threshold)
             robustness = True
         #: Also compute per-cell robustness margins (the heatmap variant
         #: of Table I).  The letters are bit-identical either way — the

@@ -38,6 +38,7 @@ import pickle
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.errors import count
 from repro.obs import MetricsRegistry, get_registry, use_registry
 from repro.testing.campaign import (
     InjectionTest,
@@ -81,14 +82,11 @@ def _run_one(test: InjectionTest) -> WorkerResult:
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
-    """Normalize a ``--jobs`` value: ``None``/``0`` means every core."""
+    """Normalize a ``--jobs`` value: ``None``/``0`` means every core,
+    any other value is a count of worker processes."""
     if jobs is None or jobs == 0:
         return os.cpu_count() or 1
-    if jobs < 0:
-        raise ValueError(
-            "jobs must be >= 0 (0 means all cores), got %d" % jobs
-        )
-    return int(jobs)
+    return count("jobs", jobs)
 
 
 def _pickled_campaign(campaign: RobustnessCampaign) -> bytes:

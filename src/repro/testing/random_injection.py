@@ -16,7 +16,7 @@ from typing import List
 import numpy as np
 
 from repro.can.signal import SignalDef, SignalType, SignalValue
-from repro.errors import InjectionError
+from repro.errors import count as check_count
 
 #: The paper's random float injection range.
 FLOAT_RANGE = (-2000.0, 2000.0)
@@ -26,8 +26,7 @@ def random_values(
     signal: SignalDef, count: int, rng: np.random.Generator
 ) -> List[SignalValue]:
     """Draw ``count`` random injection values for one signal."""
-    if count <= 0:
-        raise InjectionError("count must be positive")
+    check_count("count", count)
     if signal.kind is SignalType.FLOAT:
         return [float(v) for v in rng.uniform(*FLOAT_RANGE, size=count)]
     if signal.kind is SignalType.BOOL:

@@ -8,6 +8,7 @@ from helpers import PerFrameBus, ScalarJitter
 from repro.can.bus import JITTER_BLOCK, CanBus, JitterModel
 from repro.can.database import CanDatabase, MessageDef
 from repro.can.errors import BusError, FrameError
+from repro.errors import ParameterError
 from repro.can.signal import SignalDef, SignalType
 
 
@@ -118,14 +119,16 @@ class TestJitter:
             assert struct.pack("<d", got) == struct.pack("<d", want)
 
     def test_negative_jitter_rejected(self):
-        with pytest.raises(BusError):
+        with pytest.raises(ParameterError):
             JitterModel(-0.001)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
     def test_non_finite_jitter_rejected(self, bad):
         # Regression: NaN and +inf were accepted, and NaN stamps then
         # failed the trace recorder mid-run.
-        with pytest.raises(BusError, match="max_jitter must be a finite"):
+        with pytest.raises(
+            ParameterError, match="max_jitter must be a finite number of seconds"
+        ):
             JitterModel(bad)
 
 

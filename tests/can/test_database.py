@@ -4,6 +4,7 @@ import pytest
 
 from repro.can.database import CanDatabase, MessageDef
 from repro.can.errors import DatabaseError
+from repro.errors import ParameterError
 from repro.can.frame import CanFrame
 from repro.can.signal import SignalDef, SignalType
 
@@ -36,7 +37,7 @@ class TestMessageValidation:
             MessageDef("m", 1, 9, 0.02, ())
 
     def test_non_positive_period_rejected(self):
-        with pytest.raises(DatabaseError):
+        with pytest.raises(ParameterError, match="m: period must be a positive"):
             MessageDef("m", 1, 8, 0.0, ())
 
     def test_signal_beyond_payload_rejected(self):

@@ -9,7 +9,7 @@ from repro.core.online import OnlineMonitor
 from repro.core.statemachine import StateMachine
 from repro.core.types import Verdict
 from repro.core.warmup import WarmupSpec
-from repro.errors import SpecError
+from repro.errors import ParameterError, SpecError
 from repro.testing.campaign import RobustnessCampaign
 
 
@@ -100,7 +100,8 @@ class TestNearMissThreshold:
         ids=["offline", "online", "campaign"],
     )
     def test_negative_threshold_is_a_spec_error(self, build):
-        with pytest.raises(SpecError, match="near_miss_threshold"):
+        """Refused up front, as a ParameterError naming the parameter."""
+        with pytest.raises(ParameterError, match="near_miss_threshold"):
             build([simple_rule()])
 
 

@@ -21,7 +21,7 @@ from repro.core.parser import parse_formula
 from repro.core.statemachine import StateMachine
 from repro.core.types import Verdict
 from repro.core.warmup import WarmupSpec
-from repro.errors import SpecError, TraceError
+from repro.errors import ParameterError, SpecError, TraceError
 from repro.obs import MetricsRegistry, use_registry
 
 PERIOD = 0.02
@@ -762,7 +762,7 @@ class TestPeriodArgument:
         "period", [0.0, -0.02, float("nan"), float("inf"), -float("inf")]
     )
     def test_rejected_with_a_typed_error_naming_it(self, period):
-        with pytest.raises(SpecError, match="period must be a positive"):
+        with pytest.raises(ParameterError, match="period must be a positive"):
             OnlineMonitor([Rule.from_text("r", "n", "x > 0")], period=period)
 
 
@@ -773,14 +773,16 @@ class TestChunkAndRetentionArguments:
 
     @pytest.mark.parametrize("rows", [0, -4])
     def test_min_chunk_rows_below_one_rejected(self, rows):
-        with pytest.raises(SpecError, match="min_chunk_rows must be >= 1"):
+        with pytest.raises(
+            ParameterError, match="min_chunk_rows is a count and must be >= 1"
+        ):
             OnlineMonitor([Rule.from_text("r", "n", "x > 0")], min_chunk_rows=rows)
 
     @pytest.mark.parametrize(
         "retention", [-0.5, float("nan"), float("inf"), -float("inf")]
     )
     def test_bad_retention_rejected(self, retention):
-        with pytest.raises(SpecError, match="retention must be a finite"):
+        with pytest.raises(ParameterError, match="retention must be a finite"):
             OnlineMonitor([Rule.from_text("r", "n", "x > 0")], retention=retention)
 
     def test_boundary_values_accepted(self):

@@ -9,7 +9,7 @@ import pytest
 
 from helpers import interleave, loop_replay_async, uniform_trace
 from repro.core.monitor import Rule
-from repro.errors import TraceError
+from repro.errors import ParameterError, TraceError
 from repro.fleet import (
     FLEET_ROLLUP,
     FLEET_SCHEMA_VERSION,
@@ -385,7 +385,7 @@ class TestStatusServer:
     @pytest.mark.parametrize("port", [-1, 65536, 70000])
     def test_out_of_range_port_is_refused_on_construction(self, port):
         # Regression: start() died with a raw OverflowError from bind().
-        with pytest.raises(ValueError, match="must be a TCP port in 0-65535"):
+        with pytest.raises(ParameterError, match="must be a TCP port in 0-65535"):
             StatusServer(None, port=port)
 
     def test_serves_live_rollup_and_health(self):
@@ -443,7 +443,7 @@ class TestReplay:
     def test_assign_rejects_empty_input(self):
         with pytest.raises(TraceError):
             assign_streams([], 4)
-        with pytest.raises(TraceError):
+        with pytest.raises(ParameterError, match="streams is a count"):
             assign_streams([sawtooth_trace()], 0)
 
     def test_interleave_is_time_ordered(self):

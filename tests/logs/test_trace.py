@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import multirate_trace, uniform_trace
-from repro.errors import TraceError
+from repro.errors import ParameterError, TraceError
 from repro.logs.trace import _BIN_BLOCK, Trace
 
 
@@ -170,7 +170,7 @@ class TestViewSampling:
 
     def test_view_bad_period_rejected(self):
         trace = uniform_trace({"a": [1]})
-        with pytest.raises(TraceError):
+        with pytest.raises(ParameterError, match="period must be a positive"):
             trace.to_view(0.0)
 
     def test_view_of_empty_trace_rejected(self):

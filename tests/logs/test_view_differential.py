@@ -108,7 +108,11 @@ def test_stream_views_match_the_per_signal_oracle(data):
     trace = data.draw(traces())
     stream = stream_of(trace)
     if data.draw(st.booleans()):
-        stream.trim(data.draw(st.floats(trace.start_time, trace.end_time)))
+        # A step back inside the order slack can leave the first update
+        # after the last one, so the trim point is drawn between the two
+        # in either order.
+        bounds = sorted([trace.start_time, trace.end_time])
+        stream.trim(data.draw(st.floats(*bounds)))
     period = data.draw(PERIODS)
     # Views refuse a selected signal whose updates all expired.
     live = [signal for signal in stream.signals() if stream.update_count(signal)]

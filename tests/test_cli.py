@@ -598,8 +598,13 @@ class TestAutomataCommand:
         assert "unsupported" in capsys.readouterr().out
 
     def test_max_states_must_be_positive(self, capsys):
-        assert main(["automata", "--max-states", "0"]) == 2
-        assert "--max-states" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["automata", "--max-states", "0"])
+        assert excinfo.value.code == 2
+        assert (
+            "argument --max-states: is a count and must be >= 1, got 0"
+            in capsys.readouterr().err
+        )
 
     def test_malformed_file_is_a_usage_error(self, tmp_path):
         path = tmp_path / "bad.rules"

@@ -6,7 +6,7 @@ exercised with shortened hold times so the suite stays fast.
 
 import pytest
 
-from repro.errors import SimulationError
+from repro.errors import ParameterError
 from repro.hil.typecheck import VEHICLE_PROFILE
 from repro.rules.safety_rules import RULE_IDS
 from repro.testing.campaign import (
@@ -134,7 +134,7 @@ class TestScenarioDuration:
     def test_bad_timing_rejected(self, name, value):
         # Regression: a NaN or negative hold ran an all-S campaign and
         # an infinite one never finished.
-        with pytest.raises(SimulationError, match=name):
+        with pytest.raises(ParameterError, match=name):
             quick_campaign(**{name: value})
 
     def test_duration_is_settle_plus_injections(self):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.errors import InjectionError
+from repro.errors import InjectionError, ParameterError
 from repro.testing.ballista import (
     BALLISTA_FLOATS,
     ballista_values,
@@ -65,7 +65,7 @@ class TestBallistaDictionary:
             assert value in (1, 2, 3)
 
     def test_zero_count_rejected(self, rng, database):
-        with pytest.raises(InjectionError):
+        with pytest.raises(ParameterError, match="count is a count and must be >= 1"):
             ballista_values(database.signal("Velocity"), 0, rng)
 
 

@@ -13,6 +13,7 @@ import pickle
 
 import pytest
 
+from repro.errors import ParameterError
 from repro.obs import METRICS_SNAPSHOT, MetricsRegistry, use_registry
 from repro.schema import validate
 from repro.testing.campaign import RobustnessCampaign, single_signal_tests
@@ -37,7 +38,7 @@ class TestResolveJobs:
         assert resolve_jobs(None) == resolve_jobs(0)
 
     def test_negative_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ParameterError, match="jobs is a count and must be >= 1"):
             resolve_jobs(-1)
 
 
