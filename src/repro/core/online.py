@@ -39,9 +39,10 @@ rows have accumulated (or on :meth:`finish`), evaluates a chunk:
 Bounded memory
 --------------
 
-Buffered events live in a :class:`~repro.logs.trace.StreamTrace` —
-per-signal float64 rings with O(1)-amortized appends and an advancing
-retention frontier — so feeding is O(1) amortized per event and
+Buffered events live in a :class:`~repro.logs.trace.Trace` — the same
+store an offline log is read into: per-signal float64 columns with
+O(1)-amortized appends, trimmed behind an advancing retention
+frontier — so feeding is O(1) amortized per event and
 per-signal buffer occupancy is **provably bounded**: after every chunk the monitor asserts
 that no signal buffers more than ``history_rows + horizon_rows +
 min_chunk_rows`` rows, however long the stream runs (see
@@ -95,7 +96,7 @@ from repro.core.statemachine import StateMachine
 from repro.core.types import Verdict
 from repro.core.violations import Violation
 from repro.errors import TraceError, count, non_negative_seconds, non_negative_threshold
-from repro.logs.trace import StreamTrace, Trace, non_finite_time
+from repro.logs.trace import Trace, non_finite_time
 from repro.obs import get_registry
 
 
@@ -161,7 +162,7 @@ class OnlineMonitor:
         self._horizon_rows = int(math.ceil(reach / period)) + 1
         self._history_rows = int(math.ceil(history / period)) + 2
 
-        self._buffer = StreamTrace("online")
+        self._buffer = Trace("online")
         self._required = self._offline.required_signals()
         #: Referenced signals by code, and their codes by name (any
         #: other signal's code is -1).

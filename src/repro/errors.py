@@ -20,7 +20,7 @@ class TraceError(ReproError):
     violations: Sequence[object] = ()
 
     #: Leading updates of a block stored before the error: set when
-    #: ``StreamTrace.extend`` stops at a bad update.
+    #: ``Trace.extend``, the one block recorder, stops at a bad update.
     accepted: int = 0
 
 

@@ -19,13 +19,15 @@ The body is read in blocks of whole lines, about 128 KiB of text each,
 so the reader's memory stays flat however long the drive was (DESIGN
 §20).  A *regular* block, whose every line holds exactly two commas, is
 parsed column-wise: one split into fields, Python's own ``float`` over
-the time and value columns, one stable sort by signal, one vectorized
-per-signal order check and one bulk append per signal.  A block holding
-a ``#`` or another line shape is *irregular* and is read one line at a
-time: each line is stripped, blank and comment lines are skipped.  A
-regular block holding a line the format rejects is re-read one line at a
-time, so every :class:`~repro.errors.TraceError` names the first bad
-line in file order, in the words the per-line reader always used.  The
+the time and value columns, and one :meth:`~repro.logs.trace.Trace.extend`
+— the trace's one block recorder, which checks order and appends one
+bulk copy per signal.  A block holding a ``#`` or another line shape is
+*irregular* and is read one line at a time: each line is stripped,
+blank and comment lines are skipped.  A regular block holding a field
+``float`` refuses is re-read one line at a time, and one holding an
+update the trace refuses is re-read from that update on, so every
+:class:`~repro.errors.TraceError` names the first bad line in file
+order, in the words the per-line reader always used.  The
 ``repro.obs`` counters ``logs.read.blocks`` and
 ``logs.read.irregular_blocks`` count the two kinds.
 """
@@ -35,12 +37,12 @@ from __future__ import annotations
 import io
 import math
 import os
-from typing import Dict, Iterable, TextIO, Union
+from typing import Dict, Iterable, Optional, TextIO, Tuple, Union
 
 import numpy as np
 
 from repro.errors import TraceError
-from repro.logs.trace import Trace, signal_runs
+from repro.logs.trace import Trace
 from repro.obs import get_registry
 
 #: Magic first-line prefix identifying a trace file.
@@ -161,8 +163,17 @@ def _read(handle: TextIO) -> Trace:
             regular = "#" not in block and delimiters == b",,\n" * lines
             if not regular:
                 irregular.inc()
-            if not (regular and _append_columns(trace, block, codes)):
+            columns = _parse_columns(block, codes) if regular else None
+            if columns is None:
                 _read_lines(trace, block.split("\n")[:-1], line_number)
+            else:
+                try:
+                    trace.extend(list(codes), *columns)
+                except TraceError as exc:
+                    # One line per update: re-read from the refused one,
+                    # so the error is the per-line reader's.
+                    good = exc.accepted
+                    _read_lines(trace, block.split("\n")[good:-1], line_number + good)
             line_number += lines
 
 
@@ -171,15 +182,15 @@ def _delimiters(text: str) -> bytes:
     return text.encode("utf-8", "surrogatepass").translate(None, _NOT_DELIMITERS)
 
 
-def _append_columns(trace: Trace, text: str, codes: Dict[str, int]) -> bool:
-    """Append regular ``text`` — whole lines, each with exactly two
-    commas — to ``trace`` column-wise.
+def _parse_columns(
+    text: str, codes: Dict[str, int]
+) -> Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Parse regular ``text`` — whole lines, each with exactly two commas
+    — into the ``(codes, times, values)`` columns :meth:`Trace.extend`
+    takes, or ``None`` when ``float`` refuses a field.
 
     ``codes`` numbers the signal names in order of first appearance and
-    persists across blocks.  Returns ``False``, having appended no
-    update, when some line would be rejected: a field ``float`` refuses, a
-    non-finite timestamp, or a per-signal step back in time past
-    :data:`~repro.logs.trace.ORDER_SLACK`.
+    persists across blocks.
     """
     fields = text.replace("\n", ",").split(",")
     names = fields[1::3]
@@ -188,33 +199,11 @@ def _append_columns(trace: Trace, text: str, codes: Dict[str, int]) -> bool:
         times = np.fromiter(map(float, fields[0:-1:3]), np.float64, n)
         values = np.fromiter(map(float, fields[2::3]), np.float64, n)
     except ValueError:
-        return False
-    if not np.isfinite(times).all():
-        return False
+        return None
     try:
         block_codes = np.fromiter(map(codes.__getitem__, names), np.intp, n)
     except KeyError:
         for name in names:
             codes.setdefault(name, len(codes))
         block_codes = np.fromiter(map(codes.__getitem__, names), np.intp, n)
-    signals = list(codes)
-    columns = [trace._update_lists(signal) for signal in signals]
-
-    def newest(code: int) -> float:
-        stored = columns[code][0]
-        return stored[-1] if stored else -math.inf
-
-    order, heads, backwards = signal_runs(block_codes, times, newest)
-    if backwards.any():
-        return False
-    # Fresh floats in signal order: each signal's updates then lie
-    # together in memory, which is how views read them back.
-    time_list = times[order].tolist()
-    value_list = values[order].tolist()
-    starts = heads.nonzero()[0].tolist()
-    ends = [*starts[1:], n]
-    for code, start, end in zip(block_codes[order][heads].tolist(), starts, ends):
-        column_times, column_values = columns[code]
-        column_times.extend(time_list[start:end])
-        column_values.extend(value_list[start:end])
-    return True
+    return block_codes, times, values

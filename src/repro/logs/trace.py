@@ -18,8 +18,9 @@ from __future__ import annotations
 
 import bisect
 import math
+from array import array
 from functools import cached_property
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,8 +62,7 @@ def signal_runs(
     ``backwards`` marks, in that order, the updates stamped more than
     :data:`ORDER_SLACK` before their signal's previous update — the one
     before it in the block, or ``newest`` for the first of a group.
-    The block recorders of both stores (the CSV reader's and
-    :meth:`StreamTrace.extend`) check order through this one function.
+    :meth:`Trace.extend`, the one block recorder, checks order through it.
     """
     order = codes.argsort(kind="stable")
     grouped = codes[order]
@@ -82,15 +82,33 @@ class Trace:
     Values are stored as floats; booleans are carried as 0.0/1.0 and enums
     as their integer value.  NaN and infinities are legal values — they are
     precisely what robustness testing puts on the bus.
+
+    One store serves a whole log and a stream's rolling buffer alike:
+
+    * each signal's updates are two float64 ``array('d')`` columns, times
+      and values, so :meth:`record` and a :meth:`recorder` append
+      unboxed floats and :meth:`extend` appends a block of updates, of
+      any signals, one bulk copy per signal;
+    * :meth:`trim` drops expired updates from the front and advances the
+      retention *frontier*, so a streaming monitor's buffer holds only
+      what it still needs;
+    * :meth:`to_view` resamples straight from the columns, through numpy
+      views of their memory that live only as long as the resample.  A
+      column cannot grow or shrink while a numpy view of it exists, so
+      no such view may outlive the call that made it.
+
+    Trimming never deletes a signal's *name* — a signal whose updates
+    have all expired still answers ``in`` but holds zero updates, which
+    lets callers distinguish "never seen" from "seen but expired".
     """
 
     def __init__(self, name: str = "") -> None:
         self.name = name
-        self._times: Dict[str, List[float]] = {}
-        self._values: Dict[str, List[float]] = {}
+        self._columns: Dict[str, Tuple[array[float], array[float]]] = {}
+        self._frontier = -math.inf
 
     # ------------------------------------------------------------------
-    # Recording
+    # Recording / trimming
     # ------------------------------------------------------------------
 
     def record(self, signal: str, timestamp: float, value: float) -> None:
@@ -101,11 +119,11 @@ class Trace:
         """
         if not math.isfinite(timestamp):
             raise non_finite_time(signal, timestamp)
-        times = self._times.setdefault(signal, [])
+        times, values = self._column(signal)
         if times and timestamp < times[-1] - ORDER_SLACK:
             raise _out_of_order(signal, timestamp, times[-1])
-        times.append(float(timestamp))
-        self._values.setdefault(signal, []).append(float(value))
+        values.append(value)
+        times.append(timestamp)
 
     def recorder(
         self, signals: Sequence[str]
@@ -115,12 +133,12 @@ class Trace:
         The returned callable takes a timestamp and a mapping holding a
         value for each of ``signals`` and appends one update per signal,
         with :meth:`record`'s finiteness check and per-signal order
-        check.  The signals' column lists are resolved once, on the
-        first update recorded, rather than looked up per update.
+        check.  The signals' columns are resolved once, on the first
+        update recorded, rather than looked up per update.
         """
         names = tuple(signals)
         label = ", ".join(names)
-        columns: Optional[Tuple[Tuple[str, List[float], List[float]], ...]] = None
+        columns: Optional[Tuple[Tuple[str, array[float], array[float]], ...]] = None
         isfinite, slack = math.isfinite, ORDER_SLACK
 
         def record(timestamp: float, values: Mapping[str, float]) -> None:
@@ -129,283 +147,14 @@ class Trace:
             if not isfinite(timestamp):
                 raise non_finite_time(label, timestamp)
             if columns is None:
-                columns = tuple(
-                    (name,) + self._update_lists(name) for name in names
-                )
+                columns = tuple((name,) + self._column(name) for name in names)
             for name, times, column in columns:
                 if times and timestamp < times[-1] - slack:
                     raise _out_of_order(name, timestamp, times[-1])
+                column.append(values[name])
                 times.append(timestamp)
-                column.append(float(values[name]))
 
         return record
-
-    def _update_lists(self, signal: str) -> Tuple[List[float], List[float]]:
-        """``signal``'s own ``(timestamps, values)`` lists, created empty
-        on first use.
-
-        Private to the block recorders: the CSV reader
-        (:mod:`repro.logs.format`) runs :meth:`record`'s finiteness
-        check and :func:`signal_runs`' order check a block of updates at
-        a time and then extends these lists in place, and a
-        :meth:`recorder` appends to them after the same checks.  Nothing
-        else may append through them.
-        """
-        times = self._times.get(signal)
-        if times is None:
-            times = self._times[signal] = []
-            self._values[signal] = []
-        return times, self._values[signal]
-
-    # ------------------------------------------------------------------
-    # Inspection
-    # ------------------------------------------------------------------
-
-    def signals(self) -> Tuple[str, ...]:
-        """All signal names with at least one update, sorted."""
-        return tuple(sorted(self._times))
-
-    def __contains__(self, signal: str) -> bool:
-        return signal in self._times
-
-    def update_count(self, signal: Optional[str] = None) -> int:
-        """Number of updates for one signal, or for the whole trace."""
-        if signal is not None:
-            return len(self._times.get(signal, ()))
-        return sum(len(times) for times in self._times.values())
-
-    def updates(self, signal: str) -> List[Tuple[float, float]]:
-        """The ``(timestamp, value)`` updates of one signal, in order."""
-        if signal not in self._times:
-            raise TraceError("no updates recorded for signal %s" % signal)
-        return list(zip(self._times[signal], self._values[signal]))
-
-    def update_arrays(self, signal: str) -> Tuple[np.ndarray, np.ndarray]:
-        """One signal's ``(timestamps, values)`` as float64 arrays
-        (copies): one C-level list→array conversion instead of a
-        Python-level ``(t, v)`` tuple walk."""
-        if signal not in self._times:
-            raise TraceError("no updates recorded for signal %s" % signal)
-        return (
-            np.asarray(self._times[signal], dtype=np.float64),
-            np.asarray(self._values[signal], dtype=np.float64),
-        )
-
-    def _raw_updates(self, signal: str) -> Tuple[List[float], List[float]]:
-        """``signal``'s own ``(timestamps, values)`` lists, uncopied: what
-        :class:`TraceView` resamples from."""
-        return self._times[signal], self._values[signal]
-
-    @property
-    def start_time(self) -> float:
-        """Timestamp of the earliest update in the trace."""
-        starts = [times[0] for times in self._times.values() if times]
-        if not starts:
-            raise TraceError("trace is empty")
-        return min(starts)
-
-    @property
-    def end_time(self) -> float:
-        """Timestamp of the latest update in the trace."""
-        ends = [times[-1] for times in self._times.values() if times]
-        if not ends:
-            raise TraceError("trace is empty")
-        return max(ends)
-
-    @property
-    def duration(self) -> float:
-        """Time span covered by the trace, in seconds."""
-        return self.end_time - self.start_time
-
-    def is_empty(self) -> bool:
-        """Whether the trace holds no updates at all."""
-        return all(not times for times in self._times.values()) or not self._times
-
-    def value_at(self, signal: str, timestamp: float) -> float:
-        """Latest value of ``signal`` at or before ``timestamp``."""
-        times = self._times.get(signal)
-        if not times:
-            raise TraceError("no updates recorded for signal %s" % signal)
-        index = bisect.bisect_right(times, timestamp) - 1
-        if index < 0:
-            raise TraceError(
-                "%s has no update at or before t=%.6f" % (signal, timestamp)
-            )
-        return self._values[signal][index]
-
-    def events(self) -> Iterator[TraceEvent]:
-        """All updates across signals as ``(time, signal, value)``
-        tuples, in :meth:`event_columns` order."""
-        times, signals, values = self.event_columns()
-        return zip(map(float, times), signals, map(float, values))
-
-    def event_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All updates across signals as three columns — float64 times,
-        an object array of signal names and float64 values — ordered by
-        time, ties by signal name, each signal's own updates in order.
-
-        One stable ``lexsort`` over the concatenated per-signal arrays;
-        the block ingest paths (:meth:`repro.core.online.OnlineMonitor.feed_trace`,
-        fleet replay) slice these columns and the CSV writer walks them.
-        """
-        names = self.signals()
-        if not names:
-            return np.empty(0), np.empty(0, dtype=object), np.empty(0)
-        times = np.concatenate([self._times[name] for name in names])
-        values = np.concatenate([self._values[name] for name in names])
-        codes = np.repeat(
-            np.arange(len(names)), [len(self._times[name]) for name in names]
-        )
-        order = np.lexsort((codes, times))
-        return (
-            times[order],
-            np.array(names, dtype=object)[codes[order]],
-            values[order],
-        )
-
-    # ------------------------------------------------------------------
-    # Transformation
-    # ------------------------------------------------------------------
-
-    def sliced(self, t0: float, t1: float, name: str = "") -> "Trace":
-        """A new trace containing only updates with ``t0 <= t <= t1``."""
-        out = Trace(name or self.name)
-        for signal in self.signals():
-            times = self._times[signal]
-            lo = bisect.bisect_left(times, t0)
-            hi = bisect.bisect_right(times, t1)
-            for i in range(lo, hi):
-                out.record(signal, times[i], self._values[signal][i])
-        return out
-
-    def to_view(
-        self,
-        period: float,
-        signals: Optional[Sequence[str]] = None,
-        start: Optional[float] = None,
-        end: Optional[float] = None,
-    ) -> "TraceView":
-        """Resample the trace onto a uniform grid at ``period`` seconds."""
-        return TraceView(self, period, signals=signals, start=start, end=end)
-
-
-#: Initial capacity of a :class:`_Ring`.
-_RING_MIN = 64
-
-
-class _Ring:
-    """One signal's buffered updates: float64 times and values in a
-    growable array whose live part is ``[start:end]``.
-
-    Appending copies into free space at the end (growing or compacting
-    when it runs out, O(1) amortized per update); trimming only moves
-    ``start``.  Nothing is ever boxed into a Python float.
-    """
-
-    __slots__ = ("times", "values", "start", "end")
-
-    def __init__(self) -> None:
-        self.times = np.empty(_RING_MIN)
-        self.values = np.empty(_RING_MIN)
-        self.start = self.end = 0
-
-    def __len__(self) -> int:
-        return self.end - self.start
-
-    def last(self) -> float:
-        """Newest buffered timestamp, or -inf when nothing is buffered."""
-        if self.end == self.start:
-            return -math.inf
-        return float(self.times[self.end - 1])
-
-    def extend(self, times: np.ndarray, values: np.ndarray) -> None:
-        count = len(times)
-        if self.end + count > len(self.times):
-            self._make_room(count)
-        self.times[self.end : self.end + count] = times
-        self.values[self.end : self.end + count] = values
-        self.end += count
-
-    def _make_room(self, count: int) -> None:
-        live = self.end - self.start
-        size = len(self.times)
-        if live + count > size // 2:
-            size = max(2 * (live + count), _RING_MIN)
-            times, values = np.empty(size), np.empty(size)
-        else:
-            # Compact in place (numpy copes with the overlap).
-            times, values = self.times, self.values
-        times[:live] = self.times[self.start : self.end]
-        values[:live] = self.values[self.start : self.end]
-        self.times, self.values = times, values
-        self.start, self.end = 0, live
-
-    def trim(self, before: float) -> int:
-        """Drop the leading updates stamped before ``before``."""
-        expired = self.times[self.start : self.end] < before
-        dropped = len(expired) if expired.all() else int(expired.argmin())
-        self.start += dropped
-        return dropped
-
-
-class StreamTrace:
-    """Bounded-memory update store for streaming monitors.
-
-    Same recording/view protocol as :class:`Trace`, but designed for an
-    unbounded stream with a moving *retention frontier*:
-
-    * per-signal storage is a float64 ring (:class:`_Ring`), so
-      :meth:`record` appends one update and :meth:`extend` a block of
-      them, of any signals, in O(1) amortized time per update;
-    * :meth:`trim` advances the frontier and drops expired updates from
-      the front — every update is dropped at most once over the stream's
-      lifetime, so buffer maintenance costs O(1) amortized per recorded
-      event;
-    * :meth:`to_view` resamples straight from the rings' live slices,
-      so it reads only what is still buffered and keeps no copy of it.
-
-    The store never deletes a signal's *name* — a signal whose updates
-    have all expired still answers ``in`` but holds zero updates, which
-    lets callers distinguish "never seen" from "seen but expired".
-    """
-
-    def __init__(self, name: str = "") -> None:
-        self.name = name
-        self._rings: Dict[str, _Ring] = {}
-        self._frontier = -math.inf
-
-    # ------------------------------------------------------------------
-    # Recording / trimming
-    # ------------------------------------------------------------------
-
-    @property
-    def frontier(self) -> float:
-        """Timestamp of the current retention frontier (-inf initially).
-
-        Updates strictly before the frontier have been discarded; callers
-        must not record below it (drop such late events explicitly).
-        """
-        return self._frontier
-
-    def _ring(self, signal: str) -> _Ring:
-        ring = self._rings.get(signal)
-        if ring is None:
-            ring = self._rings[signal] = _Ring()
-        return ring
-
-    def record(self, signal: str, timestamp: float, value: float) -> None:
-        """Append one observed update for ``signal`` (O(1) amortized).
-
-        Timestamps must be finite and non-decreasing per signal, as on a
-        real bus.
-        """
-        if not math.isfinite(timestamp):
-            raise non_finite_time(signal, timestamp)
-        ring = self._ring(signal)
-        last = ring.last()
-        if timestamp < last - ORDER_SLACK:
-            raise _out_of_order(signal, timestamp, last)
-        ring.extend((timestamp,), (value,))
 
     def extend(
         self,
@@ -424,6 +173,8 @@ class StreamTrace:
         :class:`TraceError` is raised, its ``accepted`` attribute giving
         how many updates were appended.
         """
+        times = np.asarray(times, dtype=np.float64)
+        values = np.asarray(values, dtype=np.float64)
         count = len(times)
         if not count:
             return
@@ -449,24 +200,44 @@ class StreamTrace:
                 float(prior[-1]) if len(prior) else newest(code),
             )
             order, heads, _ = signal_runs(codes[:good], times[:good], newest)
+        stamps, readings = times[order], values[order]
         starts = heads.nonzero()[0]
         for lo, hi in zip(starts, [*starts[1:], len(order)]):
-            run = order[lo:hi]
-            self._ring(names[codes[run[0]]]).extend(times[run], values[run])
+            stored_times, stored_values = self._column(names[codes[order[lo]]])
+            stored_times.frombytes(stamps[lo:hi].tobytes())
+            stored_values.frombytes(readings[lo:hi].tobytes())
         if error is not None:
             error.accepted = good
             raise error
 
+    def _column(self, signal: str) -> Tuple[array[float], array[float]]:
+        """``signal``'s ``(times, values)`` columns, created empty on
+        first use."""
+        column = self._columns.get(signal)
+        if column is None:
+            column = self._columns[signal] = (array("d"), array("d"))
+        return column
+
     def _newest(self, signal: str) -> float:
-        ring = self._rings.get(signal)
-        return -math.inf if ring is None else ring.last()
+        """``signal``'s latest stored timestamp, or -inf when none."""
+        column = self._columns.get(signal)
+        return column[0][-1] if column and column[0] else -math.inf
+
+    @property
+    def frontier(self) -> float:
+        """Timestamp of the current retention frontier (-inf initially).
+
+        Updates strictly before the frontier have been discarded; callers
+        must not record below it (drop such late events explicitly).
+        """
+        return self._frontier
 
     def trim(self, before: float) -> int:
         """Drop every update with ``t < before``; returns the drop count.
 
         Advances the retention frontier to ``before`` (frontiers never
         move backwards).  Updates exactly at ``before`` are kept, matching
-        ``Trace.sliced(before, inf)`` semantics.
+        ``sliced(before, inf)`` semantics.
         """
         buffered = self.update_count()
         return buffered - self.retain(before)[1]
@@ -475,97 +246,163 @@ class StreamTrace:
         """:meth:`trim` to ``before``, measuring the store in the same
         pass over the signals.
 
+        Each signal drops its leading updates stamped before ``before``.
         Returns ``(peak, left, bounds)``: the most updates any signal
-        buffered before the trim, the updates left after it, and the
-        ``(oldest, newest)`` buffered timestamps of each signal that
-        still buffers any.  ``retain(-inf)`` drops nothing and only
-        measures.
+        held before the trim, the updates left after it, and the
+        ``(first, last)`` timestamps of each signal that still holds
+        any.  ``retain(-inf)`` drops nothing and only measures.
         """
         peak = left = 0
         bounds: List[Tuple[float, float]] = []
-        for ring in self._rings.values():
-            size = ring.end - ring.start
+        for times, values in self._columns.values():
+            size = len(times)
             if size > peak:
                 peak = size
-            size -= ring.trim(before)
+            if size and times[0] < before:
+                expired = _floats(times) < before
+                dropped = size if expired.all() else int(expired.argmin())
+                del times[:dropped], values[:dropped]
+                size -= dropped
             if size:
                 left += size
-                bounds.append(
-                    (float(ring.times[ring.start]), float(ring.times[ring.end - 1]))
-                )
+                bounds.append((times[0], times[-1]))
         if before > self._frontier:
             self._frontier = before
         return peak, left, bounds
 
     # ------------------------------------------------------------------
-    # Inspection (the TraceView protocol)
+    # Inspection
     # ------------------------------------------------------------------
 
     def signals(self) -> Tuple[str, ...]:
         """All signal names ever recorded, sorted."""
-        return tuple(sorted(self._rings))
+        return tuple(sorted(self._columns))
 
     def __contains__(self, signal: str) -> bool:
-        return signal in self._rings
+        return signal in self._columns
 
     def update_count(self, signal: Optional[str] = None) -> int:
-        """Buffered update count for one signal, or for the whole store."""
+        """Number of updates held for one signal, or for the whole trace."""
         if signal is not None:
-            ring = self._rings.get(signal)
-            return 0 if ring is None else len(ring)
-        return sum(len(ring) for ring in self._rings.values())
+            column = self._columns.get(signal)
+            return len(column[0]) if column else 0
+        return sum(len(times) for times, _ in self._columns.values())
+
+    def _held(self, signal: str) -> Tuple[array[float], array[float]]:
+        try:
+            return self._columns[signal]
+        except KeyError:
+            raise TraceError("no updates recorded for signal %s" % signal) from None
 
     def updates(self, signal: str) -> List[Tuple[float, float]]:
-        """The buffered ``(timestamp, value)`` updates of one signal."""
-        times, values = self.update_arrays(signal)
-        return list(zip(map(float, times), map(float, values)))
+        """The ``(timestamp, value)`` updates of one signal, in order."""
+        times, values = self._held(signal)
+        return list(zip(times, values))
 
     def update_arrays(self, signal: str) -> Tuple[np.ndarray, np.ndarray]:
-        """Buffered ``(timestamps, values)`` as float64 arrays (copies)."""
-        ring = self._rings.get(signal)
-        if ring is None:
-            raise TraceError("no updates recorded for signal %s" % signal)
-        return (
-            ring.times[ring.start : ring.end].copy(),
-            ring.values[ring.start : ring.end].copy(),
-        )
+        """One signal's ``(timestamps, values)`` as float64 arrays
+        (copies, which later recording or trimming leaves alone)."""
+        times, values = self._held(signal)
+        return _floats(times).copy(), _floats(values).copy()
 
     def _raw_updates(self, signal: str) -> Tuple[np.ndarray, np.ndarray]:
-        """``signal``'s buffered ``(timestamps, values)`` as views of its
-        ring, uncopied: what :class:`TraceView` resamples from."""
-        ring = self._rings[signal]
-        return ring.times[ring.start : ring.end], ring.values[ring.start : ring.end]
+        """``signal``'s ``(timestamps, values)`` as numpy views of its
+        columns, uncopied: what :func:`_resample` reads.  They must be
+        dropped before the trace changes again."""
+        times, values = self._columns[signal]
+        return _floats(times), _floats(values)
 
     def time_bounds(self, signal: str) -> Tuple[float, float]:
-        """``(oldest, newest)`` buffered timestamps of one signal.
-
-        O(1) — this is what lets a monitor assert its buffer-row bound
-        on every chunk without walking the buffer.
-        """
-        ring = self._rings.get(signal)
-        if not ring:
+        """``(first, last)`` held timestamps of one signal, in O(1)."""
+        column = self._columns.get(signal)
+        if not column or not column[0]:
             raise TraceError("no updates buffered for signal %s" % signal)
-        return float(ring.times[ring.start]), ring.last()
+        return column[0][0], column[0][-1]
 
-    def is_empty(self) -> bool:
-        """Whether the store currently buffers no updates at all."""
-        return not any(self._rings.values())
+    def _time_columns(self) -> List[array[float]]:
+        columns = [times for times, _ in self._columns.values() if times]
+        if not columns:
+            raise TraceError("trace is empty")
+        return columns
 
     @property
     def start_time(self) -> float:
-        """Timestamp of the earliest *buffered* update."""
-        starts = [self.time_bounds(signal)[0] for signal, ring in self._rings.items() if ring]
-        if not starts:
-            raise TraceError("trace is empty")
-        return min(starts)
+        """Timestamp of the earliest update in the trace.
+
+        The least timestamp, not the least *first* one: an update may
+        step back up to :data:`ORDER_SLACK` from the one before it, so a
+        later update can be the earliest.
+        """
+        return min(float(_floats(times).min()) for times in self._time_columns())
 
     @property
     def end_time(self) -> float:
-        """Timestamp of the latest buffered update."""
-        ends = [ring.last() for ring in self._rings.values() if ring]
-        if not ends:
-            raise TraceError("trace is empty")
-        return max(ends)
+        """Timestamp of the latest update in the trace (the greatest,
+        not the greatest *last* one)."""
+        return max(float(_floats(times).max()) for times in self._time_columns())
+
+    @property
+    def duration(self) -> float:
+        """Time span covered by the trace, in seconds."""
+        return self.end_time - self.start_time
+
+    def is_empty(self) -> bool:
+        """Whether the trace holds no updates at all."""
+        return not any(times for times, _ in self._columns.values())
+
+    def value_at(self, signal: str, timestamp: float) -> float:
+        """Latest value of ``signal`` at or before ``timestamp``."""
+        times, values = self._held(signal)
+        index = bisect.bisect_right(times, timestamp) - 1
+        if index < 0:
+            raise TraceError(
+                "%s has no update at or before t=%.6f" % (signal, timestamp)
+            )
+        return values[index]
+
+    def events(self) -> Iterator[TraceEvent]:
+        """All updates across signals as ``(time, signal, value)``
+        tuples, in :meth:`event_columns` order."""
+        times, signals, values = self.event_columns()
+        return zip(map(float, times), signals, map(float, values))
+
+    def event_columns(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All updates across signals as three columns — float64 times,
+        an object array of signal names and float64 values — ordered by
+        time, ties by signal name, each signal's own updates in order.
+
+        One stable ``lexsort`` over the concatenated per-signal columns;
+        the block ingest paths (:meth:`repro.core.online.OnlineMonitor.feed_trace`,
+        fleet replay) slice these columns and the CSV writer walks them.
+        """
+        names = self.signals()
+        if not names:
+            return np.empty(0), np.empty(0, dtype=object), np.empty(0)
+        columns = [self._columns[name] for name in names]
+        times = np.concatenate([_floats(stamps) for stamps, _ in columns])
+        values = np.concatenate([_floats(readings) for _, readings in columns])
+        codes = np.repeat(np.arange(len(names)), [len(stamps) for stamps, _ in columns])
+        order = np.lexsort((codes, times))
+        return (
+            times[order],
+            np.array(names, dtype=object)[codes[order]],
+            values[order],
+        )
+
+    # ------------------------------------------------------------------
+    # Transformation
+    # ------------------------------------------------------------------
+
+    def sliced(self, t0: float, t1: float, name: str = "") -> "Trace":
+        """A new trace containing only updates with ``t0 <= t <= t1``."""
+        out = Trace(name or self.name)
+        for signal in self.signals():
+            times, values = self._columns[signal]
+            lo = bisect.bisect_left(times, t0)
+            hi = bisect.bisect_right(times, t1)
+            if lo < hi:
+                out._columns[signal] = (times[lo:hi], values[lo:hi])
+        return out
 
     def to_view(
         self,
@@ -574,16 +411,23 @@ class StreamTrace:
         start: Optional[float] = None,
         end: Optional[float] = None,
     ) -> "TraceView":
-        """Resample the buffered window onto a uniform grid.
+        """Resample the trace onto a uniform grid at ``period`` seconds.
 
-        A signal whose updates have all expired (buffered count zero)
-        raises :class:`TraceError` exactly like a missing signal would —
-        the caller cannot evaluate over data it no longer holds.
+        A selected signal holding no updates (never recorded, or all
+        trimmed) raises :class:`TraceError`: a view cannot show data the
+        trace does not hold.
         """
-        for signal in signals or ():
-            if not self._rings.get(signal):
-                raise TraceError("trace has no signal %s" % signal)
         return TraceView(self, period, signals=signals, start=start, end=end)
+
+
+#: The streaming monitor's buffer is a :class:`Trace`; this is its former
+#: name.
+StreamTrace = Trace
+
+
+def _floats(column: array[float]) -> np.ndarray:
+    """``column`` as a float64 array sharing its memory (no copy)."""
+    return np.frombuffer(column, dtype=np.float64)
 
 
 #: Most updates a view bins at once.  A view's resample copies at most
@@ -593,7 +437,7 @@ _BIN_BLOCK = 1 << 16
 
 
 def _update_blocks(
-    updates: Sequence[Tuple[Sequence[float], Sequence[float]]],
+    updates: Sequence[Tuple[np.ndarray, np.ndarray]],
     codes: np.ndarray,
     times: np.ndarray,
     values: np.ndarray,
@@ -609,12 +453,8 @@ def _update_blocks(
             stop = min(total, start + size - filled)
             end = filled + stop - start
             codes[filled:end] = code
-            if stop - start == total:
-                # Unsliced: slicing a list would copy it first.
-                times[filled:end], values[filled:end] = stamps, readings
-            else:
-                times[filled:end] = stamps[start:stop]
-                values[filled:end] = readings[start:stop]
+            times[filled:end] = stamps[start:stop]
+            values[filled:end] = readings[start:stop]
             filled, start = end, stop
             if filled == size:
                 yield filled
@@ -624,7 +464,7 @@ def _update_blocks(
 
 
 def _resample(
-    updates: Sequence[Tuple[Sequence[float], Sequence[float]]],
+    updates: Sequence[Tuple[np.ndarray, np.ndarray]],
     n: int,
     t0: float,
     period: float,
@@ -762,7 +602,7 @@ class _SignalColumns:
         return np.flatnonzero(self.fresh)
 
     @cached_property
-    def _trend(self):
+    def _trend(self) -> Tuple[np.ndarray, np.ndarray]:
         """Freshness-aware delta/rate: difference between the two most
         recent fresh values, held between updates."""
         n = len(self.fresh)
@@ -851,7 +691,7 @@ class TraceView:
             raise TraceError("cannot build a view of an empty trace")
         self.signal_names: Tuple[str, ...] = tuple(signals or trace.signals())
         for signal in self.signal_names:
-            if signal not in trace:
+            if not trace.update_count(signal):
                 raise TraceError("trace has no signal %s" % signal)
         t0 = trace.start_time if start is None else float(start)
         t1 = trace.end_time if end is None else float(end)
@@ -860,7 +700,7 @@ class TraceView:
         n_rows = int(math.floor((t1 - t0) / period + 1e-9)) + 1
         self.times = t0 + period * np.arange(n_rows)
         # The grid columns are built now, for every signal in one pass,
-        # so the view holds no reference into the trace's buffers.
+        # so the view holds no reference into the trace's columns.
         self._columns: Dict[str, _SignalColumns] = dict(
             zip(
                 self.signal_names,

@@ -39,6 +39,7 @@ from repro.core.intent import (
 from repro.core.monitor import Rule
 from repro.core.statemachine import StateMachine
 from repro.core.warmup import WarmupSpec, activation_warmup
+from repro.errors import positive_seconds
 
 #: Ids of the seven paper rules, in order.
 RULE_IDS: Tuple[str, ...] = (
@@ -253,8 +254,11 @@ def freshness_rule(signal: str, max_age: float, period: float = 0.02) -> Rule:
     Value-based rules are blind to a *silent* sensor — every held sample
     still satisfies them.  This rule bounds the age of the most recent
     update instead, catching lost messages and dead nodes.  ``max_age``
-    is in seconds; it is converted to monitor rows.
+    is in seconds; it is converted to monitor rows of ``period`` seconds.
+    Both must be positive and finite (:class:`ParameterError`).
     """
+    max_age = positive_seconds("max_age", max_age)
+    period = positive_seconds("period", period)
     max_rows = max(1, int(round(max_age / period)))
     return Rule.from_text(
         rule_id="fresh_%s" % signal.lower(),

@@ -310,8 +310,8 @@ VIEW_COLUMNS = (
 def loop_view_columns(trace, view: TraceView) -> Dict[str, Dict[str, np.ndarray]]:
     """Resample each of ``view``'s signals from ``trace`` one signal at a
     time, on ``view``'s grid: the oracle for the one-pass resample behind
-    :meth:`Trace.to_view` and :meth:`StreamTrace.to_view`.  Returns
-    ``{signal: {column: array}}`` over :data:`VIEW_COLUMNS`."""
+    :meth:`Trace.to_view`.  Returns ``{signal: {column: array}}`` over
+    :data:`VIEW_COLUMNS`."""
     columns: Dict[str, Dict[str, np.ndarray]] = {}
     for signal in view.signal_names:
         times, values = trace.update_arrays(signal)
@@ -400,7 +400,7 @@ class PerSignalColumns:
 def loop_feed(
     monitor: OnlineMonitor, timestamp: float, signal: str, value: float
 ) -> List[Violation]:
-    """Feed one event through one :meth:`StreamTrace.record`, emitting a
+    """Feed one event through one :meth:`Trace.record`, emitting a
     chunk after every event that makes ``min_chunk_rows`` new rows
     decidable: the oracle for :meth:`OnlineMonitor.feed_block`."""
     if monitor._finished:

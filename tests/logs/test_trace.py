@@ -1,16 +1,20 @@
 """Trace and TraceView semantics — the monitor's data model."""
 
+import io
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import multirate_trace, uniform_trace
+import repro.logs.format as log_format
+from helpers import VIEW_COLUMNS, multirate_trace, uniform_trace
 from repro.errors import ParameterError, TraceError
-from repro.logs.trace import _BIN_BLOCK, Trace
+from repro.logs.format import HEADER_PREFIX, read_trace
+from repro.logs.trace import _BIN_BLOCK, ORDER_SLACK, Trace
 
 
 class TestRecording:
@@ -96,6 +100,30 @@ class TestInspection:
         assert trace.start_time == 1.0
         assert trace.end_time == 2.0
         assert trace.duration == 1.0
+
+    def test_times_bound_every_update(self):
+        # Regression: start_time was the least *first* update, so a step
+        # back inside the order slack left it above end_time, and chained
+        # step-backs drifted past it by more than the slack.
+        trace = Trace()
+        trace.record("a", 0.0, 1.0)
+        trace.record("a", -4e-13, 2.0)
+        assert (trace.start_time, trace.end_time) == (-4e-13, 0.0)
+        for step in range(1, 11):
+            trace.record("b", -0.9 * ORDER_SLACK * step, 3.0)
+        assert trace.start_time == -9 * ORDER_SLACK
+        assert trace.start_time < -ORDER_SLACK
+        assert trace.end_time == 0.0
+
+    def test_times_of_a_trimmed_trace_bound_every_update(self):
+        trace = Trace()
+        for timestamp in (0.0, 1.0, 1.0 - 4e-13, 2.0, 2.0 - 4e-13):
+            trace.record("a", timestamp, 0.0)
+        trace.trim(1.0)  # drops t=0 only: the leading updates before 1.0
+        assert trace.updates("a")[0][0] == 1.0
+        assert trace.start_time == 1.0 - 4e-13
+        assert trace.end_time == 2.0
+        assert trace.duration == 2.0 - (1.0 - 4e-13)
 
     def test_empty_trace_reports(self):
         trace = Trace()
@@ -187,6 +215,29 @@ class TestViewSampling:
         trace = uniform_trace({"a": [1, 2], "b": [3, 4]})
         view = trace.to_view(0.02)
         assert view.row_values(1) == {"a": 2.0, "b": 4.0}
+
+
+class TestViewIsolation:
+    def test_recording_and_trimming_leave_a_live_view_alone(self):
+        """A view hands the trace's columns to numpy without copying
+        them, and a column cannot resize while a numpy view of it lives:
+        the view must keep none, or the next append raises BufferError.
+        And later changes to the trace must not reach the view."""
+        trace = multirate_trace({"f": range(8)}, {"s": [1.0, 5.0]})
+        view = trace.to_view(0.02)
+        before = {
+            (signal, column): getattr(view, column)(signal).copy()
+            for signal in view.signal_names
+            for column in VIEW_COLUMNS
+        }
+        trace.record("f", 1.0, 99.0)
+        trace.recorder(("s",))(1.0, {"s": 99.0})
+        trace.extend(("f", "s"), np.array([0, 1]), np.full(2, 2.0), np.full(2, 7.0))
+        assert trace.trim(0.07) > 0
+        trace.record("f", 3.0, 0.0)
+        for (signal, column), want in before.items():
+            got = getattr(view, column)(signal)
+            assert got.tobytes() == want.tobytes(), (signal, column)
 
 
 class TestViewTrends:
@@ -309,7 +360,8 @@ class TestViewMemory:
 
 
 class TestStreamTrace:
-    """The deque-backed store behind the online monitor's rolling buffer."""
+    """Trimming and block recording: the rolling buffer of the online
+    monitor, reached here through the ``StreamTrace`` alias."""
 
     def _stream(self, n=10, period=0.02):
         from repro.logs.trace import StreamTrace
@@ -357,8 +409,8 @@ class TestStreamTrace:
 
     def test_trim_matches_trace_sliced_semantics(self):
         """StreamTrace.trim(t) must keep exactly what Trace.sliced(t, inf)
-        keeps — that equality is what makes the ring-buffer refactor a
-        pure representation change."""
+        keeps — that equality is what makes trimming a pure
+        representation change."""
         trace = Trace()
         stream = self._stream(20)
         for i in range(20):
@@ -388,39 +440,83 @@ class TestStreamTrace:
             max_size=12,
         ),
         st.integers(0, 12),
+        st.sampled_from([16, 64, log_format._BLOCK_CHARS]),
     )
-    def test_extend_matches_record_one_update_at_a_time(self, updates, split):
-        """``extend`` is ``record`` a block at a time: the same updates
-        stored, the same first error, after the same prefix."""
+    def test_extend_matches_record_one_update_at_a_time(
+        self, updates, split, block_chars
+    ):
+        """Every recording path stores what ``record`` stores, one update
+        at a time, and stops at the same first bad update with the same
+        error: a one-signal ``recorder`` per update, ``extend`` of the
+        updates from the drawn split on, and the CSV reader (at three
+        block sizes) over a log of the same updates.
+
+        The log is written line by line in arrival order with each
+        float's exact ``repr``: ``write_trace`` rounds times to
+        microseconds and sorts them, so it cannot write a trace that
+        ``record`` refuses.  The reader names a non-finite time by its
+        line; every other error has ``record``'s text."""
         from repro.logs.trace import StreamTrace
 
         names = ("a", "b", "c")
-        head, tail = updates[:split], updates[split:]
-        expected, stream = StreamTrace(), StreamTrace()
-        for store in (expected, stream):
-            for i, (signal, _) in enumerate(head):
-                store.record(signal, 0.1 * i, 0.0)
-        accepted, error = len(tail), None
-        for i, (signal, timestamp) in enumerate(tail):
+        head = [(signal, 0.1 * i, 0.0) for i, (signal, _) in enumerate(updates[:split])]
+        tail = [(signal, t, float(i)) for i, (signal, t) in enumerate(updates[split:])]
+        updates = head + tail
+        expected = Trace()
+        accepted, error = len(updates), None
+        for i, update in enumerate(updates):
             try:
-                expected.record(signal, timestamp, float(i))
+                expected.record(*update)
             except TraceError as exc:
                 accepted, error = i, str(exc)
                 break
-        codes = np.array([names.index(signal) for signal, _ in tail], dtype=np.intp)
-        times = np.array([timestamp for _, timestamp in tail], dtype=float)
-        values = np.arange(len(tail), dtype=float)
-        if error is None:
-            stream.extend(names, codes, times, values)
-        else:
-            with pytest.raises(TraceError) as caught:
-                stream.extend(names, codes, times, values)
-            assert str(caught.value) == error
-            assert caught.value.accepted == accepted
-        for signal in names:
-            assert stream.update_count(signal) == expected.update_count(signal)
-            if expected.update_count(signal):
-                assert stream.updates(signal) == expected.updates(signal)
+
+        def by_recorder(store):
+            for signal, timestamp, value in updates:
+                store.recorder((signal,))(timestamp, {signal: value})
+
+        def by_extend(store):
+            for update in head:
+                store.record(*update)
+            store.extend(
+                names,
+                np.array([names.index(signal) for signal, _, _ in tail], dtype=np.intp),
+                np.array([timestamp for _, timestamp, _ in tail], dtype=float),
+                np.array([value for _, _, value in tail], dtype=float),
+            )
+
+        stores = {}
+        for path, fill in (("recorder", by_recorder), ("extend", by_extend)):
+            store = stores[path] = StreamTrace()
+            try:
+                fill(store)
+            except TraceError as exc:
+                assert str(exc) == error, path
+                if path == "extend":
+                    assert exc.accepted == accepted - len(head)
+            else:
+                assert error is None, path
+
+        log = "%s\ntime,signal,value\n" % HEADER_PREFIX + "".join(
+            "%r,%s,%r\n" % (timestamp, signal, value)
+            for signal, timestamp, value in updates
+        )
+        with mock.patch.object(log_format, "_BLOCK_CHARS", block_chars):
+            try:
+                stores["read_trace"] = read_trace(io.StringIO(log))
+            except TraceError as exc:
+                bad = updates[accepted][1]
+                if not math.isfinite(bad):
+                    error = "line %d: non-finite timestamp %r" % (accepted + 3, bad)
+                assert str(exc) == error
+            else:
+                assert error is None
+
+        for path, store in stores.items():
+            for signal in names:
+                assert store.update_count(signal) == expected.update_count(signal), path
+                if expected.update_count(signal):
+                    assert store.updates(signal) == expected.updates(signal), path
 
     def test_to_view_matches_trace_view(self):
         from repro.logs.trace import StreamTrace

@@ -4,10 +4,10 @@ resample it replaced (``helpers.loop_view_columns``).
 Every column of every signal — held values, freshness, update times,
 both trends, rates and fresh ages — must equal the oracle's byte for
 byte (dtype, shape and raw bytes, so -0.0 and NaN payloads count), for
-:class:`Trace` views and for :class:`StreamTrace` views before and
-after a trim.  Every case runs at the module's block size and with the
-block shrunk to 1 and 5 updates, so a view's binning and hold fill
-span many blocks.
+:class:`Trace` views of recorded traces and of block-recorded ones
+before and after a trim.  Every case runs at the module's block size
+and with the block shrunk to 1 and 5 updates, so a view's binning and
+hold fill span many blocks.
 """
 
 import math
@@ -41,7 +41,8 @@ def assert_matches_oracle(store, period, **window):
 
 
 def stream_of(trace):
-    """A :class:`StreamTrace` holding ``trace``'s updates."""
+    """A :class:`StreamTrace` holding ``trace``'s updates, recorded as
+    one :meth:`~repro.logs.trace.Trace.extend` block."""
     stream = StreamTrace(trace.name)
     times, signals, values = trace.event_columns()
     names = trace.signals()
@@ -108,11 +109,7 @@ def test_stream_views_match_the_per_signal_oracle(data):
     trace = data.draw(traces())
     stream = stream_of(trace)
     if data.draw(st.booleans()):
-        # A step back inside the order slack can leave the first update
-        # after the last one, so the trim point is drawn between the two
-        # in either order.
-        bounds = sorted([trace.start_time, trace.end_time])
-        stream.trim(data.draw(st.floats(*bounds)))
+        stream.trim(data.draw(st.floats(trace.start_time, trace.end_time)))
     period = data.draw(PERIODS)
     # Views refuse a selected signal whose updates all expired.
     live = [signal for signal in stream.signals() if stream.update_count(signal)]

@@ -33,7 +33,7 @@ from repro.fleet.replay import assign_streams
 from repro.fleet.service import FleetService
 from repro.fleet.status import StatusServer
 from repro.logs.trace import TraceView
-from repro.rules.safety_rules import paper_specset
+from repro.rules.safety_rules import freshness_rule, paper_specset
 from repro.testing.ballista import ballista_values
 from repro.testing.bitflip import bitflip_offsets
 from repro.testing.campaign import RobustnessCampaign
@@ -95,6 +95,10 @@ LIBRARY = [
      lambda v: analyze_margins_specs(paper_specset(), period=v)),
     ("analyze_automata.period", "positive seconds", "period",
      lambda v: analyze_automata(SPEED, period=v)),
+    ("freshness_rule.max_age", "positive seconds", "max_age",
+     lambda v: freshness_rule("TargetRange", v)),
+    ("freshness_rule.period", "positive seconds", "period",
+     lambda v: freshness_rule("TargetRange", 0.5, period=v)),
     ("OnlineMonitor.retention", "non-negative seconds", "retention",
      lambda v: OnlineMonitor(RULES, retention=v)),
     ("FleetService.retention", "non-negative seconds", "retention",
