@@ -25,8 +25,10 @@ def main() -> None:
     )
 
     # Attach the monitor to the live bus, exactly like a bolt-on box:
-    # each frame's signals arrive as one block of events.
-    def on_frame(message, timestamp, values):
+    # the bus asks a listener for its sink of each message, and here
+    # every message gets the same one.  Each frame's signals arrive as
+    # one block of events.
+    def on_frame(timestamp, values):
         for violation in online.feed_block(
             [timestamp] * len(values),
             list(values),
@@ -34,7 +36,7 @@ def main() -> None:
         ):
             print("  LIVE %s" % violation)
 
-    simulator.bus.add_listener(on_frame)
+    simulator.bus.add_listener(lambda message: on_frame)
 
     print("\ndriving nominally for 15 s ...")
     simulator.run_for(15.0)

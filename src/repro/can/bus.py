@@ -8,10 +8,10 @@ delay, which is the mechanism behind the paper's observation that a slow
 message occasionally arrives after five fast-message updates instead of
 four (§V-C1).
 
-Frame *taps* are transformation hooks applied to the encoded payload just
-before delivery; the robustness-testing injection harness installs itself
-as a tap, which is how injected and bit-flipped values become visible to
-both the system under test and the monitor.
+Frame *taps* are transformation hooks applied to a frame's raw fields
+just before delivery; the robustness-testing injection harness installs
+itself as a tap, which is how injected and bit-flipped values become
+visible to both the system under test and the monitor.
 
 Sending a frame is the testbench's hot path, so each frame does only the
 work something consumes:
@@ -23,14 +23,19 @@ work something consumes:
 * **Declared tap targets.**  A tap may declare the live set of message
   names it can rewrite or drop; it sees only their frames.  A tap that
   declares nothing sees every frame.
-* **Payload-free delivery.**  Only a frame some tap may rewrite is
-  encoded into a payload (and, when a tap did rewrite it, decoded from
-  a :class:`~repro.can.frame.CanFrame`).  Every other frame reaches the
-  listeners with the values :meth:`repro.can.codec.FrameCodec.deliver`
-  gives, which are what a decode of its payload would yield.
+* **Payload-free delivery.**  No frame is encoded into a payload.
+  :meth:`repro.can.codec.FrameCodec.deliver` converts the provided
+  values once into the values a decode of the payload would yield and,
+  for a frame some tap may rewrite, into its raw fields.  The taps
+  rewrite those fields in place, and only a rewritten list is turned
+  back into values (:meth:`repro.can.codec.FrameCodec.values`).
+* **Compiled delivery.**  A listener is asked once per published
+  message for that message's *frame sink*, a callable taking the
+  frame's timestamp and values, or ``None`` when it does not listen to
+  the message; each message's sinks are compiled into one call.
 
-Listeners therefore receive a frame's message, timestamp and values,
-not a :class:`~repro.can.frame.CanFrame`.
+Listeners therefore receive a frame's timestamp and values, not a
+:class:`~repro.can.frame.CanFrame`.
 """
 
 from __future__ import annotations
@@ -50,20 +55,26 @@ from typing import (
 
 import numpy as np
 
+from repro.can.codec import FrameCodec
 from repro.can.database import CanDatabase, MessageDef
 from repro.can.errors import BusError
 from repro.can.frame import CanFrame
 from repro.can.signal import SignalValue
-from repro.errors import non_negative_seconds
+from repro.errors import non_negative_seconds, positive_seconds
 
 #: Provides the publisher's current signal values for one message.
 Provider = Callable[[], Mapping[str, SignalValue]]
-#: Receives every delivered frame: its message, its timestamp and the
-#: values a decode of its payload yields.
-Listener = Callable[[MessageDef, float, Dict[str, SignalValue]], None]
-#: Transforms an encoded payload before delivery (e.g. fault injection).
-#: Returning ``None`` suppresses the transmission entirely (message loss).
-FrameTap = Callable[[MessageDef, bytes, float], Optional[bytes]]
+#: Receives one message's delivered frames: each frame's timestamp and
+#: the values a decode of its payload yields.
+FrameSink = Callable[[float, Dict[str, SignalValue]], None]
+#: Asked once per published message for that message's frame sink, or
+#: ``None`` when it does not listen to the message.
+Listener = Callable[[MessageDef], Optional[FrameSink]]
+#: Rewrites a frame's raw fields (in the message's signal order) before
+#: delivery, e.g. fault injection.  Returns the fields to deliver (the
+#: given list, rewritten in place or not), or ``None`` to suppress the
+#: transmission entirely (message loss).
+FrameTap = Callable[[MessageDef, List[int], float], Optional[List[int]]]
 
 
 #: Unit draws taken from the jitter generator at a time.
@@ -96,21 +107,58 @@ class JitterModel:
 
 
 class _Scheduled:
-    """One published message on the due list."""
+    """One published message on the due list, with its compiled
+    delivery."""
 
-    __slots__ = ("due", "message", "provider", "deliver")
+    __slots__ = (
+        "due", "message", "name", "provider", "codec", "deliver", "sinks", "sink"
+    )
 
     def __init__(
         self,
         due: float,
         message: MessageDef,
         provider: Provider,
-        deliver: Callable[[Mapping[str, SignalValue]], Dict[str, SignalValue]],
+        codec: FrameCodec,
     ) -> None:
         self.due = due
         self.message = message
+        self.name = message.name
         self.provider = provider
-        self.deliver = deliver
+        self.codec = codec
+        #: ``codec.deliver``, bound once: it runs for every frame.
+        self.deliver = codec.deliver
+        #: The listeners' sinks for this message, in listener order.
+        self.sinks: List[FrameSink] = []
+        #: One call delivering a frame to every sink (``None``: no sink).
+        self.sink: Optional[FrameSink] = None
+
+    def add_sink(self, sink: Optional[FrameSink]) -> None:
+        if sink is not None:
+            self.sinks.append(sink)
+            self.sink = _fan_out(tuple(self.sinks))
+
+
+def _fan_out(sinks: Tuple[FrameSink, ...]) -> FrameSink:
+    """One call delivering a frame to each of ``sinks`` in turn."""
+    if len(sinks) == 1:
+        return sinks[0]
+    if len(sinks) == 2:
+        # The simulator's carriers of FSRACC inputs (the recorder and the
+        # input feed), without a loop: this runs for most frames.
+        first, second = sinks
+
+        def both(timestamp: float, values: Dict[str, SignalValue]) -> None:
+            first(timestamp, values)
+            second(timestamp, values)
+
+        return both
+
+    def every(timestamp: float, values: Dict[str, SignalValue]) -> None:
+        for sink in sinks:
+            sink(timestamp, values)
+
+    return every
 
 
 class _AnyTarget:
@@ -153,7 +201,7 @@ class CanBus:
         self._taps: List[Tuple[FrameTap, Optional[AbstractSet[str]]]] = []
         #: Holds the name of every message some tap may rewrite.
         self._tapped: AbstractSet[str] = frozenset()
-        self._phase_stagger = phase_stagger
+        self._phase_stagger = non_negative_seconds("phase_stagger", phase_stagger)
         #: The due list, one entry per published message, in CAN id
         #: order (so a stable sort by due breaks ties by id).
         self._schedule: List[_Scheduled] = []
@@ -166,27 +214,32 @@ class CanBus:
         message = self.database.message_by_name(message_name)
         if message_name in self._published:
             raise BusError("message %s already has a publisher" % message_name)
-        # The checks a frame of this message makes, made once: its
-        # payload is only built when a tap may rewrite it.
+        # The checks a frame of this message makes, made once: the bus
+        # builds no frames.
         CanFrame(message.can_id, bytes(message.length))
         entry = _Scheduled(
             (message.can_id % 16) * self._phase_stagger,
             message,
             provider,
-            self.database.codec(message_name).deliver,
+            self.database.codec(message_name),
         )
+        for listener in self._listeners:
+            entry.add_sink(listener(message))
         self._published[message_name] = entry
         self._schedule.append(entry)
         self._schedule.sort(key=lambda scheduled: scheduled.message.can_id)
 
     def add_listener(self, listener: Listener) -> None:
-        """Attach a passive listener that receives every delivered frame."""
+        """Attach a passive listener: it is asked for its frame sink of
+        every published message, now and as publishers attach."""
         self._listeners.append(listener)
+        for entry in self._schedule:
+            entry.add_sink(listener(entry.message))
 
     def add_frame_tap(
         self, tap: FrameTap, targets: Optional[AbstractSet[str]] = None
     ) -> None:
-        """Install a payload transformation hook (fault injection point).
+        """Install a raw-field transformation hook (fault injection point).
 
         ``targets``, when given, is the live set of names of the messages
         the tap may rewrite or drop: its owner keeps it current, and the
@@ -235,20 +288,19 @@ class CanBus:
             due_now.sort(key=_due)
         delay = self.jitter.delay
         tapped = self._tapped
-        listeners = self._listeners
         sent = 0
         try:
             for due, entry in due_now:
-                message = entry.message
                 timestamp = due + delay()
-                if message.name in tapped:
+                if entry.name in tapped:
                     values = self._rewrite(entry, timestamp)
                     if values is None:
                         continue
                 else:
                     values = entry.deliver(entry.provider())
-                for listener in listeners:
-                    listener(message, timestamp, values)
+                sink = entry.sink
+                if sink is not None:
+                    sink(timestamp, values)
                 sent += 1
         finally:
             self.frames_sent += sent
@@ -256,6 +308,8 @@ class CanBus:
 
     def run_until(self, end: float, dt: float = 0.01) -> None:
         """Convenience driver: step the bus alone up to ``end`` seconds."""
+        end = non_negative_seconds("end", end)
+        dt = positive_seconds("dt", dt)
         t = 0.0
         while t < end:
             t += dt
@@ -264,22 +318,22 @@ class CanBus:
     def _rewrite(
         self, entry: _Scheduled, timestamp: float
     ) -> Optional[Dict[str, SignalValue]]:
-        """Encode one frame and pass it through the taps that may rewrite
+        """Pass one frame's raw fields through the taps that may rewrite
         it; returns the values to deliver, or ``None`` when a tap
         suppressed the transmission (message loss)."""
-        message = entry.message
-        provided = entry.provider()
-        sent = data = self.database.encode(message.name, provided)
+        message, codec = entry.message, entry.codec
+        raws: Optional[List[int]] = codec.fields()
+        values = entry.deliver(entry.provider(), raws)
+        provided = list(raws)
         for tap, targets in self._taps:
-            if targets is None or message.name in targets:
-                data = tap(message, data, timestamp)
-                if data is None:
+            if targets is None or entry.name in targets:
+                raws = tap(message, raws, timestamp)
+                if raws is None:
                     self.frames_dropped += 1
                     return None
-        if data is sent:
-            return entry.deliver(provided)
-        # A tap rewrote the payload: deliver what is on the wire.
-        _, values = self.database.decode(CanFrame(message.can_id, data, timestamp))
+        if raws != provided:
+            # A tap rewrote a field: deliver what is on the wire.
+            return codec.values(raws)
         return values
 
     def _retap(self) -> None:

@@ -2,9 +2,9 @@
 
 The codec is deliberately round-trip exact: ``decode(encode(x)) == x`` for
 every representable value, including IEEE-754 exceptional values.  Bit
-flips performed by the robustness-testing harness operate on the packed
-payload, so the codec is also the place where a flipped bit turns into a
-NaN, an infinity, or a wild enumerated value.
+flips performed by the robustness-testing harness operate on a frame's
+raw fields, so the codec is also the place where a flipped bit turns
+into a NaN, an infinity, or a wild enumerated value.
 """
 
 from __future__ import annotations
@@ -40,10 +40,7 @@ def insert_raw(data: bytes, signal: SignalDef, raw: int) -> bytes:
     """Return a copy of ``data`` with ``signal``'s field replaced by ``raw``."""
     _check_fits(data, signal)
     if not 0 <= raw <= signal.max_raw:
-        raise CodecError(
-            "%s: raw value %d does not fit in %d bits"
-            % (signal.name, raw, signal.bit_length)
-        )
+        raise _raw_too_wide(signal.name, raw, signal.max_raw)
     if signal.byte_order is ByteOrder.LITTLE_ENDIAN:
         whole = int.from_bytes(data, "little")
         mask = signal.max_raw << signal.start_bit
@@ -121,8 +118,14 @@ class FrameCodec:
     its shift, mask and kind; the payload integer is little-endian, and
     a big-endian field is placed by byte-swapping its big-endian image,
     so messages that mix byte orders code exactly as the per-signal
-    functions do.  :meth:`deliver` gives what a decode of an encoded
-    payload yields without building the payload.
+    functions do.
+
+    A frame can also be handled as its list of raw fields, in field
+    order, without a payload: :meth:`deliver` gives what a decode of an
+    encoded payload yields and, on request, the raw fields that payload
+    carries; :meth:`values` is the raws-to-values half of
+    :meth:`decode`.  Only a layout whose fields share payload bits packs
+    and decodes a payload on these paths.
     """
 
     def __init__(self, length: int, signals: Sequence[SignalDef]) -> None:
@@ -158,11 +161,17 @@ class FrameCodec:
         """Pack ``values`` (defaults for missing signals) into a payload."""
         raws: List[int] = []
         self.deliver(values, raws)
-        whole = 0
-        for (big, shift, keep), raw in zip(self._places, raws):
-            placed = self._swap(raw << shift) if big else raw << shift
-            whole = (whole & keep) | placed
-        return whole.to_bytes(self.length, "little")
+        return self._pack(raws)
+
+    def fields(self) -> List[int]:
+        """An empty list for :meth:`deliver` to fill with raw fields.
+
+        For a layout whose fields share payload bits, writing an item of
+        the list rewrites the bits it shares in the other items, as
+        :func:`insert_raw` into the payload would, so the list always
+        holds what a decode of its payload extracts.
+        """
+        return _SharedFields(self) if self._overlap else []
 
     def deliver(
         self, values: Mapping[str, SignalValue], raws: Optional[List[int]] = None
@@ -172,13 +181,13 @@ class FrameCodec:
         This is :meth:`encode`'s per-field conversion, with every
         :class:`CodecError` check it makes: each value becomes its raw
         field and the value a decode of that field yields.  ``raws``,
-        when given, receives the raw fields in field order (what
-        :meth:`encode` packs).  A layout whose fields share payload bits
-        is encoded and decoded instead, since there a later field
+        when given, receives the raw fields that payload carries, in
+        field order.  A layout whose fields share payload bits is
+        packed and decoded instead, since there a later field
         overwrites part of an earlier one.
         """
-        if self._overlap and raws is None:
-            return self.decode(self.encode(values))
+        shared = self._overlap
+        placed: Optional[List[int]] = [] if shared else raws
         delivered: Dict[str, SignalValue] = {}
         for name, kind, max_raw, default in self._fields:
             value = values.get(name, default)
@@ -190,18 +199,53 @@ class FrameCodec:
                 except (OverflowError, ValueError, TypeError) as exc:
                     raise _not_float32(name, value) from exc
                 delivered[name] = _unpack32(packed)[0]
-                if raws is not None:
-                    raws.append(int.from_bytes(packed, "little"))
+                if placed is not None:
+                    placed.append(int.from_bytes(packed, "little"))
             elif kind is _BOOL:
                 delivered[name] = bool(value)
-                if raws is not None:
-                    raws.append(1 if value else 0)
+                if placed is not None:
+                    placed.append(1 if value else 0)
             else:
                 # A plain int, as a decode gives, also for int subclasses.
                 raw = delivered[name] = int(_check_enum(name, value, max_raw))
-                if raws is not None:
-                    raws.append(raw)
+                if placed is not None:
+                    placed.append(raw)
+        if shared:
+            extracted = self._extract(self._pack(placed or ()))
+            if raws is not None:
+                raws.extend(extracted)
+            return self._physical(extracted)
         return delivered
+
+    def values(self, raws: Sequence[int]) -> Dict[str, SignalValue]:
+        """What :meth:`decode` yields for the payload carrying the raw
+        fields ``raws`` (one per field, in field order).
+
+        A raw outside its field raises :class:`CodecError`, as
+        :func:`insert_raw` does.  A layout whose fields share payload
+        bits packs ``raws`` in field order (a later field wins a shared
+        bit, as in :meth:`encode`) and decodes the payload.
+        """
+        if len(raws) != len(self._fields):
+            raise CodecError(
+                "%d raw fields for a %d-field message"
+                % (len(raws), len(self._fields))
+            )
+        # _physical with the range check, in one pass: this runs for
+        # every frame a tap rewrote.
+        values: Dict[str, SignalValue] = {}
+        for (name, kind, max_raw, _), raw in zip(self._fields, raws):
+            if not 0 <= raw <= max_raw:
+                raise _raw_too_wide(name, raw, max_raw)
+            if kind is _FLOAT:
+                values[name] = _unpack32(raw.to_bytes(4, "little"))[0]
+            elif kind is _BOOL:
+                values[name] = bool(raw & 1)
+            else:
+                values[name] = raw
+        if self._overlap:
+            return self.decode(self._pack(raws))
+        return values
 
     def decode(self, data: bytes) -> Dict[str, SignalValue]:
         """Unpack every signal from ``data`` (at least ``length`` bytes).
@@ -210,20 +254,36 @@ class FrameCodec:
         :func:`extract_raw` counts it, so a longer payload decodes as
         the per-signal functions decode it.
         """
+        return self._physical(self._extract(data))
+
+    def _pack(self, raws: Iterable[int]) -> bytes:
+        """The payload carrying ``raws``, placed in field order."""
+        whole = 0
+        for (big, shift, keep), raw in zip(self._places, raws):
+            placed = self._swap(raw << shift) if big else raw << shift
+            whole = (whole & keep) | placed
+        return whole.to_bytes(self.length, "little")
+
+    def _extract(self, data: bytes) -> List[int]:
+        """The raw fields ``data`` carries, in field order."""
         whole = int.from_bytes(data, "little")
         if self._has_big:
             whole_big = int.from_bytes(data, "big")
             extra = 8 * (len(data) - self.length)
-        values: Dict[str, SignalValue] = {}
-        for (name, kind, max_raw, _), (big, shift, _) in zip(
-            self._fields, self._places
-        ):
+        raws: List[int] = []
+        for (_, _, max_raw, _), (big, shift, _) in zip(self._fields, self._places):
             if big:
-                raw = (whole_big >> (shift + extra)) & max_raw
+                raws.append((whole_big >> (shift + extra)) & max_raw)
             else:
-                raw = (whole >> shift) & max_raw
+                raws.append((whole >> shift) & max_raw)
+        return raws
+
+    def _physical(self, raws: Iterable[int]) -> Dict[str, SignalValue]:
+        """Each raw field converted to its physical value."""
+        values: Dict[str, SignalValue] = {}
+        for (name, kind, _, _), raw in zip(self._fields, raws):
             if kind is _FLOAT:
-                values[name] = _FLOAT32.unpack(raw.to_bytes(4, "little"))[0]
+                values[name] = _unpack32(raw.to_bytes(4, "little"))[0]
             elif kind is _BOOL:
                 values[name] = bool(raw & 1)
             else:
@@ -235,6 +295,29 @@ class FrameCodec:
         return int.from_bytes(whole.to_bytes(self.length, "big"), "little")
 
 
+class _SharedFields(List[int]):
+    """The raw fields of a layout whose fields share payload bits
+    (see :meth:`FrameCodec.fields`): writing a field inserts it into the
+    payload the list carries and re-extracts every field."""
+
+    __slots__ = ("_codec",)
+
+    def __init__(self, codec: FrameCodec) -> None:
+        super().__init__()
+        self._codec = codec
+
+    def __setitem__(self, index: int, raw: int) -> None:  # type: ignore[override]
+        codec = self._codec
+        name, _, max_raw, _ = codec._fields[index]
+        if not 0 <= raw <= max_raw:
+            raise _raw_too_wide(name, raw, max_raw)
+        big, shift, keep = codec._places[index]
+        whole = int.from_bytes(codec._pack(self), "little")
+        placed = codec._swap(raw << shift) if big else raw << shift
+        payload = ((whole & keep) | placed).to_bytes(codec.length, "little")
+        super().__setitem__(slice(None), codec._extract(payload))
+
+
 def _pack_float(name: str, value: SignalValue) -> bytes:
     try:
         return _FLOAT32.pack(float(value))
@@ -244,6 +327,13 @@ def _pack_float(name: str, value: SignalValue) -> bytes:
 
 def _not_float32(name: str, value: SignalValue) -> CodecError:
     return CodecError("%s: cannot encode %r as float32" % (name, value))
+
+
+def _raw_too_wide(name: str, raw: int, max_raw: int) -> CodecError:
+    return CodecError(
+        "%s: raw value %d does not fit in %d bits"
+        % (name, raw, max_raw.bit_length())
+    )
 
 
 def _check_enum(name: str, value: SignalValue, max_raw: int) -> int:

@@ -4,20 +4,25 @@ The paper routed every FSRACC input through an added multiplexor with an
 *inject value* and an *enable* signal, so each input could be individually
 passed through or overwritten.  Here the same mechanism is realized as a
 bus frame tap: when an injection is enabled for a signal, the tap rewrites
-that signal's field in every outgoing frame that carries it.  Because the
-rewrite happens on the wire, both the feature under test and the passive
-monitor observe the injected value — exactly the black-box interception
-the paper describes.
+that signal's raw field in every outgoing frame that carries it.  Because
+the rewrite happens on the wire, both the feature under test and the
+passive monitor observe the injected value — exactly the black-box
+interception the paper describes.
 
-Four injection modes exist:
+The tap sees a frame as its list of raw fields, in the message's signal
+order (see :mod:`repro.can.bus`), and writes field ``i`` of the list;
+the bus turns a rewritten list back into the values a decode of the
+payload would yield.  Four injection modes exist:
 
-* **value** injection — the field is re-encoded with a chosen physical
-  value (subject to the active profile's type checking);
+* **value** injection — the field is overwritten with the raw encoding
+  of a chosen physical value (subject to the active profile's type
+  checking);
 * **bit-flip** injection — chosen bits of the signal's raw field are
-  inverted in the encoded payload (faults at the bit level; on the HIL
-  profile results decoding to invalid enums are suppressed, §V-C3);
-* **stick** injection — the signal freezes at its last transmitted value
-  (a stuck sensor: frames keep flowing but the value never changes);
+  inverted (faults at the bit level; on the HIL profile results
+  decoding to invalid enums are suppressed, §V-C3);
+* **stick** injection — the signal freezes at the raw field it carried
+  when the injection first saw it (a stuck sensor: frames keep flowing
+  but the value never changes);
 * **silence** injection — the signal's carrier message stops being
   transmitted entirely (a silent node / lost message: downstream
   consumers and the monitor hold stale data, and ``age()``-based
@@ -30,12 +35,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-from repro.can.codec import (
-    extract_raw,
-    insert_raw,
-    physical_to_raw,
-    raw_to_physical,
-)
+from repro.can.codec import physical_to_raw, raw_to_physical
 from repro.can.database import CanDatabase, MessageDef
 from repro.can.signal import SignalDef, SignalValue
 from repro.errors import InjectionError
@@ -51,6 +51,11 @@ class InjectionMode(enum.Enum):
     SILENCE = "silence"
 
 
+_VALUE = InjectionMode.VALUE
+_STICK = InjectionMode.STICK
+_SILENCE = InjectionMode.SILENCE
+
+
 @dataclass
 class ActiveInjection:
     """One enabled multiplexor override."""
@@ -60,16 +65,14 @@ class ActiveInjection:
     value: Optional[SignalValue] = None
     bit_offsets: Tuple[int, ...] = ()
     stuck_raw: Optional[int] = None
-    #: The raw field a VALUE injection writes, encoded on first use.
-    value_raw: Optional[int] = None
+    #: The raw field a VALUE injection writes, encoded when enabled.
+    value_raw: int = 0
+    #: The raw-field bits a BITFLIP injection inverts.
+    flip_mask: int = field(init=False, default=0)
 
-    @property
-    def flip_mask(self) -> int:
-        """The raw-field bits a BITFLIP injection inverts."""
-        mask = 0
+    def __post_init__(self) -> None:
         for offset in self.bit_offsets:
-            mask |= 1 << offset
-        return mask
+            self.flip_mask |= 1 << offset
 
 
 class InjectionHarness:
@@ -94,6 +97,9 @@ class InjectionHarness:
         self.checker = checker
         self._active: Dict[str, ActiveInjection] = {}
         self.targets: Set[str] = set()
+        #: Per carrier of an active injection: (field index, signal,
+        #: injection) of each overridden field, in signal order.
+        self._plan: Dict[str, Tuple[Tuple[int, SignalDef, ActiveInjection], ...]] = {}
         self.attempts = 0
         self.rejections = 0
         self.rejection_log: List[Tuple[str, SignalValue, str]] = []
@@ -117,7 +123,10 @@ class InjectionHarness:
             return result
         self._enable(
             ActiveInjection(
-                signal=signal_name, mode=InjectionMode.VALUE, value=value
+                signal=signal_name,
+                mode=InjectionMode.VALUE,
+                value=value,
+                value_raw=physical_to_raw(signal, value),
             )
         )
         return result
@@ -208,9 +217,10 @@ class InjectionHarness:
     # ------------------------------------------------------------------
 
     def tap(
-        self, message: MessageDef, data: bytes, timestamp: float
-    ) -> Optional[bytes]:
-        """Frame tap: rewrite overridden signal fields in ``message``.
+        self, message: MessageDef, raws: List[int], timestamp: float
+    ) -> Optional[List[int]]:
+        """Frame tap: rewrite the overridden signals' raw fields of
+        ``message``, in place.
 
         Bit-flip results are re-checked against the active profile: the
         dSPACE HIL's strong type checking also guarded fault-injected
@@ -218,34 +228,27 @@ class InjectionHarness:
         enumerated values"), so on the HIL profile a flip that decodes
         to an invalid enum is suppressed for that transmission.
 
-        Returns ``None`` to drop the frame when a SILENCE injection is
-        active on any of the message's signals.
+        Returns ``raws``, or ``None`` to drop the frame when a SILENCE
+        injection is active on any of the message's signals.
         """
-        if not self._active:
-            return data
-        for signal in message.signals:
-            injection = self._active.get(signal.name)
-            if injection is None:
-                continue
-            if injection.mode is InjectionMode.SILENCE:
+        for index, signal, injection in self._plan.get(message.name, ()):
+            mode = injection.mode
+            if mode is _SILENCE:
                 return None
-            if injection.mode is InjectionMode.VALUE:
-                if injection.value_raw is None:
-                    injection.value_raw = physical_to_raw(signal, injection.value)
-                data = insert_raw(data, signal, injection.value_raw)
-            elif injection.mode is InjectionMode.STICK:
+            if mode is _VALUE:
+                raws[index] = injection.value_raw
+            elif mode is _STICK:
                 if injection.stuck_raw is None:
-                    injection.stuck_raw = extract_raw(data, signal)
-                data = insert_raw(data, signal, injection.stuck_raw)
+                    injection.stuck_raw = raws[index]
+                raws[index] = injection.stuck_raw
             else:
-                # flip_bits then decode_signal, without re-extracting.
-                flipped = extract_raw(data, signal) ^ injection.flip_mask
+                flipped = raws[index] ^ injection.flip_mask
                 result = self.checker.check(
                     signal, raw_to_physical(signal, flipped)
                 )
                 if result.accepted:
-                    data = insert_raw(data, signal, flipped)
-        return data
+                    raws[index] = flipped
+        return raws
 
     # ------------------------------------------------------------------
 
@@ -255,11 +258,20 @@ class InjectionHarness:
 
     def _retarget(self) -> None:
         """Make :attr:`targets` the carriers of the active injections
-        (in place: the bus holds this set)."""
+        (in place: the bus holds this set), and plan each carrier's
+        rewrites: its overridden fields in signal order."""
         self.targets.clear()
         self.targets.update(
             self.database.message_for_signal(name).name for name in self._active
         )
+        self._plan = {}
+        for name in self.targets:
+            message = self.database.message_by_name(name)
+            self._plan[name] = tuple(
+                (index, signal, self._active[signal.name])
+                for index, signal in enumerate(message.signals)
+                if signal.name in self._active
+            )
 
     def _signal(self, signal_name: str) -> SignalDef:
         if signal_name not in self.database:

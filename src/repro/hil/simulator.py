@@ -13,9 +13,10 @@ Step ordering (one physics step):
 2. measure the radar target;
 3. refresh the signal registry (ground-truth producer values);
 4. step the bus — due messages take their values from the registry,
-   the carriers of active injections pass through the injection tap
-   (encoded, rewritten, decoded), and every frame is delivered to the
-   listeners (the FSRACC input cache and the trace recorder);
+   the raw fields of the carriers of active injections pass through the
+   injection tap, and every frame is delivered to its message's sinks
+   (the trace recorder and, for the carriers of FSRACC inputs, the
+   FSRACC input cache);
 5. on control-period boundaries, run the FSRACC cycle on its *received*
    (post-injection) inputs and latch its outputs into the registry;
 6. integrate the plant, with engine/brake ECUs honouring the FSRACC
@@ -37,7 +38,6 @@ import numpy as np
 from repro.acc.controller import AccParams, FsraccController
 from repro.acc.interface import AccInputs, AccOutputs
 from repro.can.bus import CanBus, JitterModel
-from repro.can.database import MessageDef
 from repro.can.fsracc import FSRACC_ALL_INPUTS, fsracc_database
 from repro.can.signal import SignalValue
 from repro.errors import SimulationError
@@ -93,31 +93,27 @@ class HilSimulator:
         self.injection = InjectionHarness(self.database, checker)
         self.bus.add_frame_tap(self.injection.tap, self.injection.targets)
         self.recorder = TraceRecorder(trace_name or scenario.name)
-        self.bus.add_listener(self.recorder.on_frame)
+        self.bus.add_listener(self.recorder.frame_sink)
         # The bus holds closures over the simulator's dicts, never its
         # bound methods, so a finished simulator is freed by reference
         # counting alone rather than waiting for the cycle collector.
         acc_inputs: Dict[str, SignalValue] = {}
         self._acc_input_cache = acc_inputs
-        # The messages carrying FSRACC inputs, resolved once.  A carrier
-        # may hold other signals too; AccInputs.from_signals reads only
-        # the inputs.
-        carriers = frozenset(
-            message.name
-            for message in self.database.messages()
-            if any(signal.name in FSRACC_ALL_INPUTS for signal in message.signals)
-        )
 
         def feed_acc_inputs(
-            message: MessageDef,
-            timestamp: float,
-            values: Dict[str, SignalValue],
+            timestamp: float, values: Dict[str, SignalValue]
         ) -> None:
             """Feed post-injection input signals into the FSRACC's receive cache."""
-            if message.name in carriers:
-                acc_inputs.update(values)
+            acc_inputs.update(values)
 
-        self.bus.add_listener(feed_acc_inputs)
+        # Only the messages carrying FSRACC inputs feed the cache.  A
+        # carrier may hold other signals too; AccInputs.from_signals
+        # reads only the inputs.
+        self.bus.add_listener(
+            lambda message: feed_acc_inputs
+            if any(signal.name in FSRACC_ALL_INPUTS for signal in message.signals)
+            else None
+        )
 
         self.car = LongitudinalCar(
             road=scenario.road, initial_velocity=scenario.initial_velocity

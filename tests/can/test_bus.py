@@ -4,8 +4,9 @@ import struct
 
 import pytest
 
-from helpers import PerFrameBus, ScalarJitter
+from helpers import PerFrameBus, ScalarJitter, payload_tap
 from repro.can.bus import JITTER_BLOCK, CanBus, JitterModel
+from repro.can.codec import physical_to_raw
 from repro.can.database import CanDatabase, MessageDef
 from repro.can.errors import BusError, FrameError
 from repro.errors import ParameterError
@@ -24,6 +25,14 @@ def build_database():
     return CanDatabase([fast, slow])
 
 
+def every_frame(callback):
+    """A listener passing every frame of every message to
+    ``callback(message, timestamp, values)``."""
+    return lambda message: lambda timestamp, values: callback(
+        message, timestamp, values
+    )
+
+
 def build_bus(jitter=0.0, seed=0):
     db = build_database()
     bus = CanBus(db, JitterModel(jitter, seed))
@@ -37,7 +46,7 @@ class TestScheduling:
     def test_fast_message_four_times_per_slow(self):
         bus, _ = build_bus()
         counts = {"Fast": 0, "Slow": 0}
-        bus.add_listener(lambda m, t, v: counts.__setitem__(m.name, counts[m.name] + 1))
+        bus.add_listener(every_frame(lambda m, t, v: counts.__setitem__(m.name, counts[m.name] + 1)))
         bus.run_until(0.8)
         assert counts["Fast"] == pytest.approx(40, abs=1)
         assert counts["Slow"] == pytest.approx(10, abs=1)
@@ -46,7 +55,7 @@ class TestScheduling:
     def test_values_come_from_publisher_at_transmit_time(self):
         bus, state = build_bus()
         seen = []
-        bus.add_listener(lambda m, t, v: seen.append(v.get("speed")) if m.name == "Fast" else None)
+        bus.add_listener(every_frame(lambda m, t, v: seen.append(v.get("speed")) if m.name == "Fast" else None))
         bus.run_until(0.05)
         state["speed"] = 99.0
         bus.run_until(0.10)
@@ -77,11 +86,52 @@ class TestScheduling:
         assert bus.frames_sent > 0
 
 
+class TestListeners:
+    def test_a_listener_is_asked_once_per_message_for_its_sink(self):
+        bus, _ = build_bus()
+        asked, slow = [], []
+
+        def listener(message):
+            asked.append(message.name)
+            if message.name == "Slow":
+                return lambda timestamp, values: slow.append(values["torque"])
+            return None
+
+        bus.add_listener(listener)
+        bus.run_until(0.2)
+        assert sorted(asked) == ["Fast", "Slow"]
+        assert slow == [100.0] * 3
+        assert bus.frames_sent == 14
+
+    def test_a_listener_added_before_a_publisher_gets_its_frames(self):
+        bus = CanBus(build_database())
+        seen = []
+        bus.add_listener(every_frame(lambda m, t, v: seen.append(m.name)))
+        bus.attach_publisher("Fast", dict)
+        bus.run_until(0.05)
+        assert seen == ["Fast"] * 3
+
+    @pytest.mark.parametrize("listeners", [2, 3])
+    def test_sinks_run_in_listener_order(self, listeners):
+        bus, _ = build_bus()
+        calls = []
+        for index in range(listeners):
+            bus.add_listener(
+                every_frame(
+                    lambda m, t, v, index=index: calls.append((m.name, t, index))
+                )
+            )
+        bus.step(0.0)
+        assert calls == [
+            (name, 0.0, index) for name in ("Fast", "Slow") for index in range(listeners)
+        ]
+
+
 class TestJitter:
     def test_zero_jitter_gives_exact_timestamps(self):
         bus, _ = build_bus(jitter=0.0)
         stamps = []
-        bus.add_listener(lambda m, t, v: stamps.append(t) if m.name == "Slow" else None)
+        bus.add_listener(every_frame(lambda m, t, v: stamps.append(t) if m.name == "Slow" else None))
         bus.run_until(0.5)
         deltas = [round(b - a, 9) for a, b in zip(stamps, stamps[1:])]
         assert all(d == pytest.approx(0.08) for d in deltas)
@@ -89,7 +139,7 @@ class TestJitter:
     def test_jitter_perturbs_timestamps_but_not_schedule(self):
         bus, _ = build_bus(jitter=0.004, seed=3)
         stamps = []
-        bus.add_listener(lambda m, t, v: stamps.append(t) if m.name == "Slow" else None)
+        bus.add_listener(every_frame(lambda m, t, v: stamps.append(t) if m.name == "Slow" else None))
         bus.run_until(1.0)
         deltas = [b - a for a, b in zip(stamps, stamps[1:])]
         assert any(abs(d - 0.08) > 1e-6 for d in deltas)
@@ -133,24 +183,23 @@ class TestJitter:
 
 
 class TestTaps:
-    def test_tap_rewrites_payload(self, database):
+    def test_tap_rewrites_raw_fields(self, database):
         bus, _ = build_bus()
 
-        def tap(message, data, timestamp):
+        def tap(message, raws, timestamp):
             if message.name == "Fast":
-                from repro.can.codec import encode_signal
-                return encode_signal(data, message.signal("speed"), -5.0)
-            return data
+                raws[0] = physical_to_raw(message.signal("speed"), -5.0)
+            return raws
 
         bus.add_frame_tap(tap)
         seen = []
-        bus.add_listener(lambda m, t, v: seen.append(v["speed"]) if m.name == "Fast" else None)
+        bus.add_listener(every_frame(lambda m, t, v: seen.append(v["speed"]) if m.name == "Fast" else None))
         bus.run_until(0.1)
         assert seen and all(value == -5.0 for value in seen)
 
     def test_tap_can_be_removed(self):
         bus, _ = build_bus()
-        tap = lambda message, data, timestamp: data
+        tap = lambda message, raws, timestamp: raws
         bus.add_frame_tap(tap)
         bus.remove_frame_tap(tap)
         bus.run_until(0.05)  # must not raise
@@ -176,10 +225,11 @@ def crowded_database():
     )
 
 
-def crowded_run(bus_class, jitter_class, steps=120):
+def crowded_run(bus_class, jitter_class, steps=120, tap_of=lambda tap: tap):
     """Step a bus over ``crowded_database`` with counting publishers, an
-    undeclared tap that rewrites "Odd" and drops every fourth "Also",
-    and a listener; return everything it saw, stamps as bytes."""
+    undeclared raw-field tap (installed as ``tap_of(tap)``) that
+    rewrites "Odd" and drops every fourth "Also", and a listener; return
+    everything it saw, stamps as bytes."""
     bus = bus_class(crowded_database(), jitter_class(0.003, 11))
     calls = {"n": 0}
 
@@ -192,18 +242,20 @@ def crowded_run(bus_class, jitter_class, steps=120):
         bus.attach_publisher(name, provider)
     tapped, seen = [], []
 
-    def tap(message, data, timestamp):
+    def tap(message, raws, timestamp):
         tapped.append((message.name, struct.pack("<d", timestamp)))
         if message.name == "Odd":
-            return bytes([data[0] ^ 0b101]) + data[1:]
+            raws[0] ^= 0b101
         if message.name == "Also" and len(tapped) % 4 == 0:
             return None
-        return data
+        return raws
 
-    bus.add_frame_tap(tap)
+    bus.add_frame_tap(tap_of(tap))
     bus.add_listener(
-        lambda message, timestamp, values: seen.append(
-            (message.name, struct.pack("<d", timestamp), dict(values))
+        every_frame(
+            lambda message, timestamp, values: seen.append(
+                (message.name, struct.pack("<d", timestamp), dict(values))
+            )
         )
     )
     sent = [bus.step(0.01 * (i + 1)) for i in range(steps)]
@@ -213,7 +265,7 @@ def crowded_run(bus_class, jitter_class, steps=120):
 class TestDueList:
     def test_matches_the_per_frame_oracle(self):
         got = crowded_run(CanBus, JitterModel)
-        want = crowded_run(PerFrameBus, ScalarJitter)
+        want = crowded_run(PerFrameBus, ScalarJitter, tap_of=payload_tap)
         assert got[:3] == want[:3]
         # The oracle returns the frames, the bus their number.
         assert got[3] == [len(frames) for frames in want[3]]
@@ -223,7 +275,7 @@ class TestDueList:
         bus = CanBus(crowded_database())
         bus.attach_publisher("Rapid", dict)
         stamps = []
-        bus.add_listener(lambda message, timestamp, values: stamps.append(timestamp))
+        bus.add_listener(every_frame(lambda message, timestamp, values: stamps.append(timestamp)))
         # 0, 0.004, 0.008; then 0.012, 0.016 and 0.02 (accumulated a
         # hair above 0.02, inside the step's 1e-12 slack); 0.024, 0.028.
         assert [bus.step(0.01), bus.step(0.02), bus.step(0.03)] == [3, 3, 2]
@@ -237,7 +289,7 @@ class TestDueList:
         for name in ("Also", "Tied", "Rapid"):
             bus.attach_publisher(name, dict)
         order = []
-        bus.add_listener(lambda message, timestamp, values: order.append((timestamp, message.can_id)))
+        bus.add_listener(every_frame(lambda message, timestamp, values: order.append((timestamp, message.can_id))))
         bus.run_until(0.1)
         assert order == sorted(order)
         assert order[:3] == [(0.0, 0x10), (0.0, 0x20), (0.0, 0x30)]
@@ -247,9 +299,9 @@ class TestTapTargets:
     def test_undeclared_tap_sees_every_frame(self):
         bus, _ = build_bus()
         names = []
-        bus.add_frame_tap(lambda message, data, timestamp: names.append(message.name) or data)
+        bus.add_frame_tap(lambda message, raws, timestamp: names.append(message.name) or raws)
         delivered = []
-        bus.add_listener(lambda message, timestamp, values: delivered.append(message.name))
+        bus.add_listener(every_frame(lambda message, timestamp, values: delivered.append(message.name)))
         bus.run_until(0.2)
         assert names == delivered and {"Fast", "Slow"} == set(names)
 
@@ -258,7 +310,7 @@ class TestTapTargets:
         targets = {"Slow"}
         names = []
         bus.add_frame_tap(
-            lambda message, data, timestamp: names.append(message.name) or data,
+            lambda message, raws, timestamp: names.append(message.name) or raws,
             targets,
         )
         bus.run_until(0.2)
@@ -273,15 +325,15 @@ class TestTapTargets:
     def test_an_undeclared_tap_opens_every_message_to_all_taps(self):
         bus, _ = build_bus()
         declared, undeclared = [], []
-        bus.add_frame_tap(lambda m, d, t: declared.append(m.name) or d, {"Slow"})
-        bus.add_frame_tap(lambda m, d, t: undeclared.append(m.name) or d)
+        bus.add_frame_tap(lambda m, r, t: declared.append(m.name) or r, {"Slow"})
+        bus.add_frame_tap(lambda m, r, t: undeclared.append(m.name) or r)
         bus.run_until(0.2)
         assert set(declared) == {"Slow"} and set(undeclared) == {"Fast", "Slow"}
 
     def test_removing_an_unknown_tap_raises(self):
         bus, _ = build_bus()
         with pytest.raises(ValueError):
-            bus.remove_frame_tap(lambda message, data, timestamp: data)
+            bus.remove_frame_tap(lambda message, raws, timestamp: raws)
 
     def test_out_of_range_can_id_is_refused_when_scheduled(self):
         database = CanDatabase(

@@ -15,86 +15,16 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import per_signal_decode, per_signal_encode
+from helpers import (
+    assert_same_values,
+    per_signal_decode,
+    per_signal_encode,
+    synthetic_database,
+)
 from repro.can.codec import FrameCodec
-from repro.can.database import CanDatabase, MessageDef
 from repro.can.errors import CodecError, DatabaseError
 from repro.can.frame import CanFrame
-from repro.can.signal import ByteOrder, SignalDef, SignalType
-
-BIG = ByteOrder.BIG_ENDIAN
-
-
-def synthetic_database():
-    """Big-endian, mixed-order and unaligned layouts the FSRACC lacks."""
-    return CanDatabase(
-        [
-            MessageDef(
-                "AllBig", 0x100, 8, 0.02,
-                (
-                    SignalDef("big_f", 0, 32, SignalType.FLOAT, byte_order=BIG),
-                    SignalDef("big_e", 32, 12, SignalType.ENUM, byte_order=BIG),
-                    SignalDef("big_b", 44, 1, SignalType.BOOL, byte_order=BIG),
-                    SignalDef("big_e3", 45, 3, SignalType.ENUM, byte_order=BIG),
-                ),
-            ),
-            MessageDef(
-                # Both byte orders, in separate bytes.
-                "Split", 0x104, 8, 0.02,
-                (
-                    SignalDef("split_f", 0, 32, SignalType.FLOAT),
-                    SignalDef("split_e", 32, 12, SignalType.ENUM, byte_order=BIG),
-                    SignalDef("split_b", 44, 1, SignalType.BOOL, byte_order=BIG),
-                    SignalDef("split_tail", 48, 16, SignalType.ENUM),
-                ),
-            ),
-            MessageDef(
-                # Both byte orders sharing payload bits (see SharedByte).
-                "Mixed", 0x101, 8, 0.02,
-                (
-                    SignalDef("le_f", 3, 32, SignalType.FLOAT),
-                    SignalDef("be_f", 35, 32 - 3, SignalType.ENUM, byte_order=BIG),
-                ),
-            ),
-            MessageDef(
-                # The nominal spans [0, 4) and [4, 8) are disjoint, but
-                # the two byte orders map start bits to payload bits
-                # differently: both fields own the low nibble of byte 0.
-                "SharedByte", 0x102, 2, 0.02,
-                (
-                    SignalDef("lo", 0, 4, SignalType.ENUM),
-                    SignalDef("hi", 4, 4, SignalType.ENUM, byte_order=BIG),
-                    SignalDef("flag", 8, 1, SignalType.BOOL, byte_order=BIG),
-                    SignalDef("tail", 9, 7, SignalType.ENUM),
-                ),
-            ),
-            MessageDef(
-                # Shorter than a full frame; s_be and s_le share two bits.
-                "Short", 0x103, 4, 0.02,
-                (
-                    SignalDef("s_be", 0, 10, SignalType.ENUM, byte_order=BIG),
-                    SignalDef("s_le", 10, 6, SignalType.ENUM),
-                    SignalDef("s_b", 16, 1, SignalType.BOOL),
-                ),
-            ),
-        ]
-    )
-
-
-def same(a, b):
-    """Bit-for-bit equality of two decoded signal values."""
-    if type(a) is not type(b):
-        return False
-    if isinstance(a, float):
-        return struct.pack("<d", a) == struct.pack("<d", b)
-    return a == b
-
-
-def assert_same_values(got, want):
-    assert list(got) == list(want)
-    for name in want:
-        assert same(got[name], want[name]), (name, got[name], want[name])
-
+from repro.can.signal import SignalType
 
 def f64(bits):
     return struct.unpack("<d", struct.pack("<Q", bits))[0]

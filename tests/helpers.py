@@ -1,22 +1,29 @@
 """Shared helpers for building small, hand-authored traces in tests,
-plus five oracles: the O(n·w) window kernel, the per-frame CAN bus, the
-per-line drive-log reader, the per-signal view resample and per-event
-online and fleet ingest."""
+plus five oracles: the O(n·w) window kernel, the per-frame CAN bus with
+its payload taps, the per-line drive-log reader, the per-signal view
+resample and per-event online and fleet ingest."""
 
 from __future__ import annotations
 
 import heapq
 import math
+import struct
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple
 from unittest import mock
 
 import numpy as np
 
-from repro.can.codec import decode_signal, encode_signal
+from repro.can.codec import (
+    decode_signal,
+    encode_signal,
+    extract_raw,
+    flip_bits,
+    insert_raw,
+)
 from repro.can.database import CanDatabase, MessageDef
 from repro.can.frame import CanFrame
-from repro.can.signal import SignalValue
+from repro.can.signal import ByteOrder, SignalDef, SignalType, SignalValue
 from repro.core import windows
 from repro.core.online import OnlineMonitor
 from repro.core.violations import Violation
@@ -24,6 +31,7 @@ from repro.errors import TraceError
 from repro.fleet.service import FleetReport, FleetService
 from repro.fleet.shard import StreamShard
 from repro.hil import simulator
+from repro.hil.injection import InjectionMode
 from repro.logs.format import PathOrFile, _read_header
 from repro.logs.trace import Trace, TraceView, non_finite_time
 from repro.obs import get_registry, use_registry
@@ -169,9 +177,164 @@ class ScalarJitter:
         return float(self._rng.uniform(0.0, self.max_jitter))
 
 
+BIG = ByteOrder.BIG_ENDIAN
+
+
+def synthetic_database():
+    """Big-endian, mixed-order and unaligned layouts the FSRACC lacks."""
+    return CanDatabase(
+        [
+            MessageDef(
+                "AllBig", 0x100, 8, 0.02,
+                (
+                    SignalDef("big_f", 0, 32, SignalType.FLOAT, byte_order=BIG),
+                    SignalDef("big_e", 32, 12, SignalType.ENUM, byte_order=BIG),
+                    SignalDef("big_b", 44, 1, SignalType.BOOL, byte_order=BIG),
+                    SignalDef("big_e3", 45, 3, SignalType.ENUM, byte_order=BIG),
+                ),
+            ),
+            MessageDef(
+                # Both byte orders, in separate bytes.
+                "Split", 0x104, 8, 0.02,
+                (
+                    SignalDef("split_f", 0, 32, SignalType.FLOAT),
+                    SignalDef("split_e", 32, 12, SignalType.ENUM, byte_order=BIG),
+                    SignalDef("split_b", 44, 1, SignalType.BOOL, byte_order=BIG),
+                    SignalDef("split_tail", 48, 16, SignalType.ENUM),
+                ),
+            ),
+            MessageDef(
+                # Both byte orders sharing payload bits (see SharedByte).
+                "Mixed", 0x101, 8, 0.02,
+                (
+                    SignalDef("le_f", 3, 32, SignalType.FLOAT),
+                    SignalDef("be_f", 35, 32 - 3, SignalType.ENUM, byte_order=BIG),
+                ),
+            ),
+            MessageDef(
+                # The nominal spans [0, 4) and [4, 8) are disjoint, but
+                # the two byte orders map start bits to payload bits
+                # differently: both fields own the low nibble of byte 0.
+                "SharedByte", 0x102, 2, 0.02,
+                (
+                    SignalDef("lo", 0, 4, SignalType.ENUM),
+                    SignalDef("hi", 4, 4, SignalType.ENUM, byte_order=BIG),
+                    SignalDef("flag", 8, 1, SignalType.BOOL, byte_order=BIG),
+                    SignalDef("tail", 9, 7, SignalType.ENUM),
+                ),
+            ),
+            MessageDef(
+                # Shorter than a full frame; s_be and s_le share two bits.
+                "Short", 0x103, 4, 0.02,
+                (
+                    SignalDef("s_be", 0, 10, SignalType.ENUM, byte_order=BIG),
+                    SignalDef("s_le", 10, 6, SignalType.ENUM),
+                    SignalDef("s_b", 16, 1, SignalType.BOOL),
+                ),
+            ),
+        ]
+    )
+
+
+def same(a, b):
+    """Bit-for-bit equality of two decoded signal values."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return struct.pack("<d", a) == struct.pack("<d", b)
+    return a == b
+
+
+def assert_same_values(got, want):
+    assert list(got) == list(want)
+    for name in want:
+        assert same(got[name], want[name]), (name, got[name], want[name])
+
+
+def tap_frame(
+    database: CanDatabase,
+    tap: Callable,
+    message: MessageDef,
+    values: Mapping[str, SignalValue],
+) -> Optional[Dict[str, SignalValue]]:
+    """Pass one frame of ``message`` carrying ``values`` through a raw
+    field ``tap``, as the bus does: the values delivered, or ``None``
+    when the tap dropped the frame."""
+    codec = database.codec(message.name)
+    raws = codec.fields()
+    codec.deliver(values, raws)
+    rewritten = tap(message, raws, 0.0)
+    return None if rewritten is None else codec.values(rewritten)
+
+
+class PayloadFields:
+    """A payload seen as its list of raw fields: reading field ``i``
+    extracts it, writing it inserts it, one :func:`extract_raw` or
+    :func:`insert_raw` call per access.  The oracle for the raw-field
+    list a :data:`repro.can.bus.FrameTap` rewrites."""
+
+    def __init__(self, message: MessageDef, data: bytes) -> None:
+        self.signals = message.signals
+        self.data = data
+
+    def __len__(self) -> int:
+        return len(self.signals)
+
+    def __getitem__(self, index: int) -> int:
+        return extract_raw(self.data, self.signals[index])
+
+    def __setitem__(self, index: int, raw: int) -> None:
+        self.data = insert_raw(self.data, self.signals[index], raw)
+
+
+def payload_tap(raw_tap: Callable) -> Callable:
+    """The payload tap that runs ``raw_tap`` on a payload's
+    :class:`PayloadFields`: the oracle of a raw-field tap."""
+
+    def tap(message: MessageDef, data: bytes, timestamp: float) -> Optional[bytes]:
+        fields = PayloadFields(message, data)
+        if raw_tap(message, fields, timestamp) is None:
+            return None
+        return fields.data
+
+    return tap
+
+
+class PayloadInjectionHarness(simulator.InjectionHarness):
+    """The harness whose tap rewrites encoded payloads, one
+    :func:`insert_raw` per overridden signal: the oracle for
+    :meth:`repro.hil.injection.InjectionHarness.tap`, run by
+    :class:`PerFrameBus`."""
+
+    def tap(  # type: ignore[override]
+        self, message: MessageDef, data: bytes, timestamp: float
+    ) -> Optional[bytes]:
+        if not self._active:
+            return data
+        for signal in message.signals:
+            injection = self._active.get(signal.name)
+            if injection is None:
+                continue
+            if injection.mode is InjectionMode.SILENCE:
+                return None
+            if injection.mode is InjectionMode.VALUE:
+                data = encode_signal(data, signal, injection.value)
+            elif injection.mode is InjectionMode.STICK:
+                if injection.stuck_raw is None:
+                    injection.stuck_raw = extract_raw(data, signal)
+                data = insert_raw(data, signal, injection.stuck_raw)
+            else:
+                flipped = flip_bits(data, signal, injection.bit_offsets)
+                if self.checker.check(signal, decode_signal(flipped, signal)).accepted:
+                    data = flipped
+        return data
+
+
 class PerFrameBus:
     """The bus that looked up, encoded and decoded every frame one
-    signal at a time: the oracle for :class:`repro.can.bus.CanBus`."""
+    signal at a time, passing each payload through payload taps and
+    asking every listener for its sink per frame: the oracle for
+    :class:`repro.can.bus.CanBus`."""
 
     def __init__(
         self,
@@ -199,7 +362,8 @@ class PerFrameBus:
         self._listeners.append(listener)
 
     def add_frame_tap(self, tap, targets=None) -> None:
-        # Every tap sees every frame, whatever it declares.
+        """Install a payload tap; every tap sees every frame, whatever
+        it declares."""
         self._taps.append(tap)
 
     def step(self, now: float) -> List[CanFrame]:
@@ -227,28 +391,46 @@ class PerFrameBus:
         frame = CanFrame(message.can_id, data, timestamp)
         values = per_signal_decode(message, frame.data)
         for listener in self._listeners:
-            listener(message, frame.timestamp, values)
+            sink = listener(message)
+            if sink is not None:
+                sink(frame.timestamp, values)
         self.frames_sent += 1
         return frame
 
 
-class PerSignalRecorder(simulator.TraceRecorder):
-    """The trace recorder appending one :meth:`Trace.record` per signal."""
+class PerSignalRecorder:
+    """The trace recorder appending one :meth:`Trace.record` per signal:
+    the oracle for :class:`repro.hil.tracing.TraceRecorder`."""
 
-    def on_frame(self, message, timestamp, values) -> None:
-        self.frames_seen += 1
-        for signal, value in values.items():
-            self.trace.record(signal, timestamp, float(value))
+    def __init__(self, name: str = "") -> None:
+        self.trace = Trace(name)
+        self.frames_seen = 0
+
+    def frame_sink(self, message: MessageDef) -> Callable:
+        def sink(timestamp: float, values: Mapping[str, SignalValue]) -> None:
+            self.frames_seen += 1
+            for signal, value in values.items():
+                self.trace.record(signal, timestamp, float(value))
+
+        return sink
+
+    def restart(self, name: str = "") -> Trace:
+        captured = self.trace
+        self.trace = Trace(name or captured.name)
+        self.frames_seen = 0
+        return captured
 
 
 @contextmanager
 def per_frame_bus() -> Iterator[None]:
     """Build every :class:`~repro.hil.simulator.HilSimulator` inside a
-    ``with`` block on the per-frame bus oracle, by patching the classes
-    its constructor names."""
+    ``with`` block on the per-frame bus oracle, with the payload
+    injection tap, by patching the classes its constructor names."""
     with mock.patch.object(simulator, "CanBus", PerFrameBus), mock.patch.object(
         simulator, "JitterModel", ScalarJitter
-    ), mock.patch.object(simulator, "TraceRecorder", PerSignalRecorder):
+    ), mock.patch.object(simulator, "TraceRecorder", PerSignalRecorder), mock.patch.object(
+        simulator, "InjectionHarness", PayloadInjectionHarness
+    ):
         yield
 
 

@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from helpers import tap_frame
 from repro.can.fsracc import fsracc_database
 from repro.errors import InjectionError
 from repro.hil.injection import InjectionHarness, InjectionMode
@@ -16,12 +17,11 @@ def harness(database):
 
 
 def transmit(database, harness, signal_name, true_value):
-    """Encode a message carrying ``signal_name``, run it through the tap."""
+    """Run a frame of the message carrying ``signal_name`` through the
+    tap; return the value delivered."""
     message = database.message_for_signal(signal_name)
-    data = database.encode(message.name, {signal_name: true_value})
-    data = harness.tap(message, data, 0.0)
-    from repro.can.codec import decode_signal
-    return decode_signal(data, message.signal(signal_name))
+    values = tap_frame(database, harness.tap, message, {signal_name: true_value})
+    return values[signal_name]
 
 
 class TestValueInjection:
@@ -65,13 +65,14 @@ class TestValueInjection:
     def test_multiple_signals_in_one_message(self, database, harness):
         harness.inject_value("TargetRange", 999.0)
         message = database.message_for_signal("TargetRange")
-        data = database.encode(
-            message.name, {"TargetRange": 50.0, "VehicleAhead": True}
+        values = tap_frame(
+            database,
+            harness.tap,
+            message,
+            {"TargetRange": 50.0, "VehicleAhead": True},
         )
-        data = harness.tap(message, data, 0.0)
-        from repro.can.codec import decode_signal
-        assert decode_signal(data, message.signal("TargetRange")) == 999.0
-        assert decode_signal(data, message.signal("VehicleAhead")) is True
+        assert values["TargetRange"] == 999.0
+        assert values["VehicleAhead"] is True
 
 
 class TestBitflipInjection:

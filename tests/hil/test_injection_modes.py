@@ -2,6 +2,7 @@
 
 import pytest
 
+from helpers import tap_frame
 from repro.can.fsracc import fsracc_database
 from repro.hil.injection import InjectionHarness, InjectionMode
 from repro.hil.simulator import HilSimulator
@@ -16,12 +17,8 @@ def harness(database):
 
 def tap_value(database, harness, signal_name, true_value):
     message = database.message_for_signal(signal_name)
-    data = database.encode(message.name, {signal_name: true_value})
-    data = harness.tap(message, data, 0.0)
-    if data is None:
-        return None
-    from repro.can.codec import decode_signal
-    return decode_signal(data, message.signal(signal_name))
+    values = tap_frame(database, harness.tap, message, {signal_name: true_value})
+    return None if values is None else values[signal_name]
 
 
 class TestStick:
@@ -48,17 +45,20 @@ class TestStick:
     def test_other_signals_in_message_unaffected(self, database, harness):
         harness.inject_stick("TargetRange")
         message = database.message_for_signal("TargetRange")
-        data = database.encode(
-            message.name, {"TargetRange": 50.0, "VehicleAhead": False}
+        tap_frame(
+            database,
+            harness.tap,
+            message,
+            {"TargetRange": 50.0, "VehicleAhead": False},
         )
-        harness.tap(message, data, 0.0)
-        data = database.encode(
-            message.name, {"TargetRange": 10.0, "VehicleAhead": True}
+        out = tap_frame(
+            database,
+            harness.tap,
+            message,
+            {"TargetRange": 10.0, "VehicleAhead": True},
         )
-        out = harness.tap(message, data, 0.0)
-        from repro.can.codec import decode_signal
-        assert decode_signal(out, message.signal("TargetRange")) == 50.0
-        assert decode_signal(out, message.signal("VehicleAhead")) is True
+        assert out["TargetRange"] == 50.0
+        assert out["VehicleAhead"] is True
 
 
 class TestSilence:

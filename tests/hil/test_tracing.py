@@ -36,6 +36,18 @@ class TestRecording:
         assert "a" in recorder.trace
         assert "b" not in recorder.trace
 
+    def test_an_empty_allow_list_records_nothing(self):
+        recorder = TraceRecorder("run", signals=[])
+        recorder.on_frame(AB, 0.02, {"a": 1.0, "b": 2.0})
+        assert recorder.trace.is_empty()
+        assert recorder.trace.signals() == ()
+        assert recorder.frames_seen == 1
+
+    def test_no_allow_list_records_every_signal(self):
+        recorder = TraceRecorder("run", signals=None)
+        recorder.on_frame(AB, 0.02, {"a": 1.0, "b": 2.0})
+        assert recorder.trace.signals() == ("a", "b")
+
     def test_bool_values_recorded_as_floats(self):
         recorder = TraceRecorder()
         flag = MessageDef("F", 0x101, 1, 0.02, (SignalDef("flag", 0, 1, SignalType.BOOL),))
@@ -60,6 +72,20 @@ class TestRecording:
         assert captured.updates("a") == [(0.02, 1.0)]
         assert recorder.trace.updates("a") == [(0.01, 5.0)]
         assert recorder.trace.name == "first"
+
+    def test_a_message_sink_is_compiled_once(self):
+        recorder = TraceRecorder()
+        assert recorder.frame_sink(AB) is recorder.frame_sink(AB)
+
+    def test_a_sink_taken_before_a_restart_records_into_the_fresh_trace(self):
+        recorder = TraceRecorder("first")
+        sink = recorder.frame_sink(AB)
+        sink(0.02, {"a": 1.0, "b": 2.0})
+        captured = recorder.restart("second")
+        sink(0.04, {"a": 3.0, "b": 4.0})
+        assert captured.updates("a") == [(0.02, 1.0)]
+        assert recorder.trace.updates("b") == [(0.04, 4.0)]
+        assert recorder.frames_seen == 1
 
     def test_order_is_checked_per_signal(self):
         recorder = TraceRecorder()

@@ -23,7 +23,7 @@ from repro.analysis import (
     build_context,
     lint_specs,
 )
-from repro.can.bus import JitterModel
+from repro.can.bus import CanBus, JitterModel
 from repro.can.database import MessageDef
 from repro.can.fsracc import fsracc_database
 from repro.core.monitor import Monitor, Rule
@@ -99,6 +99,8 @@ LIBRARY = [
      lambda v: freshness_rule("TargetRange", v)),
     ("freshness_rule.period", "positive seconds", "period",
      lambda v: freshness_rule("TargetRange", 0.5, period=v)),
+    ("CanBus.run_until.dt", "positive seconds", "dt",
+     lambda v: CanBus(fsracc_database()).run_until(0.05, dt=v)),
     ("OnlineMonitor.retention", "non-negative seconds", "retention",
      lambda v: OnlineMonitor(RULES, retention=v)),
     ("FleetService.retention", "non-negative seconds", "retention",
@@ -109,6 +111,10 @@ LIBRARY = [
      lambda v: RobustnessCampaign(rules=RULES, settle_time=v)),
     ("JitterModel.max_jitter", "non-negative seconds", "max_jitter",
      lambda v: JitterModel(v)),
+    ("CanBus.phase_stagger", "non-negative seconds", "phase_stagger",
+     lambda v: CanBus(fsracc_database(), phase_stagger=v)),
+    ("CanBus.run_until.end", "non-negative seconds", "end",
+     lambda v: CanBus(fsracc_database()).run_until(v)),
     ("OnlineMonitor.min_chunk_rows", "count", "min_chunk_rows",
      lambda v: OnlineMonitor(RULES, min_chunk_rows=v)),
     ("FleetService.min_chunk_rows", "count", "min_chunk_rows",
