@@ -26,21 +26,22 @@ Two layers keep the hot path fast:
   into a verdict array copies it first.
 
 When a metrics registry is installed (see :mod:`repro.obs`), every
-dispatch through :func:`evaluate_formula` / :func:`evaluate_expr`
-records its wall time into a per-node-type histogram
-(``eval.formula.<NodeType>.seconds`` / ``eval.expr.<NodeType>.seconds``),
-and the memo caches count hits and misses into
-``eval.memo.{formula,expr}.{hits,misses}``.  Timings are *inclusive* of
-operand evaluation — the recursion times each node through the same
-public entry point — which is exactly the view needed to answer "which
-operator dominates the check".  With the default (disabled) registry the
-instrumentation is one attribute check.
+dispatch through :func:`evaluate_formula`, :func:`evaluate_expr` or
+:func:`evaluate_robustness` (each built by one factory) records its wall
+time into a per-node-type histogram
+(``eval.{formula,expr,robust}.<NodeType>.seconds``), and the memo caches
+count hits and misses into
+``eval.memo.{formula,expr,robust}.{hits,misses}``.  Timings are
+*inclusive* of operand evaluation — the recursion times each node
+through the same public entry point — which is exactly the view needed
+to answer "which operator dominates the check".  With the default
+(disabled) registry the instrumentation is one attribute check.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, Mapping, Optional
+from typing import Callable, Dict, Mapping, Optional, TypeVar
 
 import numpy as np
 
@@ -82,6 +83,9 @@ from repro.core.windows import (
 from repro.errors import EvaluationError
 from repro.logs.trace import TraceView
 from repro.obs import get_registry
+
+_Node = TypeVar("_Node", Expr, Formula)
+_Result = TypeVar("_Result")
 
 
 class EvalContext:
@@ -137,102 +141,6 @@ class EvalContext:
     def n_rows(self) -> int:
         """Number of rows under evaluation."""
         return self.view.n_rows
-
-
-def evaluate_expr(node: Expr, ctx: EvalContext) -> np.ndarray:
-    """Evaluate a numeric expression to one float per row.
-
-    Results are memoized per context by structural node equality; the
-    returned array is shared, so callers must copy before writing.
-    """
-    registry = get_registry()
-    cache = ctx.expr_cache
-    if cache is not None:
-        cached = cache.get(node)
-        if cached is not None:
-            if registry.enabled:
-                registry.counter("eval.memo.expr.hits").inc()
-            return cached
-    if not registry.enabled:
-        result = _evaluate_expr(node, ctx)
-    else:
-        started = time.perf_counter()
-        result = _evaluate_expr(node, ctx)
-        registry.histogram(
-            "eval.expr.%s.seconds" % type(node).__name__
-        ).observe(time.perf_counter() - started)
-    if cache is not None:
-        if registry.enabled:
-            registry.counter("eval.memo.expr.misses").inc()
-        cache[node] = result
-    return result
-
-
-def evaluate_formula(node: Formula, ctx: EvalContext) -> np.ndarray:
-    """Evaluate a formula to one int8 verdict code per row.
-
-    Results are memoized per context by structural node equality; the
-    returned array is shared, so callers must copy before writing.
-    """
-    registry = get_registry()
-    cache = ctx.formula_cache
-    if cache is not None:
-        cached = cache.get(node)
-        if cached is not None:
-            if registry.enabled:
-                registry.counter("eval.memo.formula.hits").inc()
-            return cached
-    if not registry.enabled:
-        result = _evaluate_formula(node, ctx)
-    else:
-        started = time.perf_counter()
-        result = _evaluate_formula(node, ctx)
-        registry.histogram(
-            "eval.formula.%s.seconds" % type(node).__name__
-        ).observe(time.perf_counter() - started)
-    if cache is not None:
-        if registry.enabled:
-            registry.counter("eval.memo.formula.misses").inc()
-        cache[node] = result
-    return result
-
-
-def evaluate_robustness(node: Formula, ctx: EvalContext) -> Bounds:
-    """Evaluate a formula's robustness interval, one ``[lower, upper]``
-    pair of floats per row.
-
-    The numeric lattice mirrors the boolean one connective for
-    connective (min for ``and``, max for ``or``, inf/sup over temporal
-    windows via the same O(n) kernels), with signed distances at
-    comparisons and ``±inf`` at boolean atoms; truncated windows
-    aggregate against ``[-inf, +inf]`` padding exactly where the boolean
-    path pads UNKNOWN.  See :mod:`repro.core.robustness` for the sign
-    consistency invariant relating the two.
-
-    Results are memoized per context by structural node equality; the
-    returned arrays are shared, so callers must copy before writing.
-    """
-    registry = get_registry()
-    cache = ctx.robust_cache
-    if cache is not None:
-        cached = cache.get(node)
-        if cached is not None:
-            if registry.enabled:
-                registry.counter("eval.memo.robust.hits").inc()
-            return cached
-    if not registry.enabled:
-        result = _evaluate_robustness(node, ctx)
-    else:
-        started = time.perf_counter()
-        result = _evaluate_robustness(node, ctx)
-        registry.histogram(
-            "eval.robust.%s.seconds" % type(node).__name__
-        ).observe(time.perf_counter() - started)
-    if cache is not None:
-        if registry.enabled:
-            registry.counter("eval.memo.robust.misses").inc()
-        cache[node] = result
-    return result
 
 
 def _evaluate_expr(node: Expr, ctx: EvalContext) -> np.ndarray:
@@ -381,6 +289,91 @@ def _evaluate_robustness(node: Formula, ctx: EvalContext) -> Bounds:
     raise EvaluationError(
         "cannot evaluate robustness of formula node %r" % (node,)
     )
+
+
+def _dispatcher(
+    kind: str,
+    cache: str,
+    evaluate: Callable[[_Node, EvalContext], _Result],
+    doc: str,
+) -> Callable[[_Node, EvalContext], _Result]:
+    """The public entry point of ``evaluate``: memoized in the context's
+    ``cache`` attribute and, on an enabled registry, counting
+    ``eval.memo.<kind>.{hits,misses}`` and timing each node into
+    ``eval.<kind>.<NodeType>.seconds``."""
+    hits = "eval.memo.%s.hits" % kind
+    misses = "eval.memo.%s.misses" % kind
+    seconds = "eval." + kind + ".%s.seconds"
+
+    def dispatch(node: _Node, ctx: EvalContext) -> _Result:
+        registry = get_registry()
+        memo = getattr(ctx, cache)
+        if memo is not None:
+            cached = memo.get(node)
+            if cached is not None:
+                if registry.enabled:
+                    registry.counter(hits).inc()
+                return cached
+        if not registry.enabled:
+            result = evaluate(node, ctx)
+        else:
+            started = time.perf_counter()
+            result = evaluate(node, ctx)
+            registry.histogram(seconds % type(node).__name__).observe(
+                time.perf_counter() - started
+            )
+        if memo is not None:
+            if registry.enabled:
+                registry.counter(misses).inc()
+            memo[node] = result
+        return result
+
+    dispatch.__name__ = dispatch.__qualname__ = evaluate.__name__.lstrip("_")
+    dispatch.__doc__ = doc
+    return dispatch
+
+
+evaluate_expr: Callable[[Expr, EvalContext], np.ndarray] = _dispatcher(
+    "expr",
+    "expr_cache",
+    _evaluate_expr,
+    """Evaluate a numeric expression to one float per row.
+
+    Results are memoized per context by structural node equality; the
+    returned array is shared, so callers must copy before writing.
+    """,
+)
+
+evaluate_formula: Callable[[Formula, EvalContext], np.ndarray] = _dispatcher(
+    "formula",
+    "formula_cache",
+    _evaluate_formula,
+    """Evaluate a formula to one int8 verdict code per row.
+
+    Results are memoized per context by structural node equality; the
+    returned array is shared, so callers must copy before writing.
+    """,
+)
+
+evaluate_robustness: Callable[[Formula, EvalContext], Bounds] = _dispatcher(
+    "robust",
+    "robust_cache",
+    _evaluate_robustness,
+    """Evaluate a formula's robustness interval, one ``[lower, upper]``
+    pair of floats per row.
+
+    The numeric lattice mirrors the boolean one connective for
+    connective (min for ``and``, max for ``or``, inf/sup over temporal
+    windows via the same O(n) kernels), with signed distances at
+    comparisons and ``±inf`` at boolean atoms; truncated windows
+    aggregate against ``[-inf, +inf]`` padding exactly where the boolean
+    path pads UNKNOWN.  See :mod:`repro.core.robustness` for the sign
+    consistency invariant relating the two.
+
+    Results are memoized per context by structural node equality; the
+    returned arrays are shared, so callers must copy before writing.
+    """,
+)
 
 
 def future_reach(node: Formula, period: float) -> float:

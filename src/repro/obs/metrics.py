@@ -369,13 +369,16 @@ class MetricsRegistry:
         Counters add, gauges keep the incoming value (last writer wins,
         with update counts summed), histograms merge bucket-wise.  The
         operation is associative, so any merge order over a set of
-        worker snapshots yields identical totals.
+        worker snapshots yields identical totals.  A disabled registry
+        checks the schema and merges nothing.
         """
         if snapshot.get("schema") != SCHEMA_VERSION:
             raise ValueError(
                 "cannot merge snapshot with schema %r (expected %r)"
                 % (snapshot.get("schema"), SCHEMA_VERSION)
             )
+        if not self.enabled:
+            return
         for name, value in snapshot.get("counters", {}).items():
             self.counter(name).inc(value)
         for name, dump in snapshot.get("gauges", {}).items():

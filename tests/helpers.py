@@ -404,21 +404,13 @@ class PerSignalRecorder:
 
     def __init__(self, name: str = "") -> None:
         self.trace = Trace(name)
-        self.frames_seen = 0
 
     def frame_sink(self, message: MessageDef) -> Callable:
         def sink(timestamp: float, values: Mapping[str, SignalValue]) -> None:
-            self.frames_seen += 1
             for signal, value in values.items():
                 self.trace.record(signal, timestamp, float(value))
 
         return sink
-
-    def restart(self, name: str = "") -> Trace:
-        captured = self.trace
-        self.trace = Trace(name or captured.name)
-        self.frames_seen = 0
-        return captured
 
 
 @contextmanager

@@ -169,18 +169,21 @@ class TestScenarioDynamics:
 class TestReclamation:
     def test_stepped_simulator_dies_without_cycle_collector(self):
         # The bus must not hold the simulator's bound methods: a finished
-        # testbench (and the trace it keeps alive) is freed by reference
-        # counting alone, with no gc.collect() between campaign tests.
+        # testbench, and the trace its recorder's sinks write into, is
+        # freed by reference counting alone, with no gc.collect() between
+        # campaign tests.
         simulator = HilSimulator(steady_follow(5.0), seed=3)
         simulator.run_for(1.0)
         assert simulator.result().frames_sent > 0
         sim_ref = weakref.ref(simulator)
         bus_ref = weakref.ref(simulator.bus)
+        trace_ref = weakref.ref(simulator.recorder.trace)
         gc.disable()
         try:
             del simulator
             assert sim_ref() is None
             assert bus_ref() is None
+            assert trace_ref() is None
         finally:
             gc.enable()
 

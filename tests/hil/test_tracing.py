@@ -8,9 +8,9 @@ from repro.errors import TraceError
 from repro.hil.tracing import TraceRecorder
 
 
-def message(*names, kind=SignalType.FLOAT):
+def message(*names, kind=SignalType.FLOAT, name="M"):
     return MessageDef(
-        "M",
+        name,
         0x100,
         8,
         0.02,
@@ -28,25 +28,15 @@ class TestRecording:
         recorder.on_frame(AB, 0.04, {"a": 3.0, "b": 4.0})
         assert recorder.trace.updates("a") == [(0.02, 1.0), (0.04, 3.0)]
         assert recorder.trace.updates("b") == [(0.02, 2.0), (0.04, 4.0)]
-        assert recorder.frames_seen == 2
-
-    def test_filter_limits_recorded_signals(self):
-        recorder = TraceRecorder("run", signals=["a"])
-        recorder.on_frame(AB, 0.02, {"a": 1.0, "b": 2.0})
-        assert "a" in recorder.trace
-        assert "b" not in recorder.trace
-
-    def test_an_empty_allow_list_records_nothing(self):
-        recorder = TraceRecorder("run", signals=[])
-        recorder.on_frame(AB, 0.02, {"a": 1.0, "b": 2.0})
-        assert recorder.trace.is_empty()
-        assert recorder.trace.signals() == ()
-        assert recorder.frames_seen == 1
+        assert recorder.trace.update_count() == 4
+        assert recorder.trace.name == "run"
 
     def test_no_allow_list_records_every_signal(self):
-        recorder = TraceRecorder("run", signals=None)
+        recorder = TraceRecorder("run")
         recorder.on_frame(AB, 0.02, {"a": 1.0, "b": 2.0})
-        assert recorder.trace.signals() == ("a", "b")
+        recorder.on_frame(message("c", name="C"), 0.03, {"c": 5.0})
+        assert recorder.trace.signals() == ("a", "b", "c")
+        assert recorder.trace.update_count() == 3
 
     def test_bool_values_recorded_as_floats(self):
         recorder = TraceRecorder()
@@ -54,38 +44,9 @@ class TestRecording:
         recorder.on_frame(flag, 0.02, {"flag": True})
         assert recorder.trace.updates("flag") == [(0.02, 1.0)]
 
-    def test_restart_returns_previous_capture(self):
-        recorder = TraceRecorder("first")
-        recorder.on_frame(message("a"), 0.02, {"a": 1.0})
-        captured = recorder.restart("second")
-        assert captured.update_count() == 1
-        assert recorder.trace.is_empty()
-        assert recorder.trace.name == "second"
-        assert recorder.frames_seen == 0
-
-    def test_restart_records_the_next_frame_into_the_fresh_trace(self):
-        recorder = TraceRecorder("first")
-        recorder.on_frame(AB, 0.02, {"a": 1.0, "b": 2.0})
-        captured = recorder.restart()
-        # An earlier stamp is in order for the fresh capture.
-        recorder.on_frame(AB, 0.01, {"a": 5.0, "b": 6.0})
-        assert captured.updates("a") == [(0.02, 1.0)]
-        assert recorder.trace.updates("a") == [(0.01, 5.0)]
-        assert recorder.trace.name == "first"
-
     def test_a_message_sink_is_compiled_once(self):
         recorder = TraceRecorder()
         assert recorder.frame_sink(AB) is recorder.frame_sink(AB)
-
-    def test_a_sink_taken_before_a_restart_records_into_the_fresh_trace(self):
-        recorder = TraceRecorder("first")
-        sink = recorder.frame_sink(AB)
-        sink(0.02, {"a": 1.0, "b": 2.0})
-        captured = recorder.restart("second")
-        sink(0.04, {"a": 3.0, "b": 4.0})
-        assert captured.updates("a") == [(0.02, 1.0)]
-        assert recorder.trace.updates("b") == [(0.04, 4.0)]
-        assert recorder.frames_seen == 1
 
     def test_order_is_checked_per_signal(self):
         recorder = TraceRecorder()

@@ -255,6 +255,16 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="schema"):
             registry.merge_snapshot({"schema": "other/v9"})
 
+    def test_a_disabled_registry_merges_nothing(self):
+        # The gauge used to raise AttributeError on the null instrument.
+        snapshot = self.build().snapshot()
+        assert snapshot["gauges"]
+        for registry in (NULL_REGISTRY, MetricsRegistry(enabled=False)):
+            registry.merge_snapshot(snapshot)
+            assert registry.snapshot() == MetricsRegistry().snapshot()
+            with pytest.raises(ValueError, match="schema"):
+                registry.merge_snapshot({"schema": "other/v9"})
+
     def test_registry_pickles(self):
         # Worker processes ship registries' snapshots, but the registry
         # itself must survive pickling too (campaign configs may hold one).
