@@ -2,19 +2,13 @@
 
 This package provides the observability layer the paper's monitor depends
 on — a broadcast vehicle network that periodically carries system state.
+Frames are coded by one codec, :class:`repro.can.codec.FrameCodec`,
+compiled per message by the database; a database refuses a message
+whose signals share a payload bit.
 """
 
 from repro.can.bus import CanBus, JitterModel
-from repro.can.codec import (
-    decode_signal,
-    encode_signal,
-    extract_raw,
-    flip_bits,
-    insert_raw,
-    physical_to_raw,
-    raw_to_physical,
-    values_equal,
-)
+from repro.can.codec import physical_to_raw, raw_to_physical
 from repro.can.database import CanDatabase, MessageDef
 from repro.can.dbcio import (
     dump_database,
@@ -67,17 +61,11 @@ __all__ = [
     "SignalError",
     "SignalType",
     "SignalValue",
-    "decode_signal",
     "dump_database",
     "dumps_database",
-    "encode_signal",
-    "extract_raw",
-    "flip_bits",
     "fsracc_database",
-    "insert_raw",
     "load_database",
     "loads_database",
     "physical_to_raw",
     "raw_to_physical",
-    "values_equal",
 ]

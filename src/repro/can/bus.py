@@ -26,9 +26,12 @@ work something consumes:
 * **Payload-free delivery.**  No frame is encoded into a payload.
   :meth:`repro.can.codec.FrameCodec.deliver` converts the provided
   values once into the values a decode of the payload would yield and,
-  for a frame some tap may rewrite, into its raw fields.  The taps
-  rewrite those fields in place, and only a rewritten list is turned
-  back into values (:meth:`repro.can.codec.FrameCodec.values`).
+  for a frame some tap may rewrite, into its raw fields, a plain
+  list.  The taps rewrite those fields in place, and only a rewritten
+  list is turned back into values
+  (:meth:`repro.can.codec.FrameCodec.values`).  No two fields of a
+  message share a payload bit (the database refuses such a layout), so
+  rewriting one field never changes another.
 * **Compiled delivery.**  A listener is asked once per published
   message for that message's *frame sink*, a callable taking the
   frame's timestamp and values, or ``None`` when it does not listen to
@@ -58,7 +61,6 @@ import numpy as np
 from repro.can.codec import FrameCodec
 from repro.can.database import CanDatabase, MessageDef
 from repro.can.errors import BusError
-from repro.can.frame import CanFrame
 from repro.can.signal import SignalValue
 from repro.errors import non_negative_seconds, positive_seconds
 
@@ -214,9 +216,6 @@ class CanBus:
         message = self.database.message_by_name(message_name)
         if message_name in self._published:
             raise BusError("message %s already has a publisher" % message_name)
-        # The checks a frame of this message makes, made once: the bus
-        # builds no frames.
-        CanFrame(message.can_id, bytes(message.length))
         entry = _Scheduled(
             (message.can_id % 16) * self._phase_stagger,
             message,
@@ -322,7 +321,7 @@ class CanBus:
         it; returns the values to deliver, or ``None`` when a tap
         suppressed the transmission (message loss)."""
         message, codec = entry.message, entry.codec
-        raws: Optional[List[int]] = codec.fields()
+        raws: Optional[List[int]] = []
         values = entry.deliver(entry.provider(), raws)
         provided = list(raws)
         for tap, targets in self._taps:

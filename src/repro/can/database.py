@@ -9,12 +9,12 @@ the paper's monitor relies on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
-from repro.can.codec import FrameCodec
+from repro.can.codec import FrameCodec, payload_mask
 from repro.can.errors import DatabaseError
-from repro.can.frame import CanFrame, MAX_DLC
+from repro.can.frame import CanFrame, MAX_DLC, MAX_STANDARD_ID
 from repro.can.signal import SignalDef, SignalValue
 from repro.errors import positive_seconds
 
@@ -22,6 +22,12 @@ from repro.errors import positive_seconds
 @dataclass(frozen=True)
 class MessageDef:
     """One periodic broadcast message.
+
+    A message is refused with :class:`DatabaseError` when its CAN id is
+    not a standard 11-bit id, a signal does not fit in its payload, or
+    two signals share a payload bit (compared by
+    :func:`~repro.can.codec.payload_mask`, so a big- and a
+    little-endian field clash exactly when their bits do).
 
     Attributes:
         name: unique message name.
@@ -42,31 +48,36 @@ class MessageDef:
     comment: str = ""
 
     def __post_init__(self) -> None:
+        if not 0 <= self.can_id <= MAX_STANDARD_ID:
+            raise DatabaseError(
+                "%s: CAN id %d outside the standard range 0..%d"
+                % (self.name, self.can_id, MAX_STANDARD_ID)
+            )
         if not 0 < self.length <= MAX_DLC:
             raise DatabaseError(
                 "%s: message length %d outside 1..%d"
                 % (self.name, self.length, MAX_DLC)
             )
         positive_seconds("%s: period" % self.name, self.period)
-        seen = set()
+        owned: Dict[str, int] = {}
         for signal in self.signals:
-            if signal.name in seen:
+            if signal.name in owned:
                 raise DatabaseError(
                     "%s: duplicate signal %s" % (self.name, signal.name)
                 )
-            seen.add(signal.name)
             if signal.start_bit + signal.bit_length > 8 * self.length:
                 raise DatabaseError(
                     "%s: signal %s does not fit in %d bytes"
                     % (self.name, signal.name, self.length)
                 )
-        ordered = sorted(self.signals, key=lambda s: s.start_bit)
-        for left, right in zip(ordered, ordered[1:]):
-            if left.overlaps(right):
-                raise DatabaseError(
-                    "%s: signals %s and %s overlap"
-                    % (self.name, left.name, right.name)
-                )
+            mask = payload_mask(signal, self.length)
+            for other, other_mask in owned.items():
+                if mask & other_mask:
+                    raise DatabaseError(
+                        "%s: signals %s and %s share payload bits"
+                        % (self.name, other, signal.name)
+                    )
+            owned[signal.name] = mask
 
     def signal(self, name: str) -> SignalDef:
         """Look up one of this message's signals by name."""
@@ -194,15 +205,3 @@ class CanDatabase:
                 % (message.name, frame.dlc, message.length)
             )
         return message.name, self._codecs[message.name].decode(frame.data)
-
-    def frame_for(
-        self,
-        message_name: str,
-        values: Mapping[str, SignalValue],
-        timestamp: float = 0.0,
-    ) -> CanFrame:
-        """Encode ``values`` and wrap them in a timestamped frame."""
-        message = self.message_by_name(message_name)
-        return CanFrame(
-            message.can_id, self.encode(message_name, values), timestamp
-        )

@@ -2,7 +2,7 @@
 
 Real vehicle projects exchange their network definition as a DBC file;
 this module provides the same capability for :class:`CanDatabase` in a
-small line-oriented format that round-trips exactly:
+small line-oriented format:
 
 .. code-block:: text
 
@@ -15,6 +15,14 @@ small line-oriented format that round-trips exactly:
 
 Floats are always 32-bit IEEE-754 (the library's wire format for float
 signals), so ``width`` is only written for enums; booleans are 1 bit.
+
+A database written by :func:`dumps_database` reloads equal to it in
+every message and signal field except the comments, which the format
+does not keep.  Range bounds are written with ``repr``, and so is a
+period (in seconds) whose ``%g`` milliseconds would not reload
+exactly.  What the format cannot hold, a big-endian signal (every
+signal reloads little-endian) or a range with only one bound, is
+refused with :class:`DatabaseError` before anything is written.
 """
 
 from __future__ import annotations
@@ -34,14 +42,14 @@ HEADER = "# repro-candb v1"
 _MESSAGE_RE = re.compile(
     r"^message\s+(?P<name>\w+)\s+(?P<id>0x[0-9A-Fa-f]+|\d+)"
     r"\s+length\s+(?P<length>\d+)"
-    r"\s+period\s+(?P<period>[\d.]+)(?P<unit>ms|s)"
+    r"\s+period\s+(?P<period>[\d.]+(?:e[-+]?\d+)?)(?P<unit>ms|s)"
     r"(?:\s+sender\s+(?P<sender>\w+))?$"
 )
 _SIGNAL_RE = re.compile(
     r"^signal\s+(?P<name>\w+)\s+(?P<kind>float|bool|enum)\s+@(?P<start>\d+)"
     r"(?:\s+width\s+(?P<width>\d+))?"
     r"(?:\s+unit\s+(?P<unit>\S+))?"
-    r"(?:\s+range\s+(?P<min>-?[\d.]+)\.\.(?P<max>-?[\d.]+))?"
+    r"(?:\s+range\s+(?P<min>\S+?)\.\.(?P<max>\S+))?"
     r"(?:\s+values\s+(?P<values>.+))?$"
 )
 
@@ -79,13 +87,13 @@ def loads_database(text: str) -> CanDatabase:
 
 
 def _write(database: CanDatabase, handle: TextIO) -> None:
+    for signal in database.signals():
+        _check_writable(signal)
     handle.write(HEADER + "\n")
     for message in database.messages():
-        period = message.period
-        if abs(period * 1000 - round(period * 1000)) < 1e-9 and period < 1.0:
-            period_text = "%gms" % (period * 1000)
-        else:
-            period_text = "%gs" % period
+        period_text = "%gms" % (message.period * 1000)
+        if float(period_text[:-2]) / 1000.0 != message.period:
+            period_text = "%rs" % message.period
         sender = (" sender %s" % message.sender) if message.sender else ""
         handle.write(
             "message %s 0x%X length %d period %s%s\n"
@@ -100,8 +108,10 @@ def _write(database: CanDatabase, handle: TextIO) -> None:
                 parts.append("width %d" % signal.bit_length)
             if signal.unit:
                 parts.append("unit %s" % signal.unit)
-            if signal.minimum is not None and signal.maximum is not None:
-                parts.append("range %g..%g" % (signal.minimum, signal.maximum))
+            if signal.minimum is not None:
+                parts.append(
+                    "range %r..%r" % (float(signal.minimum), float(signal.maximum))
+                )
             if signal.enum_labels:
                 labels = " ".join(
                     "%d=%s" % (value, label)
@@ -109,6 +119,19 @@ def _write(database: CanDatabase, handle: TextIO) -> None:
                 )
                 parts.append("values %s" % labels)
             handle.write(" ".join(parts) + "\n")
+
+
+def _check_writable(signal: SignalDef) -> None:
+    """Refuse a signal the format would reload as a different one."""
+    if signal.byte_order is not ByteOrder.LITTLE_ENDIAN:
+        raise DatabaseError(
+            "%s: a big-endian signal cannot be written (the format is "
+            "little-endian only)" % signal.name
+        )
+    if (signal.minimum is None) != (signal.maximum is None):
+        raise DatabaseError(
+            "%s: a range with one bound cannot be written" % signal.name
+        )
 
 
 def _parse(handle: TextIO) -> CanDatabase:
@@ -195,6 +218,7 @@ def _parse_signal(line: str, line_number: int) -> SignalDef:
                 raise DatabaseError(
                     "line %d: bad enum value %r" % (line_number, pair)
                 ) from None
+    bounds = [_bound(match.group(end), line_number) for end in ("min", "max")]
     return SignalDef(
         name=match.group("name"),
         start_bit=int(match.group("start")),
@@ -202,7 +226,18 @@ def _parse_signal(line: str, line_number: int) -> SignalDef:
         kind=kind,
         byte_order=ByteOrder.LITTLE_ENDIAN,
         unit=match.group("unit") or "",
-        minimum=float(match.group("min")) if match.group("min") else None,
-        maximum=float(match.group("max")) if match.group("max") else None,
+        minimum=bounds[0],
+        maximum=bounds[1],
         enum_labels=labels,
     )
+
+
+def _bound(text: Optional[str], line_number: int) -> Optional[float]:
+    if text is None:
+        return None
+    try:
+        return float(text)
+    except ValueError:
+        raise DatabaseError(
+            "line %d: bad range bound %r" % (line_number, text)
+        ) from None

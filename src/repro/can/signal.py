@@ -97,17 +97,6 @@ class SignalDef:
             raise SignalError("%s: minimum exceeds maximum" % self.name)
 
     @property
-    def bit_range(self) -> Tuple[int, int]:
-        """Half-open ``(first_bit, end_bit)`` span in the payload."""
-        return (self.start_bit, self.start_bit + self.bit_length)
-
-    def overlaps(self, other: "SignalDef") -> bool:
-        """Whether this signal's bit span intersects ``other``'s."""
-        a_lo, a_hi = self.bit_range
-        b_lo, b_hi = other.bit_range
-        return a_lo < b_hi and b_lo < a_hi
-
-    @property
     def max_raw(self) -> int:
         """Largest raw (unsigned integer) field value."""
         return (1 << self.bit_length) - 1

@@ -8,7 +8,7 @@ from helpers import PerFrameBus, ScalarJitter, payload_tap
 from repro.can.bus import JITTER_BLOCK, CanBus, JitterModel
 from repro.can.codec import physical_to_raw
 from repro.can.database import CanDatabase, MessageDef
-from repro.can.errors import BusError, FrameError
+from repro.can.errors import BusError, DatabaseError
 from repro.errors import ParameterError
 from repro.can.signal import SignalDef, SignalType
 
@@ -336,8 +336,6 @@ class TestTapTargets:
             bus.remove_frame_tap(lambda message, raws, timestamp: raws)
 
     def test_out_of_range_can_id_is_refused_when_scheduled(self):
-        database = CanDatabase(
-            [MessageDef("Wide", 0x800, 8, 0.02, (SignalDef("w", 0, 32, SignalType.FLOAT),))]
-        )
-        with pytest.raises(FrameError):
-            CanBus(database).attach_publisher("Wide", dict)
+        """The message definition refuses the id, so no bus can schedule it."""
+        with pytest.raises(DatabaseError, match="^Wide: CAN id 2048 outside"):
+            MessageDef("Wide", 0x800, 8, 0.02, (SignalDef("w", 0, 32, SignalType.FLOAT),))

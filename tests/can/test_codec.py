@@ -7,16 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.can.codec import (
+from helpers import (
     decode_signal,
     encode_signal,
     extract_raw,
     flip_bits,
     insert_raw,
-    physical_to_raw,
-    raw_to_physical,
     values_equal,
 )
+from repro.can.codec import physical_to_raw, raw_to_physical
 from repro.can.errors import CodecError
 from repro.can.signal import ByteOrder, SignalDef, SignalType
 

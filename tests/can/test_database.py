@@ -2,11 +2,13 @@
 
 import pytest
 
+from helpers import insert_raw
 from repro.can.database import CanDatabase, MessageDef
+from repro.can.dbcio import loads_database
 from repro.can.errors import DatabaseError
 from repro.errors import ParameterError
-from repro.can.frame import CanFrame
-from repro.can.signal import SignalDef, SignalType
+from repro.can.frame import MAX_STANDARD_ID, CanFrame
+from repro.can.signal import ByteOrder, SignalDef, SignalType
 
 
 def float_sig(name, start):
@@ -45,11 +47,24 @@ class TestMessageValidation:
             MessageDef("m", 1, 4, 0.02, (float_sig("x", 8),))
 
     def test_overlapping_signals_rejected(self):
-        with pytest.raises(DatabaseError):
+        with pytest.raises(DatabaseError, match="signals a and b share"):
             MessageDef(
                 "m", 1, 8, 0.02,
                 (float_sig("a", 0), bool_sig("b", 31)),
             )
+
+    @pytest.mark.parametrize("can_id", [-1, MAX_STANDARD_ID + 1, 0x1FFFFFFF])
+    def test_can_id_outside_the_standard_range_rejected(self, can_id):
+        with pytest.raises(DatabaseError, match="^m: CAN id %d outside" % can_id):
+            MessageDef("m", can_id, 8, 0.02, ())
+        text = "# repro-candb v1\nmessage m %d length 8 period 20ms\n" % can_id
+        if can_id >= 0:
+            with pytest.raises(DatabaseError, match="^m: CAN id"):
+                loads_database(text)
+
+    @pytest.mark.parametrize("can_id", [0, MAX_STANDARD_ID])
+    def test_can_id_at_the_ends_of_the_standard_range_accepted(self, can_id):
+        assert MessageDef("m", can_id, 8, 0.02, ()).can_id == can_id
 
     def test_duplicate_signal_names_rejected(self):
         with pytest.raises(DatabaseError):
@@ -66,6 +81,61 @@ class TestMessageValidation:
 
     def test_signal_names_in_payload_order(self):
         assert simple_message().signal_names() == ("speed", "flag")
+
+
+def enum_field(name, start, length, byte_order):
+    return SignalDef(name, start, length, SignalType.ENUM, byte_order=byte_order)
+
+
+class TestPayloadOverlap:
+    """Two signals overlap when they own a common payload bit, whatever
+    their nominal start-bit spans: a big-endian field's start bit is not
+    its payload bit position."""
+
+    def test_roadmap_example_is_refused_naming_both_signals(self):
+        # A owns bit 0; B, big-endian at bit 1, owns bits 0-6.
+        a = enum_field("A", 0, 1, ByteOrder.LITTLE_ENDIAN)
+        b = enum_field("B", 1, 7, ByteOrder.BIG_ENDIAN)
+        with pytest.raises(DatabaseError, match="^m: signals A and B share payload bits$"):
+            MessageDef("m", 1, 1, 0.02, (a, b))
+
+    def test_disjoint_bits_with_overlapping_spans_are_accepted(self):
+        # Both start at bit 0: lo owns the low nibble, hi the high one.
+        lo = enum_field("lo", 0, 4, ByteOrder.LITTLE_ENDIAN)
+        hi = enum_field("hi", 0, 4, ByteOrder.BIG_ENDIAN)
+        assert MessageDef("m", 1, 1, 0.02, (lo, hi)).signals == (lo, hi)
+
+    def test_exactly_the_layouts_sharing_a_payload_bit_are_refused(self):
+        """Every two-signal layout of a 1-3 byte message, one field
+        little-endian and one big-endian, against the per-signal
+        codec's payload bits."""
+        layouts = refused = 0
+        for length in (1, 2, 3):
+            bits = 8 * length
+            fields = {}
+            for byte_order in ByteOrder:
+                fields[byte_order] = []
+                name = "L" if byte_order is ByteOrder.LITTLE_ENDIAN else "B"
+                for start in range(bits):
+                    for width in range(1, bits - start + 1):
+                        field = enum_field(name, start, width, byte_order)
+                        data = insert_raw(bytes(length), field, field.max_raw)
+                        fields[byte_order].append(
+                            (field, int.from_bytes(data, "little"))
+                        )
+            for little, little_mask in fields[ByteOrder.LITTLE_ENDIAN]:
+                for big, big_mask in fields[ByteOrder.BIG_ENDIAN]:
+                    layouts += 1
+                    try:
+                        MessageDef("m", 1, length, 0.02, (little, big))
+                    except DatabaseError as error:
+                        assert little_mask & big_mask, (little, big)
+                        assert str(error) == "m: signals L and B share payload bits"
+                        refused += 1
+                    else:
+                        assert not little_mask & big_mask, (little, big)
+        assert layouts == 109_792
+        assert refused > 0
 
 
 class TestDatabaseRegistry:
@@ -118,16 +188,15 @@ class TestDatabaseRegistry:
 class TestEncodeDecode:
     def test_round_trip(self):
         db = CanDatabase([simple_message()])
-        frame = db.frame_for("Msg", {"speed": 27.5, "flag": True}, timestamp=1.0)
+        frame = CanFrame(0x10, db.encode("Msg", {"speed": 27.5, "flag": True}))
         name, values = db.decode(frame)
         assert name == "Msg"
         assert values["speed"] == 27.5
         assert values["flag"] is True
-        assert frame.timestamp == 1.0
 
     def test_missing_signals_get_defaults(self):
         db = CanDatabase([simple_message()])
-        _, values = db.decode(db.frame_for("Msg", {}))
+        _, values = db.decode(CanFrame(0x10, db.encode("Msg", {})))
         assert values == {"speed": 0.0, "flag": False}
 
     def test_short_frame_rejected(self):

@@ -174,14 +174,6 @@ class TestEncodeDecode:
             for bad in BAD_FLOATS:
                 check_message(message, {signal.name: bad})
 
-    def test_shared_byte_later_field_wins(self):
-        message = synthetic_database().message_by_name("SharedByte")
-        check_message(message, {"lo": 0b0101, "hi": 0b1111})
-        delivered = FrameCodec(message.length, message.signals).deliver(
-            {"lo": 0b0101, "hi": 0b1000}
-        )
-        assert delivered["lo"] == 0b1000  # "hi" overwrote the shared bits
-
 
 class TestLongFrames:
     """A frame may carry more bytes than its message: a big-endian

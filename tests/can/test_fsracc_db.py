@@ -12,6 +12,7 @@ from repro.can.fsracc import (
     SLOW_PERIOD,
     fsracc_database,
 )
+from repro.can.frame import CanFrame
 from repro.can.signal import SignalType
 
 
@@ -86,7 +87,9 @@ class TestRoundTrip:
         }
         for name, value in values.items():
             message = database.message_for_signal(name)
-            frame = database.frame_for(message.name, {name: value})
+            frame = CanFrame(
+                message.can_id, database.encode(message.name, {name: value})
+            )
             _, decoded = database.decode(frame)
             # Floats travel as IEEE-754 binary32, so compare at that precision.
             assert decoded[name] == pytest.approx(value, rel=1e-6)

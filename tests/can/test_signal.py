@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from repro.can.codec import payload_mask
 from repro.can.errors import SignalError
 from repro.can.signal import ByteOrder, SignalDef, SignalType
 
@@ -51,16 +52,15 @@ class TestDefinitionValidation:
 
 
 class TestBitRanges:
-    def test_bit_range_is_half_open(self):
-        assert make_enum(start=8, bits=3).bit_range == (8, 11)
-
     def test_overlap_detection(self):
         a = make_enum("a", start=0, bits=4)
         b = make_enum("b", start=3, bits=4)
         c = make_enum("c", start=4, bits=4)
-        assert a.overlaps(b)
-        assert b.overlaps(a)
-        assert not a.overlaps(c)
+        assert payload_mask(a, 1) & payload_mask(b, 1)
+        assert not payload_mask(a, 1) & payload_mask(c, 1)
+        # A big-endian field at the same start bit as c owns a's bits.
+        d = make_enum("d", start=4, bits=4, byte_order=ByteOrder.BIG_ENDIAN)
+        assert payload_mask(d, 1) == payload_mask(a, 1) == 0b1111
 
     def test_max_raw(self):
         assert make_enum(bits=3).max_raw == 7

@@ -1,7 +1,8 @@
 """Shared helpers for building small, hand-authored traces in tests,
-plus five oracles: the O(n·w) window kernel, the per-frame CAN bus with
-its payload taps, the per-line drive-log reader, the per-signal view
-resample and per-event online and fleet ingest."""
+plus six oracles: the O(n·w) window kernel, the per-signal payload
+codec, the per-frame CAN bus with its payload taps, the per-line
+drive-log reader, the per-signal view resample and per-event online
+and fleet ingest."""
 
 from __future__ import annotations
 
@@ -9,19 +10,14 @@ import heapq
 import math
 import struct
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, TextIO, Tuple
 from unittest import mock
 
 import numpy as np
 
-from repro.can.codec import (
-    decode_signal,
-    encode_signal,
-    extract_raw,
-    flip_bits,
-    insert_raw,
-)
+from repro.can.codec import physical_to_raw, raw_to_physical
 from repro.can.database import CanDatabase, MessageDef
+from repro.can.errors import CodecError
 from repro.can.frame import CanFrame
 from repro.can.signal import ByteOrder, SignalDef, SignalType, SignalValue
 from repro.core import windows
@@ -141,6 +137,93 @@ def window_kernel(name: str) -> Iterator[None]:
 
 
 # ----------------------------------------------------------------------
+# The per-signal payload codec oracle
+# ----------------------------------------------------------------------
+
+
+def extract_raw(data: bytes, signal: SignalDef) -> int:
+    """Extract the raw unsigned field for ``signal`` from payload ``data``."""
+    _check_fits(data, signal)
+    if signal.byte_order is ByteOrder.LITTLE_ENDIAN:
+        whole = int.from_bytes(data, "little")
+        return (whole >> signal.start_bit) & signal.max_raw
+    whole = int.from_bytes(data, "big")
+    total_bits = 8 * len(data)
+    shift = total_bits - signal.start_bit - signal.bit_length
+    return (whole >> shift) & signal.max_raw
+
+
+def insert_raw(data: bytes, signal: SignalDef, raw: int) -> bytes:
+    """Return a copy of ``data`` with ``signal``'s field replaced by ``raw``."""
+    _check_fits(data, signal)
+    if not 0 <= raw <= signal.max_raw:
+        raise CodecError(
+            "%s: raw value %d does not fit in %d bits"
+            % (signal.name, raw, signal.bit_length)
+        )
+    if signal.byte_order is ByteOrder.LITTLE_ENDIAN:
+        whole = int.from_bytes(data, "little")
+        mask = signal.max_raw << signal.start_bit
+        whole = (whole & ~mask) | (raw << signal.start_bit)
+        return whole.to_bytes(len(data), "little")
+    whole = int.from_bytes(data, "big")
+    total_bits = 8 * len(data)
+    shift = total_bits - signal.start_bit - signal.bit_length
+    mask = signal.max_raw << shift
+    whole = (whole & ~mask) | (raw << shift)
+    return whole.to_bytes(len(data), "big")
+
+
+def encode_signal(data: bytes, signal: SignalDef, value: SignalValue) -> bytes:
+    """Encode one physical value into a payload, returning the new payload."""
+    return insert_raw(data, signal, physical_to_raw(signal, value))
+
+
+def decode_signal(data: bytes, signal: SignalDef) -> SignalValue:
+    """Decode one physical value out of a payload."""
+    return raw_to_physical(signal, extract_raw(data, signal))
+
+
+def flip_bits(data: bytes, signal: SignalDef, bit_offsets: Iterable[int]) -> bytes:
+    """Flip the given bits *within one signal's field* of a payload.
+
+    ``bit_offsets`` are zero-based offsets inside the signal's raw field
+    (0 is the field's least significant bit).  This mirrors the paper's
+    bit-flip fault injection, which targeted individual signals.
+    """
+    raw = extract_raw(data, signal)
+    for offset in bit_offsets:
+        if not 0 <= offset < signal.bit_length:
+            raise CodecError(
+                "%s: bit offset %d outside %d-bit field"
+                % (signal.name, offset, signal.bit_length)
+            )
+        raw ^= 1 << offset
+    return insert_raw(data, signal, raw)
+
+
+def values_equal(a: SignalValue, b: SignalValue) -> bool:
+    """Equality that treats NaN as equal to NaN (useful in round-trip tests)."""
+    if isinstance(a, float) and isinstance(b, float):
+        if math.isnan(a) and math.isnan(b):
+            return True
+    return a == b
+
+
+def _check_fits(data: bytes, signal: SignalDef) -> None:
+    if signal.start_bit + signal.bit_length > 8 * len(data):
+        raise CodecError(
+            "%s: field [%d, %d) does not fit in %d-byte payload"
+            % (
+                signal.name,
+                signal.start_bit,
+                signal.start_bit + signal.bit_length,
+                len(data),
+            )
+        )
+
+
+# ----------------------------------------------------------------------
 # The per-frame bus oracle
 # ----------------------------------------------------------------------
 
@@ -204,31 +287,36 @@ def synthetic_database():
                 ),
             ),
             MessageDef(
-                # Both byte orders sharing payload bits (see SharedByte).
+                # Both byte orders, unaligned, with be_e in the top five
+                # bits of the byte le_f ends in.  The nominal spans of
+                # le_f and be_e overlap; their payload bits do not.
                 "Mixed", 0x101, 8, 0.02,
                 (
                     SignalDef("le_f", 3, 32, SignalType.FLOAT),
-                    SignalDef("be_f", 35, 32 - 3, SignalType.ENUM, byte_order=BIG),
+                    SignalDef("be_e", 32, 5, SignalType.ENUM, byte_order=BIG),
+                    SignalDef("be_f", 40, 19, SignalType.ENUM, byte_order=BIG),
                 ),
             ),
             MessageDef(
-                # The nominal spans [0, 4) and [4, 8) are disjoint, but
-                # the two byte orders map start bits to payload bits
-                # differently: both fields own the low nibble of byte 0.
+                # Both byte orders share each byte, in disjoint bits: "lo"
+                # owns the low nibble of byte 0 and "hi" the high one,
+                # "flag" bit 7 of byte 1 and "tail" bits 0-6, though the
+                # nominal spans of each pair start at the same bit.
                 "SharedByte", 0x102, 2, 0.02,
                 (
                     SignalDef("lo", 0, 4, SignalType.ENUM),
-                    SignalDef("hi", 4, 4, SignalType.ENUM, byte_order=BIG),
+                    SignalDef("hi", 0, 4, SignalType.ENUM, byte_order=BIG),
                     SignalDef("flag", 8, 1, SignalType.BOOL, byte_order=BIG),
-                    SignalDef("tail", 9, 7, SignalType.ENUM),
+                    SignalDef("tail", 8, 7, SignalType.ENUM),
                 ),
             ),
             MessageDef(
-                # Shorter than a full frame; s_be and s_le share two bits.
+                # Shorter than a full frame: s_be owns byte 0 and the top
+                # two bits of byte 1, s_le the other six.
                 "Short", 0x103, 4, 0.02,
                 (
                     SignalDef("s_be", 0, 10, SignalType.ENUM, byte_order=BIG),
-                    SignalDef("s_le", 10, 6, SignalType.ENUM),
+                    SignalDef("s_le", 8, 6, SignalType.ENUM),
                     SignalDef("s_b", 16, 1, SignalType.BOOL),
                 ),
             ),
@@ -261,7 +349,7 @@ def tap_frame(
     field ``tap``, as the bus does: the values delivered, or ``None``
     when the tap dropped the frame."""
     codec = database.codec(message.name)
-    raws = codec.fields()
+    raws: List[int] = []
     codec.deliver(values, raws)
     rewritten = tap(message, raws, 0.0)
     return None if rewritten is None else codec.values(rewritten)
